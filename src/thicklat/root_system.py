@@ -5,13 +5,20 @@ elements are integer matrices acting on those coordinates.  The
 noncrossing partition lattice for a Coxeter element c is the interval
 [e, c] in the absolute order: u <= w iff reflection lengths add up
 along u, u^-1 w, w.
+
+Inside [e, c] an element w is keyed by R(w), the positive roots in its
+moved space Mov(w) = im(w - I), as a bitmask.  R(w) spans Mov(w), so by
+Brady-Watt u <= w iff R(u) is a subset of R(w); by Carter's lemma the
+lower covers of w are the w*t with the root of t in R(w).  Enumeration,
+order and covers thus need no rank computation per candidate or pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import int_identity, int_mat_inverse, int_mat_mul, int_rank
+from .linalg import QQ, int_identity, int_mat_inverse, int_mat_mul, int_rank, nullspace
 
 LETTERS = ("A", "D", "E")
 
@@ -136,6 +143,11 @@ class WeylElement:
         return f"WeylElement({self.mat!r})"
 
 
+def _minus_identity(mat):
+    n = len(mat)
+    return [[mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
 def reflection_length(w: WeylElement) -> int:
     """Minimal number of reflections whose product is w.
 
@@ -143,11 +155,7 @@ def reflection_length(w: WeylElement) -> int:
     fraction-free elimination on mat - I.
     """
     if w._length is None:
-        n = len(w.mat)
-        shifted = [
-            [w.mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        w._length = int_rank(shifted)
+        w._length = int_rank(_minus_identity(w.mat))
     return w._length
 
 
@@ -266,18 +274,51 @@ def coxeter_element(rs: RootSystem, arrows) -> WeylElement:
     return c
 
 
+def moved_roots(rs: RootSystem, w: WeylElement) -> int:
+    """R(w): the positive roots in Mov(w) = im(w - I), as a bitmask over
+    rs.positive_roots.
+
+    w preserves the Cartan form, so Mov(w) is the orthogonal complement
+    of Fix(w) = ker(w - I): a root lies in Mov(w) iff it pairs to zero
+    with every vector of a basis of Fix(w).
+    """
+    mask = (1 << len(rs.positive_roots)) - 1
+    for fixed in nullspace(QQ, _minus_identity(w.mat)):
+        scale = lcm(*(x.denominator for x in fixed))
+        fixed = [int(x * scale) for x in fixed]
+        pairing = [sum(a * x for a, x in zip(row, fixed)) for row in rs.cartan]
+        for k, root in enumerate(rs.positive_roots):
+            if sum(x * y for x, y in zip(root, pairing)):
+                mask &= ~(1 << k)
+    return mask
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class NcElement:
     """An element of the noncrossing partition lattice NC(W, c).
 
     Wraps a Weyl element w known to lie in the absolute-order interval
-    [e, c]; the defining length identity is revalidated on construction.
+    [e, c] of the Weyl group of rs; the defining length identity is
+    revalidated on construction.  Its moved roots R(w) are computed on
+    first use.
     """
 
-    __slots__ = ("w", "c")
+    __slots__ = ("rs", "w", "c", "_moved")
 
-    def __init__(self, w: WeylElement, c: WeylElement, _checked: bool = False):
+    def __init__(
+        self, rs: RootSystem, w: WeylElement, c: WeylElement, _checked: bool = False
+    ):
+        self.rs = rs
         self.w = w
         self.c = c
+        self._moved = None
         if not _checked:
             rest = WeylElement(int_mat_mul(w.inverse_mat(), c.mat))
             if reflection_length(w) + reflection_length(rest) != reflection_length(c):
@@ -286,6 +327,13 @@ class NcElement:
     @property
     def length(self) -> int:
         return reflection_length(self.w)
+
+    @property
+    def moved(self) -> int:
+        """R(w) as a bitmask over rs.positive_roots; see moved_roots."""
+        if self._moved is None:
+            self._moved = moved_roots(self.rs, self.w)
+        return self._moved
 
     def __eq__(self, other):
         return (
@@ -302,82 +350,36 @@ class NcElement:
 
 
 def enumerate_nc(rs: RootSystem, c: WeylElement) -> tuple[NcElement, ...]:
-    """All elements of [e, c] in absolute order, found by breadth-first
-    search multiplying by reflections one length step at a time.
+    """All elements of [e, c], walked top-down from c through the lower
+    covers w*t, t with root in R(w) (Carter's lemma).
 
     Returned in canonical order: lexicographic on flattened matrices.
     """
-    n = rs.rank
-    if reflection_length(c) != n:
+    if reflection_length(c) != rs.rank:
         raise ValueError("c does not have full reflection length")
-    refls = [reflection(rs, r) for r in rs.positive_roots]
-    ident = int_identity(n)
-    length_memo: dict[tuple, int] = {}
-
-    def length_of(mat) -> int:
-        cached = length_memo.get(mat)
-        if cached is None:
-            shifted = [
-                [mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-            ]
-            cached = length_memo[mat] = int_rank(shifted)
-        return cached
-
-    found: dict[tuple, tuple] = {ident: ident}
-    level = {ident: ident}
-    for step in range(n):
-        nxt: dict[tuple, tuple] = {}
-        for wmat, winv in level.items():
-            for t in refls:
-                cand = int_mat_mul(wmat, t.mat)
-                if cand in found or cand in nxt:
-                    continue
-                if length_of(cand) != step + 1:
-                    continue
-                cand_inv = int_mat_mul(t.mat, winv)
-                if length_of(int_mat_mul(cand_inv, c.mat)) != n - step - 1:
-                    continue
-                nxt[cand] = cand_inv
-        found.update(nxt)
-        level = nxt
-    elements = [
-        NcElement(WeylElement(mat, inv=inv), c, _checked=True)
-        for mat, inv in found.items()
-    ]
-    elements.sort(key=lambda e: e.w.mat)
-    return tuple(elements)
-
-
-def _require_same_context(u: NcElement, w: NcElement):
-    if u.c.mat != w.c.mat:
-        raise ValueError("elements live under different Coxeter elements")
+    refls = [reflection(rs, r).mat for r in rs.positive_roots]
+    top = NcElement(rs, c, c, _checked=True)
+    found = {c.mat: top}
+    level = [top]
+    while level:
+        below = []
+        for w in level:
+            for k in _bits(w.moved):
+                mat = int_mat_mul(w.w.mat, refls[k])
+                if mat not in found:
+                    found[mat] = NcElement(rs, WeylElement(mat), c, _checked=True)
+                    below.append(found[mat])
+        level = below
+    return tuple(sorted(found.values(), key=lambda e: e.w.mat))
 
 
 def nc_leq(u: NcElement, w: NcElement) -> bool:
-    """Absolute-order comparison inside [e, c]."""
-    _require_same_context(u, w)
-    rest = WeylElement(int_mat_mul(u.w.inverse_mat(), w.w.mat))
-    return u.length + reflection_length(rest) == w.length
-
-
-def nc_meet(u: NcElement, w: NcElement, nc_set) -> NcElement:
-    """Greatest lower bound, found by scanning the enumerated lattice."""
-    _require_same_context(u, w)
-    lower = [x for x in nc_set if nc_leq(x, u) and nc_leq(x, w)]
-    best = [x for x in lower if all(nc_leq(y, x) for y in lower)]
-    if len(best) != 1:
-        raise RuntimeError("meet is not unique; lattice property violated")
-    return best[0]
-
-
-def nc_join(u: NcElement, w: NcElement, nc_set) -> NcElement:
-    """Least upper bound, found by scanning the enumerated lattice."""
-    _require_same_context(u, w)
-    upper = [x for x in nc_set if nc_leq(u, x) and nc_leq(w, x)]
-    best = [x for x in upper if all(nc_leq(x, y) for y in upper)]
-    if len(best) != 1:
-        raise RuntimeError("join is not unique; lattice property violated")
-    return best[0]
+    """Absolute-order comparison inside [e, c]: whether R(u) is a subset
+    of R(w), since R spans the moved space and u <= w iff Mov(u) lies in
+    Mov(w) (Brady-Watt)."""
+    if u.c.mat != w.c.mat:
+        raise ValueError("elements live under different Coxeter elements")
+    return u.moved & ~w.moved == 0
 
 
 def _type_a_permutation(u: NcElement) -> dict[int, int]:
@@ -449,7 +451,8 @@ class NcLattice:
     """The enumerated interval [e, c] with its order structure.
 
     Elements are kept in canonical order (lexicographic on flattened
-    matrices); comparisons are cached as up-set and down-set bitmasks.
+    matrices); comparisons are cached as up-set and down-set bitmasks,
+    built from the elements' moved-root masks.
     """
 
     def __init__(self, rs: RootSystem, c: WeylElement, elements=None):
@@ -467,16 +470,13 @@ class NcLattice:
 
     def _masks(self):
         if self._up is None:
-            n = len(self.elements)
-            up = [0] * n
-            down = [0] * n
-            for i, u in enumerate(self.elements):
-                for j, w in enumerate(self.elements):
-                    if nc_leq(u, w):
-                        up[i] |= 1 << j
-                        down[j] |= 1 << i
-            self._up = up
-            self._down = down
+            moved = [e.moved for e in self.elements]
+            self._up = [
+                sum(1 << j for j, s in enumerate(moved) if r & ~s == 0) for r in moved
+            ]
+            self._down = [
+                sum(1 << i for i, r in enumerate(moved) if r & ~s == 0) for s in moved
+            ]
         return self._up, self._down
 
     def leq(self, i: int, j: int) -> bool:
@@ -491,18 +491,17 @@ class NcLattice:
         return next(i for i, e in enumerate(self.elements) if e.length == n)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (lower, higher): comparable with nothing strictly
-        between."""
-        up, down = self._masks()
-        out = []
-        for i in range(len(self.elements)):
-            for j in range(len(self.elements)):
-                if i == j or not self.leq(i, j):
-                    continue
-                between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append((i, j))
-        return tuple(out)
+        """Cover pairs (lower, higher): comparable and one reflection
+        length apart, since [e, c] is graded by reflection length."""
+        up, _ = self._masks()
+        levels = [0] * (self.rs.rank + 2)
+        for i, e in enumerate(self.elements):
+            levels[e.length] |= 1 << i
+        return tuple(
+            (i, j)
+            for i, e in enumerate(self.elements)
+            for j in _bits(up[i] & levels[e.length + 1])
+        )
 
     def join(self, i: int, j: int) -> int:
         up, _ = self._masks()

@@ -31,10 +31,9 @@ from .quiver_rep import (
 )
 from .root_system import (
     NcElement,
+    NcLattice,
     WeylElement,
     coxeter_element,
-    enumerate_nc,
-    nc_leq,
     reflection,
     reflection_length,
 )
@@ -357,46 +356,43 @@ def wide_to_nc(wide: WideSubcategory) -> NcElement:
     w = WeylElement(mats.pop())
     if reflection_length(w) != k:
         raise RuntimeError("product length differs from the number of simples")
-    return NcElement(w, c)
+    return NcElement(rs, w, c)
 
 
 def verify_bijection(quiver: Quiver, field) -> BijectionReport:
     """Check that wide subcategories map bijectively and order
     isomorphically onto the noncrossing partition lattice."""
     rs = _root_system_for(quiver.dynkin)
-    c = coxeter_element(rs, quiver.arrows)
     wides = enumerate_thick(quiver, field)
-    nc = enumerate_nc(rs, c)
+    lattice = NcLattice(rs, coxeter_element(rs, quiver.arrows))
     failures = []
-    images = []
-    for w in wides:
-        images.append(wide_to_nc(w))
-    image_set = {x for x in images}
+    images = [wide_to_nc(w) for w in wides]
+    image_set = set(images)
     if len(image_set) != len(wides):
         failures.append("map is not injective")
-    nc_set = set(nc)
-    if not image_set <= nc_set:
+    positions = [lattice.index.get(x) for x in images]
+    if None in positions:
         failures.append("an image is not below the Coxeter element")
-    is_bijective = len(image_set) == len(wides) == len(nc)
+    is_bijective = len(image_set) == len(wides) == len(lattice)
     if not is_bijective:
         failures.append(
-            f"count mismatch: {len(wides)} subcategories vs {len(nc)} partitions"
+            f"count mismatch: {len(wides)} subcategories vs {len(lattice)} partitions"
         )
-    is_order_iso = True
-    for i, wi in enumerate(wides):
-        for j, wj in enumerate(wides):
-            incl = wi.dims <= wj.dims
-            below = nc_leq(images[i], images[j])
-            if incl != below:
-                is_order_iso = False
-                failures.append(
-                    f"order mismatch at {wi.sorted_dims()} vs {wj.sorted_dims()}"
-                )
+    # an image outside the lattice leaves no order to compare with
+    is_order_iso = None not in positions
+    if is_order_iso:
+        for i, wi in enumerate(wides):
+            for j, wj in enumerate(wides):
+                if (wi.dims <= wj.dims) != lattice.leq(positions[i], positions[j]):
+                    is_order_iso = False
+                    failures.append(
+                        f"order mismatch at {wi.sorted_dims()} vs {wj.sorted_dims()}"
+                    )
     return BijectionReport(
         quiver=quiver,
         field_char=field.char,
         thick_count=len(wides),
-        nc_count=len(nc),
+        nc_count=len(lattice),
         is_bijective=is_bijective,
         is_order_isomorphism=is_order_iso,
         failures=tuple(failures[:20]),

@@ -14,6 +14,12 @@ from thicklat.root_system import (
 )
 from thicklat.thick_enum import enumerate_thick, verify_bijection
 
+from test_root_system import (
+    assert_atoms_and_coatoms,
+    assert_order_matches_rank_oracle,
+    nc_lattice,
+)
+
 long_tests = pytest.mark.skipif(
     os.environ.get("THICKLAT_LONG_TESTS") != "1",
     reason="set THICKLAT_LONG_TESTS=1 to run",
@@ -27,6 +33,12 @@ def test_e7_enumeration_count():
     c = coxeter_element(rs, default_orientation(dynkin))
     lattice = NcLattice(rs, c)
     assert len(lattice) == catalan_number(dynkin) == 4160
+    assert_atoms_and_coatoms(lattice)
+
+
+@long_tests
+def test_e6_order_matches_rank_oracle():
+    assert_order_matches_rank_oracle(nc_lattice("E6"))
 
 
 @long_tests

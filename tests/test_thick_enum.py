@@ -135,21 +135,25 @@ def test_simples_are_hom_orthogonal_bricks():
 
 
 def test_wide_to_nc_lengths_and_order():
-    quiver = quiver_of("A3")
-    field = GF(2)
-    rs = build_root_system(quiver.dynkin)
-    c = coxeter_element(rs, quiver)
-    lattice = NcLattice(rs, c)
-    wides = enumerate_thick(quiver, field)
-    images = [wide_to_nc(w) for w in wides]
-    # bijective onto the lattice
-    assert len(set(images)) == len(lattice) == len(wides)
-    assert set(images) == set(lattice.elements)
-    for wide, image in zip(wides, images):
-        assert image.length == len(simples_of(wide))
-    # inclusions map to the absolute order in both directions
-    for (w1, u1), (w2, u2) in itertools.product(zip(wides, images), repeat=2):
-        assert (w1.dims <= w2.dims) == nc_leq(u1, u2)
+    for name, p in (("A3", 2), ("D4", 3)):
+        quiver = quiver_of(name)
+        field = GF(p)
+        rs = build_root_system(quiver.dynkin)
+        c = coxeter_element(rs, quiver)
+        lattice = NcLattice(rs, c)
+        wides = enumerate_thick(quiver, field)
+        images = [wide_to_nc(w) for w in wides]
+        # bijective onto the lattice
+        assert len(set(images)) == len(lattice) == len(wides)
+        assert set(images) == set(lattice.elements)
+        for wide, image in zip(wides, images):
+            assert image.length == len(simples_of(wide))
+            # Ingalls-Thomas: the dimension vectors are the moved roots
+            moved = {r for k, r in enumerate(rs.positive_roots) if image.moved >> k & 1}
+            assert moved == wide.dims
+        # inclusions map to the absolute order in both directions
+        for (w1, u1), (w2, u2) in itertools.product(zip(wides, images), repeat=2):
+            assert (w1.dims <= w2.dims) == nc_leq(u1, u2)
 
 
 def test_subcategory_order_matches_simple_counts():
