@@ -70,6 +70,15 @@ class PolynomialSyntaxError(ValueError):
         self.column = column
 
 
+class ExponentBoundError(PolynomialSyntaxError):
+    """An exponent above MAX_EXPONENT.  A work guard rather than a
+    syntax error, so the CLI exits 1 on it."""
+
+
+# x^n is built by n multiplications, so an unbounded exponent lets one
+# short argument run for hours; every exponent is refused above this.
+MAX_EXPONENT = 64
+
 _SYMBOLS = set("+-*/^()")
 
 
@@ -108,6 +117,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
     """Parse `+ - * ^` expressions with integer or rational coefficients.
 
     Juxtaposition is rejected: every product needs an explicit `*`.
+    Exponents above MAX_EXPONENT raise ExponentBoundError.
     """
     tokens = _tokenize_poly(text)
     pos = 0
@@ -160,6 +170,11 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
             if kind != "int":
                 raise PolynomialSyntaxError(
                     "exponent must be a nonnegative integer", column
+                )
+            digits = value.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ExponentBoundError(
+                    f"exponent exceeds the bound {MAX_EXPONENT}", column
                 )
             out = Poly.const(ring, 1)
             for _ in range(int(value)):
@@ -776,18 +791,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PolynomialSyntaxError as exc:
-        print(f"thicklat: error: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
+    except (ExponentBoundError, SizeGuardError, OSError) as exc:
         print(f"thicklat: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TreeModuleError) as exc:
         print(f"thicklat: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"thicklat: error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ exact; the stated runtime budgets are asserted with a monotonic clock.
 """
 import io
 import itertools
+import math
 import random
 import sys
 import time
@@ -214,6 +215,16 @@ def test_criterion_8_koszul_support_dichotomy():
         "random rational points elsewhere, and module tensors stay "
         "multiples of (1, 1)",
     )
+
+
+def test_koszul_nine_variables_at_the_origin_within_budget():
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, 10)))
+    gens = [Poly.variable(ring, v) for v in ring.variables]
+    start = time.perf_counter()
+    dims = homology_dims(evaluate(koszul_complex(ring, gens), (0,) * 9))
+    elapsed = time.perf_counter() - start
+    assert dims == {i: math.comb(9, i) for i in range(10)}
+    assert elapsed < 5.0
 
 
 def test_criterion_9_property_suites():

@@ -2,10 +2,16 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
-from thicklat.cli import PolynomialSyntaxError, main, parse_polynomial
+from thicklat.cli import (
+    ExponentBoundError,
+    PolynomialSyntaxError,
+    main,
+    parse_polynomial,
+)
 from thicklat.koszul import Poly, PolyRing
 
 
@@ -354,6 +360,17 @@ def test_koszul_error_paths():
     assert code == 2 and "unknown variable" in err
 
 
+def test_koszul_refuses_huge_exponents_quickly():
+    for exponent in ("9999999", "9" * 5000):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["koszul", "--vars", "x", "--gens", f"x^{exponent}", "--at", "0"]
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert "exponent exceeds the bound 64" in err and "column 3" in err
+
+
 # ---------------------------------------------------------------------------
 # polynomial parser unit tests
 
@@ -398,3 +415,18 @@ def test_parse_polynomial_error_positions():
     assert err.value.column == 3
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial(RING, "x $ y")
+
+
+def test_parse_polynomial_exponent_bound():
+    x = Poly.variable(RING, "x")
+    x64 = Poly(RING, (((64, 0), 1),))
+    assert parse_polynomial(RING, "x^64") == x64
+    assert parse_polynomial(RING, "x^0064") == x64
+    assert parse_polynomial(RING, "(2*x)^64") == x64.scale(2**64)
+    assert parse_polynomial(RING, "x^000") == Poly.const(RING, 1)
+    assert parse_polynomial(RING, "x^1") == x
+    for text, column in (("x^65", 3), ("y + (x*y)^100", 11)):
+        with pytest.raises(ExponentBoundError) as err:
+            parse_polynomial(RING, text)
+        assert isinstance(err.value, PolynomialSyntaxError)
+        assert err.value.column == column

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from thicklat.koszul import (
+    EvaluatedComplex,
     FreeComplex,
     Poly,
     PolyRing,
@@ -18,8 +19,9 @@ from thicklat.koszul import (
     tensor,
     unit_complex,
 )
+from thicklat.linalg import QQ, kron, rank
 from thicklat.quiver_rep import default_orientation, tree_module
-from thicklat.root_system import DynkinType
+from thicklat.root_system import DynkinType, build_root_system
 
 RING = PolyRing(("x", "y"))
 X = Poly.variable(RING, "x")
@@ -120,6 +122,30 @@ def test_free_complex_rejects_nonsquaring_differential():
         FreeComplex(RING, ranks, ((1, ((one,),)), (2, ((one,),))))
 
 
+def test_free_complex_rejects_composite_from_off_diagonal_entries():
+    # d1 d2 has one nonzero entry, x*y at (1, 1), formed only from the
+    # off-diagonal entries d1[1][0] and d2[0][1]
+    zero = Poly.zero(RING)
+    d1 = ((zero, zero), (X, zero))
+    d2 = ((zero, Y), (zero, zero))
+    ranks = ((0, 2), (1, 2), (2, 2))
+    with pytest.raises(ValueError, match="d o d != 0 between degrees 2 and 0"):
+        FreeComplex(RING, ranks, ((1, d1), (2, d2)))
+    # the same pattern cancels once a second path contributes -x*y
+    d1 = ((zero, zero), (X, X))
+    d2 = ((zero, Y), (zero, -Y))
+    FreeComplex(RING, ranks, ((1, d1), (2, d2)))
+
+
+def test_evaluated_complex_rejects_nonsquaring_differential():
+    one, two = Fraction(1), Fraction(2)
+    ranks = ((0, 1), (1, 2), (2, 1))
+    with pytest.raises(ValueError, match="d o d != 0 after evaluation"):
+        EvaluatedComplex(ranks, ((1, ((one, two),)), (2, ((one,), (one,)))))
+    # 1*2 + 2*(-1) = 0: the sparse check sums both paths before testing
+    EvaluatedComplex(ranks, ((1, ((one, two),)), (2, ((two,), (-one,)))))
+
+
 def test_free_complex_rejects_bad_shapes():
     with pytest.raises(ValueError):
         FreeComplex(RING, ((0, 2), (1, 1)), ((1, ((X,),)),))
@@ -131,6 +157,25 @@ def test_koszul_ranks_are_binomial(r):
     gens = [Poly.variable(ring, f"x{i}") for i in range(r)]
     complex_ = koszul_complex(ring, gens)
     assert complex_.rank_map() == {n: comb(r, n) for n in range(r + 1)}
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_koszul_complex_equals_the_tensor_fold(k):
+    # the exterior-basis construction against the slow path it replaced
+    ring = PolyRing(("x", "y", "z"))
+    rng = random.Random(500 + k)
+    gens = [random_poly(ring, rng) for _ in range(k)]
+    folded = unit_complex(ring)
+    for f in gens:
+        folded = tensor(folded, cone_of_scalar(ring, f))
+    direct = koszul_complex(ring, gens)
+    assert direct.ranks == folded.ranks
+    assert direct.diffs == folded.diffs
+
+
+def test_koszul_complex_rejects_foreign_generator():
+    with pytest.raises(ValueError):
+        koszul_complex(RING, (X, Poly.variable(PolyRing(("z",)), "z")))
 
 
 def test_tensor_is_associative_up_to_homology():
@@ -167,6 +212,27 @@ def test_koszul_homology_at_origin():
     complex_ = koszul_complex(RING, (X, Y))
     dims = homology_dims(evaluate(complex_, RationalPoint((0, 0))))
     assert dims == {0: 1, 1: 2, 2: 1}
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_koszul_homology_of_the_variables_at_the_origin(k):
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, k + 1)))
+    gens = [Poly.variable(ring, v) for v in ring.variables]
+    dims = homology_dims(evaluate(koszul_complex(ring, gens), (0,) * k))
+    assert dims == {i: comb(k, i) for i in range(k + 1)}
+
+
+def test_koszul_with_a_unit_generator_is_acyclic():
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = (Poly.variable(ring, v) for v in ring.variables)
+    unit = Poly.const(ring, Fraction(-3, 2))
+    rng = random.Random(8)
+    points = [RationalPoint((0, 0, 0))] + [random_point(rng, 3) for _ in range(3)]
+    for gens in ((unit, x, y), (x, unit, y * z), (x, y, z, unit)):
+        complex_ = koszul_complex(ring, gens)
+        for pt in points:
+            dims = homology_dims(evaluate(complex_, pt))
+            assert all(v == 0 for v in dims.values()), (gens, pt)
 
 
 def test_koszul_acyclic_off_the_common_zero_locus():
@@ -262,3 +328,44 @@ def test_module_tensor_vectors_are_exact_multiples():
             assert len(ratios) == 1
             multiple = next(iter(ratios))
             assert vec == tuple(multiple * d for d in module.dim)
+
+
+def kron_oracle(complex_, module, point):
+    """Module homology vectors from rank(d (x) I_dv) at every vertex."""
+    evaluated = evaluate(complex_, point)
+    ranks, diffs = evaluated.rank_map(), evaluated.diff_map()
+
+    def vertex_rank(n, dv):
+        mat = diffs.get(n)
+        if not mat or not mat[0]:
+            return 0
+        ident = tuple(
+            tuple(Fraction(int(i == j)) for j in range(dv)) for i in range(dv)
+        )
+        return rank(QQ, kron(mat, ident))
+
+    return tuple(
+        (
+            n,
+            tuple(
+                ranks[n] * dv - vertex_rank(n, dv) - vertex_rank(n + 1, dv)
+                for dv in module.dim
+            ),
+        )
+        for n in sorted(ranks)
+        if ranks[n]
+    )
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_module_tensor_matches_kron_rank_oracle(name):
+    dynkin = DynkinType.parse(name)
+    quiver = default_orientation(dynkin)
+    complex_ = koszul_complex(RING, (X * Y, X + Y, X - Y * Y))
+    rng = random.Random(41)
+    points = [RationalPoint((0, 0))] + [random_point(rng, 2) for _ in range(2)]
+    for dim in build_root_system(dynkin).positive_roots:
+        module = tree_module(quiver, dim)
+        for pt in points:
+            expected = kron_oracle(complex_, module, pt)
+            assert koszul_tensor_module(complex_, module, pt) == expected
