@@ -53,6 +53,7 @@ from .spec_model import (
     poset_chain,
     poset_diamond,
     poset_point,
+    smashing_count,
 )
 from .thick_enum import enumerate_thick, verify_bijection, wide_to_nc
 
@@ -314,10 +315,13 @@ def _chosen_format(args) -> str:
 # ---------------------------------------------------------------------------
 # nc
 
-def _nc_lattice_data(dynkin: DynkinType, quiver: Quiver):
+def _nc_lattice(dynkin: DynkinType, quiver: Quiver):
     rs = build_root_system(dynkin)
-    c = coxeter_element(rs, quiver)
-    lattice = NcLattice(rs, c)
+    return rs, NcLattice(rs, coxeter_element(rs, quiver))
+
+
+def _nc_lattice_data(dynkin: DynkinType, quiver: Quiver):
+    rs, lattice = _nc_lattice(dynkin, quiver)
     ids = [_nc_node_id(rs, dynkin, e) for e in lattice.elements]
     if len(set(ids)) != len(ids):
         raise RuntimeError("node identifiers collide")
@@ -339,16 +343,19 @@ def _nc_lattice_data(dynkin: DynkinType, quiver: Quiver):
 def cmd_nc(args) -> int:
     dynkin = DynkinType.parse(args.type)
     quiver = _parse_orientation(dynkin, args.orientation)
-    lattice, ordered_ids, nodes, edges = _nc_lattice_data(dynkin, quiver)
     fmt = _chosen_format(args)
+    if fmt == "count":
+        # the size of NC(W, c) needs no labels, order or covers
+        _, lattice = _nc_lattice(dynkin, quiver)
+        _write_output(f"{len(lattice)}\n", args.out)
+        return 0
+    lattice, ordered_ids, nodes, edges = _nc_lattice_data(dynkin, quiver)
     arguments = {
         "type": str(dynkin),
         "orientation": _orientation_echo(quiver),
         "format": fmt,
     }
-    if fmt == "count":
-        _write_output(f"{len(lattice)}\n", args.out)
-    elif fmt == "dot":
+    if fmt == "dot":
         _write_output(_dot_text(ordered_ids, edges), args.out)
     else:
         payload = {
@@ -511,9 +518,12 @@ def cmd_specfn(args) -> int:
     dynkin = DynkinType.parse(args.type)
     quiver = _parse_orientation(dynkin, args.orientation)
     poset = _parse_poset(args.poset)
-    rs = build_root_system(dynkin)
-    c = coxeter_element(rs, quiver)
-    nc = NcLattice(rs, c)
+    rs, nc = _nc_lattice(dynkin, quiver)
+    fmt = _chosen_format(args)
+    if fmt == "count" and args.mode == "monotone":
+        # counted under the same size guard, without labels or covers
+        _write_output(f"{smashing_count(poset, nc)}\n", args.out)
+        return 0
     nc_ids = [_nc_node_id(rs, dynkin, e) for e in nc.elements]
     build = monotone_functions if args.mode == "monotone" else all_functions
     lattice = build(poset, nc)
@@ -522,7 +532,6 @@ def cmd_specfn(args) -> int:
         raise RuntimeError("node identifiers collide")
     order = sorted(range(len(ids)), key=lambda i: ids[i])
     edges = sorted((ids[i], ids[j]) for i, j in lattice.covers)
-    fmt = _chosen_format(args)
     arguments = {
         "type": str(dynkin),
         "orientation": _orientation_echo(quiver),

@@ -27,6 +27,8 @@ class GF:
     """
 
     __slots__ = ("p",)
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -38,14 +40,6 @@ class GF:
     @property
     def char(self) -> int:
         return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -84,18 +78,9 @@ class RationalField:
     """The field of rationals; elements are ints or Fractions."""
 
     __slots__ = ()
-
-    @property
-    def char(self) -> int:
-        return 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -139,9 +124,6 @@ def int_mat_mul(a, b):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-def int_mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 def int_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd
 
 from . import linalg
-from .linalg import QQ, nullspace, rref, solve
+from .linalg import QQ, mat_mul, nullspace, rref, solve
 from .root_system import DynkinType, build_root_system
 
 DimVector = tuple[int, ...]
@@ -392,19 +392,6 @@ def _as_unit_int(x) -> int:
 # ---------------------------------------------------------------------------
 # Hom and Ext over a field
 
-def _mat_mul_shaped(field, a, b, rows, inner, cols):
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = field.zero
-            for k in range(inner):
-                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _vertex_offsets(dims_m, dims_n):
     offsets = []
     total = 0
@@ -468,7 +455,9 @@ def ext_dim(m: FieldRep, n: FieldRep) -> int:
 
 
 def morphism_from_coeffs(field, basis, coeffs):
-    """Linear combination of hom_basis elements, as per-vertex matrices."""
+    """Linear combination of basis elements that are tuples of matrices:
+    hom_basis elements (one matrix per vertex) or ext_cocycle_basis
+    elements (one per arrow)."""
     if not basis:
         raise ValueError("empty basis")
     nverts = len(basis[0])
@@ -511,9 +500,7 @@ def cokernel_rep(phi, n: FieldRep) -> FieldRep:
         qs, qt = quotient_rows[s - 1], quotient_rows[t - 1]
         na = n.maps[ai]
         # rows of qt @ na lie in the row space of qs; solve for the matrix
-        rhs = _mat_mul_shaped(
-            field, qt, na, len(qt), n.dim[t - 1], n.dim[s - 1]
-        )
+        rhs = mat_mul(field, qt, na)
         if len(qs) == 0:
             maps.append(tuple(() for _ in range(len(qt))))
             continue
@@ -544,34 +531,17 @@ def _sub_rep_on_bases(m: FieldRep, bases) -> FieldRep:
     maps = []
     for ai, (s, t) in enumerate(m.quiver.arrows):
         bs, bt = bases[s - 1], bases[t - 1]
-        ma = m.maps[ai]
-        image_cols = []
-        for vec in bs:
-            col = [
-                _dot(field, ma[i], vec) for i in range(m.dim[t - 1])
-            ]
-            image_cols.append(col)
+        image = mat_mul(field, m.maps[ai], list(zip(*bs)))
         if not bt:
-            if any(any(x != field.zero for x in col) for col in image_cols):
+            if any(x != field.zero for row in image for x in row):
                 raise RuntimeError("subspaces are not invariant")
             maps.append(tuple())
             continue
-        bt_mat = list(zip(*bt))
-        rhs = list(zip(*image_cols)) if image_cols else [
-            () for _ in range(m.dim[t - 1])
-        ]
-        sol = solve(field, bt_mat, rhs)
+        sol = solve(field, list(zip(*bt)), image)
         if sol is None:
             raise RuntimeError("subspaces are not invariant")
         maps.append(tuple(tuple(row) for row in sol))
     return FieldRep(field, m.quiver, new_dim, tuple(maps))
-
-
-def _dot(field, row, vec):
-    acc = field.zero
-    for x, y in zip(row, vec):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def ext_cocycle_basis(m: FieldRep, n: FieldRep):
@@ -679,8 +649,8 @@ def _mat_power(field, mat, size, exponent):
     e = exponent
     while e:
         if e & 1:
-            result = _mat_mul_shaped(field, result, base, size, size, size)
-        base = _mat_mul_shaped(field, base, base, size, size, size)
+            result = mat_mul(field, result, base)
+        base = mat_mul(field, base, base)
         e >>= 1
     return result
 

@@ -525,18 +525,16 @@ def reflection_factorization(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
 
     Returns indices into rs.positive_roots; the leftmost factor comes
     first.  Greedy: always take the smallest reflection index that drops
-    the length.
+    the length.  By Carter's lemma t*w is shorter than w exactly when the
+    root of t lies in R(w), so that index is the lowest bit of R(w).
     """
-    refls = [reflection(rs, r) for r in rs.positive_roots]
     out = []
     cur = w
-    while reflection_length(cur) > 0:
-        for i, t in enumerate(refls):
-            nxt = WeylElement(int_mat_mul(t.mat, cur.mat))
-            if reflection_length(nxt) == reflection_length(cur) - 1:
-                out.append(i)
-                cur = nxt
-                break
-        else:
-            raise RuntimeError("no length-decreasing reflection found")
-    return tuple(out)
+    while True:
+        moved = moved_roots(rs, cur)
+        if not moved:
+            return tuple(out)
+        i = next(_bits(moved))
+        out.append(i)
+        t = reflection(rs, rs.positive_roots[i])
+        cur = WeylElement(int_mat_mul(t.mat, cur.mat))

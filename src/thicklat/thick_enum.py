@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import int_mat_mul
+from .linalg import int_identity, int_mat_mul
 from .quiver_rep import (
     DimVector,
-    FieldRep,
     Quiver,
     base_change,
     decompose_dims,
+    euler_form,
     ext_cocycle_basis,
     extension_middle,
     hom_basis,
@@ -71,40 +71,12 @@ class BijectionReport:
         return self.is_bijective and self.is_order_isomorphism and not self.failures
 
 
-def _zero_morphism(field, m: FieldRep, n: FieldRep):
-    return tuple(
-        tuple(
-            tuple(field.zero for _ in range(m.dim[v])) for _ in range(n.dim[v])
-        )
-        for v in range(m.quiver.rank)
-    )
-
-
-def _zero_cocycle(field, m: FieldRep, n: FieldRep):
-    return tuple(
-        tuple(
-            tuple(field.zero for _ in range(m.dim[s - 1]))
-            for _ in range(n.dim[t - 1])
-        )
-        for s, t in m.quiver.arrows
-    )
-
-
-def _cocycle_combination(field, basis, coeffs, m, n):
-    out = []
-    for ai, (s, t) in enumerate(m.quiver.arrows):
-        rows = n.dim[t - 1]
-        cols = m.dim[s - 1]
-        mat = [[field.zero] * cols for _ in range(rows)]
-        for c, elem in zip(coeffs, basis):
-            if c == field.zero:
-                continue
-            em = elem[ai]
-            for i in range(rows):
-                for j in range(cols):
-                    mat[i][j] = field.add(mat[i][j], field.mul(c, em[i][j]))
-        out.append(tuple(tuple(r) for r in mat))
-    return tuple(out)
+def _lines(field, n: int):
+    """One nonzero vector of F^n per line through the origin: the vectors
+    whose first nonzero entry is 1."""
+    for lead in range(n):
+        for tail in product(field.elements(), repeat=n - lead - 1):
+            yield (field.zero,) * lead + (field.one,) + tail
 
 
 class _RepContext:
@@ -146,21 +118,19 @@ class _RepContext:
             return cached
         field = self.field
         m, n = self.reps[i], self.reps[j]
-        dims: set = set()
+        # m and n are the kernel and cokernel of the zero morphism and the
+        # summands of the split extension.  For a unit lam, lam*phi has the
+        # kernel, cokernel and injectivity of phi, and lam*psi a middle term
+        # isomorphic to that of psi, so one vector per line covers the rest.
+        dims = {m.dim, n.dim}
         basis = hom_basis(m, n)
-        for coeffs in product(field.elements(), repeat=len(basis)):
-            if basis:
-                phi = morphism_from_coeffs(field, basis, coeffs)
-            else:
-                phi = _zero_morphism(field, m, n)
+        for coeffs in _lines(field, len(basis)):
+            phi = morphism_from_coeffs(field, basis, coeffs)
             dims.update(decompose_dims(kernel_rep(phi, m)))
             dims.update(decompose_dims(cokernel_rep(phi, n)))
         ext_basis = ext_cocycle_basis(m, n)
-        for coeffs in product(field.elements(), repeat=len(ext_basis)):
-            if ext_basis:
-                psi = _cocycle_combination(field, ext_basis, coeffs, m, n)
-            else:
-                psi = _zero_cocycle(field, m, n)
+        for coeffs in _lines(field, len(ext_basis)):
+            psi = morphism_from_coeffs(field, ext_basis, coeffs)
             dims.update(decompose_dims(extension_middle(m, n, psi)))
         mask = self.mask_of_dims(dims)
         self._pair_masks[key] = mask
@@ -177,13 +147,10 @@ class _RepContext:
         found = False
         if all(a <= b for a, b in zip(m.dim, n.dim)):
             basis = hom_basis(m, n)
-            for coeffs in product(field.elements(), repeat=len(basis)):
-                if not basis or all(c == field.zero for c in coeffs):
-                    continue
-                phi = morphism_from_coeffs(field, basis, coeffs)
-                if kernel_rep(phi, m).total_dim == 0:
-                    found = True
-                    break
+            found = any(
+                kernel_rep(morphism_from_coeffs(field, basis, c), m).total_dim == 0
+                for c in _lines(field, len(basis))
+            )
         self._embeds[key] = found
         return found
 
@@ -322,13 +289,14 @@ def wide_to_nc(wide: WideSubcategory) -> NcElement:
     k = len(simples)
     idx = [ctx.index[d] for d in simples]
     # simples[a] must come before simples[b] when a morphism or an
-    # extension points from b to a
+    # extension points from b to a; as dim Ext1(M_b, M_a) = hom(b, a) -
+    # <b, a>, that is when hom(b, a) or the Euler form <b, a> is nonzero
     before = [
         [
             a != b
             and (
                 ctx.hom(idx[b], idx[a]) != 0
-                or len(ext_cocycle_basis(ctx.reps[idx[b]], ctx.reps[idx[a]])) != 0
+                or euler_form(wide.quiver, simples[b], simples[a]) != 0
             )
             for b in range(k)
         ]
@@ -344,12 +312,7 @@ def wide_to_nc(wide: WideSubcategory) -> NcElement:
             t = reflection(rs, simples[pos]).mat
             mat = t if mat is None else int_mat_mul(mat, t)
         if mat is None:
-            mat = WeylElement(
-                tuple(
-                    tuple(1 if i == j else 0 for j in range(rs.rank))
-                    for i in range(rs.rank)
-                )
-            ).mat
+            mat = int_identity(rs.rank)
         mats.add(mat)
     if len(mats) != 1:
         raise RuntimeError("product of simple reflections depends on the order")

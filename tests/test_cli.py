@@ -257,6 +257,38 @@ def test_specfn_size_guard(monkeypatch):
     assert "125" in err and "THICKLAT_SIZE_GUARD" in err
 
 
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (["nc", "--type", "D4"], "element_count"),
+        (["nc", "--type", "A3", "--orientation", "2>1,2>3"], "element_count"),
+        (["specfn", "--type", "A2", "--poset", "diamond"], "member_count"),
+        (["specfn", "--type", "A3", "--poset", "chain2"], "member_count"),
+        (
+            ["specfn", "--type", "A2", "--poset", "chain2", "--mode", "all"],
+            "member_count",
+        ),
+    ],
+)
+def test_counts_match_json_counts(args, key):
+    code, out, _ = run_cli(args)
+    count_code, count_out, _ = run_cli(args + ["--count"])
+    assert code == count_code == 0
+    assert count_out == f"{json.loads(out)['payload'][key]}\n"
+
+
+def test_specfn_monotone_count_keeps_the_size_guard(monkeypatch):
+    monkeypatch.setenv("THICKLAT_SIZE_GUARD", "10")
+    args = ["specfn", "--type", "A2", "--poset", "chain3"]
+    code, out, err = run_cli(args + ["--count"])
+    full_code, _, full_err = run_cli(args)
+    assert code == full_code == 1 and out == ""
+    assert err == full_err == (
+        "thicklat: error: monotone functions exceed the size guard 10; "
+        "raise THICKLAT_SIZE_GUARD to proceed\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # figures
 

@@ -404,10 +404,10 @@ def test_ext_cocycle_basis_size_matches_ext_dim():
 
 
 @pytest.mark.parametrize(
-    "name,p,seed", [("A3", 3, 101), ("A3", 2, 55), ("D4", 2, 77)]
+    "name,p,seed", [("A3", 3, 101), ("A3", 2, 55), ("D4", 2, 77), ("D4", 0, 66)]
 )
 def test_decompose_recovers_shuffled_direct_sums(name, p, seed):
-    field = GF(p)
+    field = GF(p) if p else QQ
     quiver = quiver_of(name)
     roots = list(indecomposable_dims(quiver))
     rng = random.Random(seed)

@@ -338,6 +338,33 @@ def test_reflection_factorization_properties(name):
         assert prod.mat == element.w.mat
 
 
+def _greedy_factorization(rs, w):
+    """Oracle: try the reflections in index order and keep the first one
+    whose left product drops the reflection length, until e is reached."""
+    refls = [reflection(rs, r) for r in rs.positive_roots]
+    out = []
+    cur = w
+    while reflection_length(cur) > 0:
+        for i, t in enumerate(refls):
+            nxt = WeylElement(int_mat_mul(t.mat, cur.mat))
+            if reflection_length(nxt) == reflection_length(cur) - 1:
+                out.append(i)
+                cur = nxt
+                break
+        else:
+            raise AssertionError("no length-decreasing reflection found")
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5"])
+def test_reflection_factorization_matches_greedy_oracle(name):
+    rs = build_root_system(DynkinType.parse(name))
+    for element in nc_lattice(name).elements:
+        assert reflection_factorization(rs, element.w) == _greedy_factorization(
+            rs, element.w
+        )
+
+
 def test_reflection_factorization_is_lex_minimal():
     """Oracle: exhaustive search over all shortest reflection words."""
     rs = build_root_system(DynkinType.parse("A3"))

@@ -8,10 +8,17 @@ from thicklat.linalg import GF, QQ
 from thicklat.quiver_rep import (
     Quiver,
     base_change,
+    cokernel_rep,
+    decompose_dims,
     default_orientation,
+    euler_form,
+    ext_cocycle_basis,
     ext_dim,
+    extension_middle,
+    hom_basis,
     hom_dim,
     indecomposable_dims,
+    kernel_rep,
     tree_module,
 )
 from thicklat.root_system import (
@@ -23,6 +30,8 @@ from thicklat.root_system import (
 )
 from thicklat.thick_enum import (
     WideSubcategory,
+    _context,
+    _lines,
     enumerate_thick,
     simples_of,
     verify_bijection,
@@ -180,3 +189,105 @@ def test_singleton_closures_are_single_bricks():
     for d in indecomposable_dims(quiver):
         closed = wide_closure(quiver, field, {d})
         assert closed.dims == frozenset({d})
+
+
+# ---------------------------------------------------------------------------
+# closure steps against a brute force over every coefficient vector
+
+
+def _combination(field, basis, coeffs, zero):
+    """sum_k coeffs[k] * basis[k], entry by entry, starting from the
+    explicit zero element `zero` (a tuple of matrices)."""
+    out = [[list(row) for row in mat] for mat in zero]
+    for c, elem in zip(coeffs, basis):
+        for mat, emat in zip(out, elem):
+            for row, erow in zip(mat, emat):
+                for j, x in enumerate(erow):
+                    row[j] = field.add(row[j], field.mul(c, x))
+    return tuple(tuple(tuple(row) for row in mat) for mat in out)
+
+
+def _zero_morphism(field, m, n):
+    return tuple(
+        ((field.zero,) * m.dim[v],) * n.dim[v] for v in range(m.quiver.rank)
+    )
+
+
+def _zero_cocycle(field, m, n):
+    return tuple(
+        ((field.zero,) * m.dim[s - 1],) * n.dim[t - 1] for s, t in m.quiver.arrows
+    )
+
+
+def _brute_pair_dims(field, m, n):
+    """Summands of every kernel, cokernel and extension middle, over all
+    of F^h and F^e, zero included."""
+    dims = set()
+    basis = hom_basis(m, n)
+    for coeffs in itertools.product(field.elements(), repeat=len(basis)):
+        phi = _combination(field, basis, coeffs, _zero_morphism(field, m, n))
+        dims.update(decompose_dims(kernel_rep(phi, m)))
+        dims.update(decompose_dims(cokernel_rep(phi, n)))
+    ext_basis = ext_cocycle_basis(m, n)
+    for coeffs in itertools.product(field.elements(), repeat=len(ext_basis)):
+        psi = _combination(field, ext_basis, coeffs, _zero_cocycle(field, m, n))
+        dims.update(decompose_dims(extension_middle(m, n, psi)))
+    return dims
+
+
+def _brute_embeds(field, m, n):
+    basis = hom_basis(m, n)
+    return any(
+        kernel_rep(
+            _combination(field, basis, coeffs, _zero_morphism(field, m, n)), m
+        ).total_dim
+        == 0
+        for coeffs in itertools.product(field.elements(), repeat=len(basis))
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lines_give_one_vector_per_line(p):
+    field = GF(p)
+    for n in range(4):
+        reps = list(_lines(field, n))
+        assert len(reps) == (p**n - 1) // (p - 1)
+        for vec in reps:
+            assert next(x for x in vec if x != 0) == 1
+        nonzero = {
+            vec for vec in itertools.product(range(p), repeat=n) if any(vec)
+        }
+        multiples = {
+            tuple(field.mul(lam, x) for x in vec)
+            for vec in reps
+            for lam in range(1, p)
+        }
+        assert multiples == nonzero and len(multiples) == len(reps) * (p - 1)
+
+
+@pytest.mark.parametrize("name,p", [("A3", 3), ("D4", 2), ("D4", 3)])
+def test_pair_mask_and_embeds_match_brute_force(name, p):
+    field = GF(p)
+    ctx = _context(quiver_of(name), field)
+    for i, m in enumerate(ctx.reps):
+        for j, n in enumerate(ctx.reps):
+            assert ctx.pair_mask(i, j) == ctx.mask_of_dims(
+                _brute_pair_dims(field, m, n)
+            ), (m.dim, n.dim)
+            assert ctx.embeds(i, j) == _brute_embeds(field, m, n), (m.dim, n.dim)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_euler_form_precedence_matches_ext_cocycles(p):
+    quiver = quiver_of("D4")
+    ctx = _context(quiver, GF(p))
+    for a, b in itertools.product(range(len(ctx.roots)), repeat=2):
+        by_euler = (
+            ctx.hom(b, a) != 0
+            or euler_form(quiver, ctx.roots[b], ctx.roots[a]) != 0
+        )
+        by_cocycles = (
+            ctx.hom(b, a) != 0
+            or len(ext_cocycle_basis(ctx.reps[b], ctx.reps[a])) != 0
+        )
+        assert by_euler == by_cocycles, (ctx.roots[b], ctx.roots[a])
