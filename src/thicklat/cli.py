@@ -46,6 +46,7 @@ from .root_system import (
 from .spec_model import (
     FinitePoset,
     SizeGuardError,
+    all_function_count,
     all_functions,
     lattice_iso,
     monotone_functions,
@@ -77,7 +78,9 @@ class ExponentBoundError(PolynomialSyntaxError):
 
 
 # x^n is built by n multiplications, so an unbounded exponent lets one
-# short argument run for hours; every exponent is refused above this.
+# short argument run for hours; every exponent is refused above this,
+# and so is a power that lifts a variable above it, as nested powers
+# multiply exponents.
 MAX_EXPONENT = 64
 
 _SYMBOLS = set("+-*/^()")
@@ -118,7 +121,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
     """Parse `+ - * ^` expressions with integer or rational coefficients.
 
     Juxtaposition is rejected: every product needs an explicit `*`.
-    Exponents above MAX_EXPONENT raise ExponentBoundError.
+    An exponent above MAX_EXPONENT, or a power that raises some
+    variable's exponent above it, raises ExponentBoundError.
     """
     tokens = _tokenize_poly(text)
     pos = 0
@@ -173,7 +177,11 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
                     "exponent must be a nonnegative integer", column
                 )
             digits = value.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            degree = max((max(e, default=0) for e, _ in base.terms), default=0)
+            if (
+                len(digits) > len(str(MAX_EXPONENT))
+                or int(digits) * max(degree, 1) > MAX_EXPONENT
+            ):
                 raise ExponentBoundError(
                     f"exponent exceeds the bound {MAX_EXPONENT}", column
                 )
@@ -520,9 +528,10 @@ def cmd_specfn(args) -> int:
     poset = _parse_poset(args.poset)
     rs, nc = _nc_lattice(dynkin, quiver)
     fmt = _chosen_format(args)
-    if fmt == "count" and args.mode == "monotone":
+    if fmt == "count":
         # counted under the same size guard, without labels or covers
-        _write_output(f"{smashing_count(poset, nc)}\n", args.out)
+        count = smashing_count if args.mode == "monotone" else all_function_count
+        _write_output(f"{count(poset, nc)}\n", args.out)
         return 0
     nc_ids = [_nc_node_id(rs, dynkin, e) for e in nc.elements]
     build = monotone_functions if args.mode == "monotone" else all_functions
@@ -539,9 +548,7 @@ def cmd_specfn(args) -> int:
         "mode": args.mode,
         "format": fmt,
     }
-    if fmt == "count":
-        _write_output(f"{len(lattice.members)}\n", args.out)
-    elif fmt == "dot":
+    if fmt == "dot":
         _write_output(_dot_text([ids[i] for i in order], edges), args.out)
     else:
         members = [

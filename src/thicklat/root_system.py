@@ -452,7 +452,9 @@ class NcLattice:
 
     Elements are kept in canonical order (lexicographic on flattened
     matrices); comparisons are cached as up-set and down-set bitmasks,
-    built from the elements' moved-root masks.
+    built from the elements' moved-root masks.  In a lattice
+    up(i) & up(j) = up(i v j) and down(i) & down(j) = down(i ^ j), so
+    joins and meets are lookups of those masks.
     """
 
     def __init__(self, rs: RootSystem, c: WeylElement, elements=None):
@@ -464,6 +466,8 @@ class NcLattice:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._up: list[int] | None = None
         self._down: list[int] | None = None
+        self._by_up: dict[int, int] = {}
+        self._by_down: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -477,6 +481,8 @@ class NcLattice:
             self._down = [
                 sum(1 << i for i, r in enumerate(moved) if r & ~s == 0) for s in moved
             ]
+            self._by_up = {mask: i for i, mask in enumerate(self._up)}
+            self._by_down = {mask: i for i, mask in enumerate(self._down)}
         return self._up, self._down
 
     def leq(self, i: int, j: int) -> bool:
@@ -505,19 +511,17 @@ class NcLattice:
 
     def join(self, i: int, j: int) -> int:
         up, _ = self._masks()
-        common = up[i] & up[j]
-        for k in range(len(self.elements)):
-            if (common >> k) & 1 and (common & up[k]) == common:
-                return k
-        raise RuntimeError("join does not exist; lattice property violated")
+        k = self._by_up.get(up[i] & up[j])
+        if k is None:
+            raise RuntimeError("join does not exist; lattice property violated")
+        return k
 
     def meet(self, i: int, j: int) -> int:
         _, down = self._masks()
-        common = down[i] & down[j]
-        for k in range(len(self.elements)):
-            if (common >> k) & 1 and (common & down[k]) == common:
-                return k
-        raise RuntimeError("meet does not exist; lattice property violated")
+        k = self._by_down.get(down[i] & down[j])
+        if k is None:
+            raise RuntimeError("meet does not exist; lattice property violated")
+        return k
 
 
 def reflection_factorization(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:

@@ -193,6 +193,15 @@ def _guard(count: int, guard: int | None):
         )
 
 
+def all_function_count(
+    poset: FinitePoset, nc: NcLattice, guard: int | None = None
+) -> int:
+    """Number of all functions, len(nc) ** points, under the size guard."""
+    count = len(nc) ** len(poset.elements)
+    _guard(count, guard)
+    return count
+
+
 def all_functions(
     poset: FinitePoset, nc: NcLattice, guard: int | None = None
 ) -> FunctionLattice:
@@ -202,7 +211,7 @@ def all_functions(
     lattice cover, so they are read off the factor's cover list.
     """
     npts = len(poset.elements)
-    _guard(len(nc) ** npts if npts else 1, guard)
+    all_function_count(poset, nc, guard)
     members = [
         SpecFunction(poset, nc, values)
         for values in product(range(len(nc)), repeat=npts)
@@ -264,44 +273,43 @@ def monotone_functions(
 ) -> FunctionLattice:
     """The lattice of monotone (specialization-closed) functions.
 
-    Covers are found from below: raise one point's value to a cover,
-    propagate joins upward to restore monotonicity, and keep the
-    minimal results.
+    Covers are found from below.  For a point p and an upper cover hi
+    of f(p), the least monotone g >= f with g(p) >= hi is the candidate
+    cand(p, hi): f(q) v hi at every q >= p, f(q) elsewhere.  Every cover
+    of f is a candidate, and cand(p', hi') <= t for a monotone t >= f
+    exactly when hi' <= t(p').  So a candidate t is a cover iff every
+    pair (p', hi') with hi' <= t(p') yields t itself, which is a count:
+    the pairs below t, one popcount per point, against the pairs that
+    yield t.
     """
     limit = size_guard_limit() if guard is None else guard
     tuples = sorted(_monotone_value_tuples(poset, nc, limit))
     members = [SpecFunction(poset, nc, v) for v in tuples]
     index = {v: i for i, v in enumerate(tuples)}
-    nc_covers = nc.covers()
-    cover_up: dict[int, list[int]] = {}
-    for lo, hi in nc_covers:
-        cover_up.setdefault(lo, []).append(hi)
-    npts = len(poset.elements)
-    pairs_leq = [
-        [poset.less(a, b) for b in poset.elements] for a in poset.elements
+    _, down = nc._masks()
+    cover_up: list[list[int]] = [[] for _ in range(len(nc))]
+    for lo, hi in nc.covers():
+        cover_up[lo].append(hi)
+    cover_up_mask = [sum(1 << hi for hi in his) for his in cover_up]
+    points = range(len(poset.elements))
+    at_or_above = [
+        [q for q, b in enumerate(poset.elements) if (a, b) in poset.leq]
+        for a in poset.elements
     ]
     covers = []
     for i, vals in enumerate(tuples):
-        candidates = set()
-        for pos in range(npts):
-            for hi in cover_up.get(vals[pos], ()):
+        yields: dict[tuple[int, ...], int] = {}
+        for p in points:
+            for hi in cover_up[vals[p]]:
                 out = list(vals)
-                for q in range(npts):
-                    if q == pos or pairs_leq[pos][q]:
-                        out[q] = nc.join(out[q], hi)
-                candidates.add(tuple(out))
-        candidates.discard(vals)
-        minimal = [
-            t
-            for t in candidates
-            if not any(
-                o != t
-                and all(nc.leq(a, b) for a, b in zip(o, t))
-                for o in candidates
-            )
-        ]
-        for t in minimal:
-            covers.append((i, index[t]))
+                for q in at_or_above[p]:
+                    out[q] = nc.join(out[q], hi)
+                t = tuple(out)
+                yields[t] = yields.get(t, 0) + 1
+        above = [cover_up_mask[v] for v in vals]
+        for t, count in yields.items():
+            if sum((above[p] & down[t[p]]).bit_count() for p in points) == count:
+                covers.append((i, index[t]))
     covers.sort()
     return FunctionLattice(poset, nc, tuple(members), tuple(covers))
 

@@ -45,6 +45,7 @@ from thicklat.spec_model import (
     lattice_iso,
     monotone_functions,
     poset_chain,
+    poset_diamond,
     poset_point,
 )
 from thicklat.thick_enum import enumerate_thick, verify_bijection, wide_closure
@@ -180,6 +181,16 @@ def test_criterion_7_function_counts():
         assert all_count == len(nc) ** len(poset.elements)
         assert len(monotone_functions(poset, nc).members) == monotone_count
     report(7, "function space sizes 25/12, 8/4, 5/5 for the three test pairs")
+
+
+def test_d4_diamond_monotone_functions_within_budget():
+    nc = nc_lattice("D4")
+    start = time.perf_counter()
+    lattice = monotone_functions(poset_diamond(), nc)
+    elapsed = time.perf_counter() - start
+    assert len(lattice.members) == 9432
+    assert len(lattice.covers) == 48108
+    assert elapsed < 2.0
 
 
 def test_criterion_8_koszul_support_dichotomy():

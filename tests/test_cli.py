@@ -268,6 +268,14 @@ def test_specfn_size_guard(monkeypatch):
             ["specfn", "--type", "A2", "--poset", "chain2", "--mode", "all"],
             "member_count",
         ),
+        (
+            ["specfn", "--type", "A2", "--poset", "diamond", "--mode", "all"],
+            "member_count",
+        ),
+        (
+            ["specfn", "--type", "A1", "--poset", "point", "--mode", "all"],
+            "member_count",
+        ),
     ],
 )
 def test_counts_match_json_counts(args, key):
@@ -285,6 +293,18 @@ def test_specfn_monotone_count_keeps_the_size_guard(monkeypatch):
     assert code == full_code == 1 and out == ""
     assert err == full_err == (
         "thicklat: error: monotone functions exceed the size guard 10; "
+        "raise THICKLAT_SIZE_GUARD to proceed\n"
+    )
+
+
+def test_specfn_all_count_keeps_the_size_guard(monkeypatch):
+    monkeypatch.setenv("THICKLAT_SIZE_GUARD", "10")
+    args = ["specfn", "--type", "A2", "--poset", "chain3", "--mode", "all"]
+    code, out, err = run_cli(args + ["--count"])
+    full_code, _, full_err = run_cli(args)
+    assert code == full_code == 1 and out == ""
+    assert err == full_err == (
+        "thicklat: error: 125 functions exceed the size guard 10; "
         "raise THICKLAT_SIZE_GUARD to proceed\n"
     )
 
@@ -462,3 +482,32 @@ def test_parse_polynomial_exponent_bound():
             parse_polynomial(RING, text)
         assert isinstance(err.value, PolynomialSyntaxError)
         assert err.value.column == column
+
+
+def test_parse_polynomial_bounds_nested_powers():
+    x, y = Poly.variable(RING, "x"), Poly.variable(RING, "y")
+    x64 = Poly(RING, (((64, 0), 1),))
+    assert parse_polynomial(RING, "(x^2)^32") == x64
+    assert parse_polynomial(RING, "(x*y)^64") == Poly(RING, (((64, 64), 1),))
+    assert parse_polynomial(RING, "((x^4)^4)^4") == x64
+    assert parse_polynomial(RING, "(x^64)^0") == Poly.const(RING, 1)
+    assert parse_polynomial(RING, "(x + y^2)^2") == (x + y * y) * (x + y * y)
+    for text, column in (
+        ("(x^2)^33", 7),
+        ("(x*y^2)^33", 9),
+        ("(x^64)^2", 8),
+        ("((x^8)^8)^2", 11),
+    ):
+        with pytest.raises(ExponentBoundError) as err:
+            parse_polynomial(RING, text)
+        assert err.value.column == column
+
+
+def test_koszul_refuses_nested_powers_quickly():
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["koszul", "--vars", "x", "--gens", "(((x^64)^64)^64)^64", "--at", "3/2"]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == "thicklat: error: exponent exceeds the bound 64 (column 10)\n"

@@ -262,6 +262,45 @@ def test_nc_lattice_laws(name):
         assert meet[meet[i][j]][k] == meet[i][meet[j][k]]
 
 
+def _scan_bound(masks, i, j):
+    """Oracle for join (up-set masks) or meet (down-set masks): the
+    linear scan for the element whose mask holds all common bounds."""
+    common = masks[i] & masks[j]
+    for k in range(len(masks)):
+        if (common >> k) & 1 and (common & masks[k]) == common:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5"])
+def test_join_and_meet_match_linear_scan(name):
+    lattice = nc_lattice(name)
+    up, down = lattice._masks()
+    for i, j in itertools.product(range(len(lattice)), repeat=2):
+        assert lattice.join(i, j) == _scan_bound(up, i, j)
+        assert lattice.meet(i, j) == _scan_bound(down, i, j)
+
+
+def test_join_and_meet_raise_outside_a_lattice():
+    full = nc_lattice("A3")
+    atoms = [e for e in full.elements if e.length == 1][:2]
+    bottom, top = full.elements[full.bottom()], full.elements[full.top()]
+    two_atoms = NcLattice(full.rs, full.c, atoms)
+    with pytest.raises(RuntimeError, match="join does not exist"):
+        two_atoms.join(0, 1)
+    with pytest.raises(RuntimeError, match="meet does not exist"):
+        two_atoms.meet(0, 1)
+    # with a bottom but no top only the join is missing, and vice versa
+    with_bottom = NcLattice(full.rs, full.c, [bottom] + atoms)
+    assert with_bottom.meet(1, 2) == 0
+    with pytest.raises(RuntimeError, match="join does not exist"):
+        with_bottom.join(1, 2)
+    with_top = NcLattice(full.rs, full.c, atoms + [top])
+    assert with_top.join(0, 1) == 2
+    with pytest.raises(RuntimeError, match="meet does not exist"):
+        with_top.meet(0, 1)
+
+
 @pytest.mark.parametrize("name", ["A3", "D4", "D5"])
 def test_nc_order_matches_rank_oracle(name):
     assert_order_matches_rank_oracle(nc_lattice(name))

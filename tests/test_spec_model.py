@@ -1,5 +1,7 @@
 """Posets, monotone function lattices, size guard, lattice isomorphism."""
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +42,39 @@ def brute_covers(lattice):
             if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
                 continue
             out.add((i, j))
+    return out
+
+
+def reduction_covers(lattice):
+    """Transitive reduction of the pointwise order on bitmasks.
+
+    Each function is one one-hot integer (bit p*n + f(p)) and one up-set
+    integer (the up-set of f(p) shifted to p*n), so f <= g iff the
+    one-hot bits of g lie inside the up-set bits of f.
+    """
+    nc = lattice.lattice
+    n = len(nc)
+    up = [sum(1 << j for j in range(n) if nc.leq(i, j)) for i in range(n)]
+    onehot = [
+        sum(1 << (p * n + v) for p, v in enumerate(fn.values))
+        for fn in lattice.members
+    ]
+    upset = [
+        sum(up[v] << (p * n) for p, v in enumerate(fn.values))
+        for fn in lattice.members
+    ]
+    m = len(lattice.members)
+    above = [
+        sum(1 << j for j in range(m) if j != i and onehot[j] & ~upset[i] == 0)
+        for i in range(m)
+    ]
+    out = set()
+    for i in range(m):
+        higher = [j for j in range(m) if (above[i] >> j) & 1]
+        beyond = 0
+        for j in higher:
+            beyond |= above[j]
+        out.update((i, j) for j in higher if not (beyond >> j) & 1)
     return out
 
 
@@ -105,6 +140,26 @@ def test_function_counts(lattice_name, poset, expect_all, expect_monotone):
     )
 
 
+def fuss_catalan(dynkin: DynkinType, k: int) -> int:
+    """prod_i (k*h + d_i) / d_i over the degrees d_i."""
+    h = dynkin.coxeter_number()
+    value = math.prod(Fraction(k * h + d, d) for d in dynkin.degrees())
+    assert value.denominator == 1
+    return int(value)
+
+
+@pytest.mark.parametrize(
+    "lattice_name,k,expected",
+    [("A2", 2, 12), ("A3", 2, 55), ("A3", 3, 140), ("D4", 2, 336), ("A4", 3, 969)],
+)
+def test_chain_counts_are_fuss_catalan(lattice_name, k, expected):
+    """Monotone functions from a k-chain are k-multichains in NC(W, c)."""
+    assert fuss_catalan(DynkinType.parse(lattice_name), k) == expected
+    nc = nc_lattice(lattice_name)
+    assert smashing_count(poset_chain(k), nc) == expected
+    assert len(monotone_functions(poset_chain(k), nc).members) == expected
+
+
 def test_monotone_equals_all_on_antichains():
     nc = nc_lattice("A2")
     poset = poset_antichain(2)
@@ -130,6 +185,53 @@ def test_monotone_equals_all_on_antichains():
 def test_monotone_covers_match_brute_reduction(lattice_name, poset):
     lattice = monotone_functions(poset, nc_lattice(lattice_name))
     assert set(lattice.covers) == brute_covers(lattice)
+
+
+POSET_V = FinitePoset.from_covers(("a", "b", "c"), (("a", "b"), ("a", "c")))
+POSET_LAMBDA = FinitePoset.from_covers(("a", "b", "c"), (("a", "c"), ("b", "c")))
+
+
+@pytest.mark.parametrize(
+    "lattice_name,poset",
+    [
+        ("A2", poset_diamond()),
+        ("A3", poset_diamond()),
+        ("D4", poset_chain(2)),
+        ("A3", POSET_V),
+        ("A3", POSET_LAMBDA),
+    ],
+    ids=["A2-diamond", "A3-diamond", "D4-chain2", "A3-V", "A3-Lambda"],
+)
+def test_monotone_covers_match_bitmask_reduction(lattice_name, poset):
+    lattice = monotone_functions(poset, nc_lattice(lattice_name))
+    assert lattice.covers == tuple(sorted(reduction_covers(lattice)))
+
+
+def test_monotone_covers_match_bitmask_reduction_on_random_posets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    lattices = {name: nc_lattice(name) for name in ("A2", "A3")}
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(lattices)))
+        size = data.draw(st.integers(min_value=1, max_value=4))
+        names = tuple(f"p{i}" for i in range(size))
+        pairs = list(itertools.combinations(names, 2))
+        chosen = data.draw(
+            st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+        )
+        poset = FinitePoset.from_covers(
+            names, [pair for pair, keep in zip(pairs, chosen) if keep]
+        )
+        nc = lattices[name]
+        # the quadratic oracle stays fast only on small function lattices
+        hypothesis.assume(smashing_count(poset, nc) <= 800)
+        lattice = monotone_functions(poset, nc)
+        assert lattice.covers == tuple(sorted(reduction_covers(lattice)))
+
+    check()
 
 
 @pytest.mark.parametrize(
