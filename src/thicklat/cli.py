@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from .figures import (
     FIGURE1_COVERS,
@@ -73,8 +74,8 @@ class PolynomialSyntaxError(ValueError):
 
 
 class ExponentBoundError(PolynomialSyntaxError):
-    """An exponent above MAX_EXPONENT.  A work guard rather than a
-    syntax error, so the CLI exits 1 on it."""
+    """A power above MAX_EXPONENT or MAX_TERMS.  A work guard rather
+    than a syntax error, so the CLI exits 1 on it."""
 
 
 # x^n is built by n multiplications, so an unbounded exponent lets one
@@ -82,6 +83,10 @@ class ExponentBoundError(PolynomialSyntaxError):
 # and so is a power that lifts a variable above it, as nested powers
 # multiply exponents.
 MAX_EXPONENT = 64
+# A power of a t-term base has at most binom(t + e - 1, e) terms, the
+# number of degree-e monomials in t letters; a power whose bound exceeds
+# this is refused before it is expanded.
+MAX_TERMS = 10_000
 
 _SYMBOLS = set("+-*/^()")
 
@@ -121,8 +126,9 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
     """Parse `+ - * ^` expressions with integer or rational coefficients.
 
     Juxtaposition is rejected: every product needs an explicit `*`.
-    An exponent above MAX_EXPONENT, or a power that raises some
-    variable's exponent above it, raises ExponentBoundError.
+    An exponent above MAX_EXPONENT, a power that raises some variable's
+    exponent above it, or one whose expansion could exceed MAX_TERMS
+    terms raises ExponentBoundError.
     """
     tokens = _tokenize_poly(text)
     pos = 0
@@ -185,8 +191,13 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
                 raise ExponentBoundError(
                     f"exponent exceeds the bound {MAX_EXPONENT}", column
                 )
+            exponent = int(digits)
+            if comb(max(len(base.terms), 1) + exponent - 1, exponent) > MAX_TERMS:
+                raise ExponentBoundError(
+                    f"power may expand beyond the bound of {MAX_TERMS} terms", column
+                )
             out = Poly.const(ring, 1)
-            for _ in range(int(value)):
+            for _ in range(exponent):
                 out = out * base
             return out
         return base

@@ -3,10 +3,28 @@
 Matrices are tuples (or lists) of rows.  Rational entries are ints or
 fractions.Fraction; prime-field entries are ints reduced mod p.  Nothing
 here ever touches a float.
+
+Every elimination (nullspace, left_nullspace, solve, rank and
+int_mat_inverse) runs through one kernel, rref, on rows of plain ints:
+
+- over GF(p) every update is reduced mod p on the spot, and touches only
+  the rows with a nonzero in the pivot column and, in them, only the
+  pivot row's nonzero columns;
+- over QQ each row is first cleared of denominators and divided by its
+  content.  A row with f in the pivot column becomes a*row - b*top, where
+  g = gcd(pivot, f), a = pivot/g and b = f/g, and is divided by its
+  content again.  A primitive row divides the matching row of Bareiss's
+  fraction-free elimination, so entries stay bounded by minors of the
+  input.  Fractions are built once, at the end, by dividing each pivot
+  row by its pivot.
+
+Both paths compute the unique reduced row echelon form, so nothing is
+approximated.  int_rank is Bareiss elimination itself.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _is_prime(n: int) -> bool:
@@ -171,28 +189,15 @@ def int_mat_inverse(mat):
     integral.
     """
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [x / pval for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    red, pivots = rref(QQ, [list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
     inv = []
-    for r in range(n):
-        row = []
-        for c in range(n, 2 * n):
-            x = aug[r][c]
-            if x.denominator != 1:
-                raise ValueError("inverse is not integral")
-            row.append(int(x))
-        inv.append(tuple(row))
+    for row in red:
+        if any(x.denominator != 1 for x in row[n:]):
+            raise ValueError("inverse is not integral")
+        inv.append(tuple(int(x) for x in row[n:]))
     return tuple(inv)
 
 
@@ -214,29 +219,70 @@ def mat_mul(field, a, b):
 
 
 def rref(field, rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    The rows come back as reduced ints over GF(p) and as Fractions over
+    QQ; the module docstring describes the two integer paths.
+    """
+    if not rows:
         return [], []
-    ncols = len(m[0])
+    p = field.char
+    if p:
+        m = [[x % p for x in r] for r in rows]
+    else:
+        m = [_integer_row(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != field.zero), None)
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, x) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != field.zero:
-                f = m[r][col]
-                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[rank])]
+        top = m[rank]
+        pval = top[col]
+        if p and pval != 1:
+            inv = pow(pval, p - 2, p)
+            top = m[rank] = [x * inv % p for x in top]
+        nonzero = [(c, x) for c, x in enumerate(top) if x]
+        for r in range(nrows):
+            row = m[r]
+            f = row[col]
+            if not f or r == rank:
+                continue
+            if p:
+                for c, x in nonzero:
+                    row[c] = (row[c] - f * x) % p
+                continue
+            g = gcd(pval, f)
+            a, b = pval // g, f // g
+            if a != 1:
+                row = [a * x for x in row]
+            for c, x in nonzero:
+                row[c] -= b * x
+            g = gcd(*row)
+            m[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         rank += 1
-        if rank == len(m):
+        if rank == nrows:
             break
+    if not p:
+        zero = Fraction(0)
+        m = [[Fraction(x, m[r][col]) if x else zero for x in m[r]]
+             for r, col in enumerate(pivots)]
+        m += [[zero] * ncols for _ in range(rank, nrows)]
     return m, pivots
+
+
+def _integer_row(row):
+    """A rational row scaled by the lcm of its denominators and divided
+    by its content: a primitive integer row spanning the same line."""
+    if not any(row):
+        return [0] * len(row)
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def rank(field, rows) -> int:

@@ -11,6 +11,7 @@ objects in an order with no backward morphisms or extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .linalg import int_identity, int_mat_mul
@@ -81,7 +82,7 @@ def _lines(field, n: int):
 
 class _RepContext:
     """Memoized morphism data for all indecomposables of one quiver over
-    one finite field."""
+    one finite field, and the wide subcategories once enumerated."""
 
     def __init__(self, quiver: Quiver, field):
         if field.char == 0:
@@ -96,6 +97,11 @@ class _RepContext:
         self._hom: dict[tuple[int, int], int] = {}
         self._pair_masks: dict[tuple[int, int], int] = {}
         self._embeds: dict[tuple[int, int], bool] = {}
+        self.wides = None
+
+    @cached_property
+    def coxeter(self) -> WeylElement:
+        return coxeter_element(_root_system_for(self.quiver.dynkin), self.quiver.arrows)
 
     def hom(self, i: int, j: int) -> int:
         key = (i, j)
@@ -223,6 +229,8 @@ def enumerate_thick(quiver: Quiver, field) -> tuple[WideSubcategory, ...]:
     the closure of its simples.
     """
     ctx = _context(quiver, field)
+    if ctx.wides is not None:
+        return ctx.wides
     n = len(ctx.roots)
     if n <= 12:
         seeds = range(1 << n)
@@ -238,7 +246,8 @@ def enumerate_thick(quiver: Quiver, field) -> tuple[WideSubcategory, ...]:
         for mask in closed_masks
     ]
     wides.sort(key=lambda w: (len(w.dims), w.sorted_dims()))
-    return tuple(wides)
+    ctx.wides = tuple(wides)
+    return ctx.wides
 
 
 def simples_of(wide: WideSubcategory) -> tuple[DimVector, ...]:
@@ -284,7 +293,6 @@ def wide_to_nc(wide: WideSubcategory) -> NcElement:
     """
     ctx = _context(wide.quiver, wide.field)
     rs = _root_system_for(wide.quiver.dynkin)
-    c = coxeter_element(rs, wide.quiver.arrows)
     simples = simples_of(wide)
     k = len(simples)
     idx = [ctx.index[d] for d in simples]
@@ -319,15 +327,15 @@ def wide_to_nc(wide: WideSubcategory) -> NcElement:
     w = WeylElement(mats.pop())
     if reflection_length(w) != k:
         raise RuntimeError("product length differs from the number of simples")
-    return NcElement(rs, w, c)
+    return NcElement(rs, w, ctx.coxeter)
 
 
 def verify_bijection(quiver: Quiver, field) -> BijectionReport:
     """Check that wide subcategories map bijectively and order
     isomorphically onto the noncrossing partition lattice."""
-    rs = _root_system_for(quiver.dynkin)
     wides = enumerate_thick(quiver, field)
-    lattice = NcLattice(rs, coxeter_element(rs, quiver.arrows))
+    ctx = _context(quiver, field)
+    lattice = NcLattice(_root_system_for(quiver.dynkin), ctx.coxeter)
     failures = []
     images = [wide_to_nc(w) for w in wides]
     image_set = set(images)

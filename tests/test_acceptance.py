@@ -25,7 +25,9 @@ from thicklat.koszul import (
 )
 from thicklat.linalg import GF, QQ
 from thicklat.quiver_rep import (
+    FieldRep,
     base_change,
+    decompose_dims,
     default_orientation,
     ext_dim,
     hom_dim,
@@ -236,6 +238,61 @@ def test_koszul_nine_variables_at_the_origin_within_budget():
     elapsed = time.perf_counter() - start
     assert dims == {i: math.comb(9, i) for i in range(10)}
     assert elapsed < 5.0
+
+
+def unimodular_pair(rng, n):
+    """A random integer matrix of determinant +-1 and its inverse, built
+    from 2n elementary row operations."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in mat]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return mat, inv
+
+
+def disguised_sum(quiver, rng, summands, total):
+    """A direct sum of `summands` tree modules of total dimension `total`,
+    under a random unimodular base change at every vertex, over QQ.
+    Returns the representation and its summands' dimension vectors."""
+    roots = indecomposable_dims(quiver)
+    while True:
+        dims = [rng.choice(roots) for _ in range(summands)]
+        if sum(map(sum, dims)) == total:
+            break
+    modules = [tree_module(quiver, d) for d in dims]
+    size = [sum(m.dim[v] for m in modules) for v in range(quiver.rank)]
+    changes = [unimodular_pair(rng, n) for n in size]
+    maps = []
+    for a, (s, t) in enumerate(quiver.arrows):
+        block = [[0] * size[s - 1] for _ in range(size[t - 1])]
+        row = col = 0
+        for m in modules:
+            for i, r in enumerate(m.maps[a]):
+                block[row + i][col:col + len(r)] = r
+            row += m.dim[t - 1]
+            col += m.dim[s - 1]
+        into, _ = changes[t - 1]
+        _, out_of = changes[s - 1]
+        mat = [[sum(into[i][k] * block[k][j] for k in range(size[t - 1]))
+                for j in range(size[s - 1])] for i in range(size[t - 1])]
+        mat = [[sum(mat[i][k] * out_of[k][j] for k in range(size[s - 1]))
+                for j in range(size[s - 1])] for i in range(size[t - 1])]
+        maps.append(tuple(tuple(Fraction(x) for x in r) for r in mat))
+    return FieldRep(QQ, quiver, tuple(size), tuple(maps)), sorted(dims)
+
+
+def test_rational_decomposition_within_budget():
+    quiver = default_orientation(DynkinType.parse("D5"))
+    rep, summands = disguised_sum(quiver, random.Random("decompose-budget"), 4, 18)
+    start = time.perf_counter()
+    found = decompose_dims(rep)
+    elapsed = time.perf_counter() - start
+    assert list(found) == summands
+    assert elapsed < 0.5
 
 
 def test_criterion_9_property_suites():

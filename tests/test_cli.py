@@ -7,6 +7,7 @@ import time
 import pytest
 
 from thicklat.cli import (
+    MAX_TERMS,
     ExponentBoundError,
     PolynomialSyntaxError,
     main,
@@ -511,3 +512,30 @@ def test_koszul_refuses_nested_powers_quickly():
     assert time.perf_counter() - start < 0.5
     assert code == 1 and out == ""
     assert err == "thicklat: error: exponent exceeds the bound 64 (column 10)\n"
+
+
+def test_parse_polynomial_term_bound():
+    # binom(t + e - 1, e) bounds the terms of a t-term base to the e
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, 9)))
+    base = "(x1+x2+x3+x4+x5+x6+x7+x8)"
+    assert len(parse_polynomial(ring, f"{base}^2").terms) == 36
+    assert len(parse_polynomial(ring, "(x1 + 1)^64").terms) == 65
+    for text, column in ((f"{base}^9", 27), (f"x1 + ({base}^4)^2", 36)):
+        with pytest.raises(ExponentBoundError) as err:
+            parse_polynomial(ring, text)
+        assert err.value.column == column
+        assert f"bound of {MAX_TERMS} terms" in str(err.value)
+
+
+def test_koszul_refuses_multinomial_powers_quickly():
+    variables = ",".join(f"x{i}" for i in range(1, 9))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["koszul", "--vars", variables,
+         "--gens", "(x1+x2+x3+x4+x5+x6+x7+x8)^64", "--at", ",".join("0" * 8)]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == (
+        "thicklat: error: power may expand beyond the bound of 10000 terms (column 27)\n"
+    )

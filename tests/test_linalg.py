@@ -44,6 +44,34 @@ def fraction_rank(rows):
     return r
 
 
+def reference_rref(field, rows):
+    """Oracle: Gauss-Jordan elimination through the field's own methods,
+    entry by entry (the library's elimination before it moved to integer
+    rows)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != field.zero), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = field.inv(m[rank][col])
+        m[rank] = [field.mul(inv, x) for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != field.zero:
+                f = m[r][col]
+                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return m, pivots
+
+
 def random_int_matrix(rng, nrows, ncols, low=-5, high=5):
     return [[rng.randint(low, high) for _ in range(ncols)] for _ in range(nrows)]
 
@@ -88,6 +116,27 @@ def test_int_mat_inverse_round_trip():
 def test_int_mat_inverse_rejects_singular():
     with pytest.raises(ValueError):
         int_mat_inverse([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize(
+    "mat,message",
+    [
+        ([[1, 2], [2, 4]], "matrix is singular"),
+        ([[0, 0], [0, 0]], "matrix is singular"),
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], "matrix is singular"),
+        ([[2]], "inverse is not integral"),
+        ([[2, 1], [1, 2]], "inverse is not integral"),
+        ([[1, 2, 0], [0, 1, 0], [0, 0, -3]], "inverse is not integral"),
+    ],
+)
+def test_int_mat_inverse_error_messages(mat, message):
+    with pytest.raises(ValueError) as err:
+        int_mat_inverse(mat)
+    assert str(err.value) == message
+
+
+def test_int_mat_inverse_of_empty_matrix():
+    assert int_mat_inverse(()) == ()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -212,3 +261,128 @@ def test_mat_mul_matches_int_mat_mul():
         assert [[int(x) for x in row] for row in over_q] == [
             list(row) for row in int_mat_mul(a, b)
         ]
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against the field-method oracle
+
+ORACLE_FIELDS = [GF(2), GF(3), GF(97), QQ]
+
+
+def random_entry(rng, field, density):
+    if rng.random() >= density:
+        return rng.choice((0, Fraction(0))) if not field.char else 0
+    if field.char:
+        return rng.randrange(field.char)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 7, 12, 35)))
+
+
+def random_matrix(rng, field, nrows, ncols, density=0.7):
+    return [[random_entry(rng, field, density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def rank_deficient(rng, field, nrows, ncols, rank):
+    """A random nrows x ncols matrix of rank at most `rank`."""
+    left = random_matrix(rng, field, nrows, rank, 1.0)
+    right = random_matrix(rng, field, rank, ncols, 1.0)
+    return [list(row) for row in mat_mul(field, left, right)]
+
+
+def hom_shaped(rng, field, nrows, ncols):
+    """Sparse rows like hom_basis intertwining equations: a few +1 entries
+    from one structure map and a few -1 entries from the other."""
+    minus_one = field.neg(field.one) if field.char else -1
+    rows = []
+    for _ in range(nrows):
+        row = [field.zero] * ncols
+        cols = rng.sample(range(ncols), rng.randint(1, 5))
+        for k, c in enumerate(cols):
+            row[c] = field.one if k % 2 == 0 else minus_one
+        rows.append(row)
+    return rows
+
+
+def assert_matches_oracle(field, mat):
+    reduced, pivots = rref(field, mat)
+    expected, expected_pivots = reference_rref(field, mat)
+    assert pivots == expected_pivots
+    assert reduced == expected
+    for row in reduced:
+        for x in row:
+            if field.char:
+                assert type(x) is int and 0 <= x < field.char
+            else:
+                assert type(x) is Fraction
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_matches_oracle_on_random_matrices(field):
+    rng = random.Random(f"rref:{field!r}")
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        mat = random_matrix(rng, field, nrows, ncols, rng.random())
+        assert_matches_oracle(field, mat)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_matches_oracle_on_degenerate_shapes(field):
+    rng = random.Random(f"shapes:{field!r}")
+    zero = field.zero
+    cases = [
+        [[zero] * 5 for _ in range(4)],
+        [[0] * 3],
+        [[zero]],
+        [[]],
+        [[], []],
+    ]
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        cases.append(random_matrix(rng, field, 1, n))
+        cases.append(random_matrix(rng, field, n, 1))
+        mat = random_matrix(rng, field, rng.randint(2, 7), rng.randint(2, 7))
+        mat[rng.randrange(len(mat))] = [zero] * len(mat[0])
+        for row in mat:
+            row[rng.randrange(len(row))] = zero
+        zero_col = rng.randrange(len(mat[0]))
+        for row in mat:
+            row[zero_col] = zero
+        cases.append(mat)
+    for mat in cases:
+        assert_matches_oracle(field, mat)
+    assert rref(field, []) == ([], [])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_matches_oracle_on_rank_deficient_and_sparse_systems(field):
+    rng = random.Random(f"deficient:{field!r}")
+    for _ in range(40):
+        nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+        mat = rank_deficient(rng, field, nrows, ncols, rng.randint(1, min(nrows, ncols)))
+        assert_matches_oracle(field, mat)
+    for _ in range(6):
+        nrows, ncols = rng.randint(20, 40), rng.randint(30, 60)
+        mat = hom_shaped(rng, field, nrows, ncols)
+        assert_matches_oracle(field, mat)
+        assert_matches_oracle(field, [list(col) for col in zip(*mat)])
+
+
+def test_rref_over_rationals_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(rows):
+        return [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+
+    rng = random.Random("sympy")
+    cases = [random_matrix(rng, QQ, rng.randint(1, 7), rng.randint(1, 7), rng.random())
+             for _ in range(60)]
+    cases += [rank_deficient(rng, QQ, 6, 8, 3), hom_shaped(rng, QQ, 25, 40)]
+    for mat in cases:
+        reduced, pivots = rref(QQ, mat)
+        expected, expected_pivots = sympy.Matrix(to_sympy(mat)).rref()
+        assert tuple(pivots) == expected_pivots
+        assert to_sympy(reduced) == expected.tolist()

@@ -28,6 +28,7 @@ from thicklat.root_system import (
     coxeter_element,
     nc_leq,
 )
+from thicklat import thick_enum
 from thicklat.thick_enum import (
     WideSubcategory,
     _context,
@@ -51,6 +52,24 @@ def test_enumeration_counts_over_gf2(name, count):
     wides = enumerate_thick(quiver_of(name), GF(2))
     assert len(wides) == count
     assert len({w.dims for w in wides}) == count
+
+
+def test_enumeration_runs_once_per_quiver_and_field(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    closed = []
+    close = thick_enum._close_mask
+
+    def counted_close(ctx, mask):
+        closed.append(mask)
+        return close(ctx, mask)
+
+    monkeypatch.setattr(thick_enum, "_close_mask", counted_close)
+    quiver, field = quiver_of("A3"), GF(3)
+    wides = enumerate_thick(quiver, field)
+    assert verify_bijection(quiver, field).ok
+    assert enumerate_thick(quiver, field) is wides
+    # one closure per seed: all 2^6 subsets of the six indecomposables
+    assert len(closed) == 64
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4"])
