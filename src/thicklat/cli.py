@@ -42,7 +42,6 @@ from .root_system import (
     build_root_system,
     coxeter_element,
     nc_to_set_partition,
-    reflection_factorization,
 )
 from .spec_model import (
     FinitePoset,
@@ -57,7 +56,7 @@ from .spec_model import (
     poset_point,
     smashing_count,
 )
-from .thick_enum import enumerate_thick, verify_bijection, wide_to_nc
+from .thick_enum import enumerate_thick, nc_positions, verify_bijection
 
 SCHEMA_VERSION = "1"
 
@@ -74,8 +73,9 @@ class PolynomialSyntaxError(ValueError):
 
 
 class ExponentBoundError(PolynomialSyntaxError):
-    """A power above MAX_EXPONENT or MAX_TERMS.  A work guard rather
-    than a syntax error, so the CLI exits 1 on it."""
+    """A power above MAX_EXPONENT, or a power or product above
+    MAX_TERMS.  A work guard rather than a syntax error, so the CLI
+    exits 1 on it."""
 
 
 # x^n is built by n multiplications, so an unbounded exponent lets one
@@ -84,8 +84,9 @@ class ExponentBoundError(PolynomialSyntaxError):
 # multiply exponents.
 MAX_EXPONENT = 64
 # A power of a t-term base has at most binom(t + e - 1, e) terms, the
-# number of degree-e monomials in t letters; a power whose bound exceeds
-# this is refused before it is expanded.
+# number of degree-e monomials in t letters, and a product of factors
+# with t1 and t2 terms at most t1 * t2; a power or a product whose bound
+# exceeds this is refused before it is expanded.
 MAX_TERMS = 10_000
 
 _SYMBOLS = set("+-*/^()")
@@ -127,8 +128,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
 
     Juxtaposition is rejected: every product needs an explicit `*`.
     An exponent above MAX_EXPONENT, a power that raises some variable's
-    exponent above it, or one whose expansion could exceed MAX_TERMS
-    terms raises ExponentBoundError.
+    exponent above it, or a power or product whose expansion could
+    exceed MAX_TERMS terms raises ExponentBoundError.
     """
     tokens = _tokenize_poly(text)
     pos = 0
@@ -163,7 +164,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
             kind, value, column = peek()
             if kind == "*":
                 advance()
-                acc = acc * parse_factor()
+                acc = acc * parse_factor(len(acc.terms), column)
                 continue
             if kind in ("int", "name", "("):
                 raise PolynomialSyntaxError(
@@ -173,8 +174,12 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
                 )
             return acc
 
-    def parse_factor() -> Poly:
+    def parse_factor(times: int = 1, star: int | None = None) -> Poly:
+        # a factor multiplying a product of `times` terms, at the `*` in
+        # column `star`, is refused before a power in it is expanded
         base = parse_base()
+        bound = len(base.terms)
+        exponent = 1
         if peek()[0] == "^":
             advance()
             kind, value, column = advance()
@@ -192,15 +197,21 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
                     f"exponent exceeds the bound {MAX_EXPONENT}", column
                 )
             exponent = int(digits)
-            if comb(max(len(base.terms), 1) + exponent - 1, exponent) > MAX_TERMS:
+            bound = comb(max(len(base.terms), 1) + exponent - 1, exponent)
+            if bound > MAX_TERMS:
                 raise ExponentBoundError(
                     f"power may expand beyond the bound of {MAX_TERMS} terms", column
                 )
-            out = Poly.const(ring, 1)
-            for _ in range(exponent):
-                out = out * base
-            return out
-        return base
+        if star is not None and times * bound > MAX_TERMS:
+            raise ExponentBoundError(
+                f"product may expand beyond the bound of {MAX_TERMS} terms", star
+            )
+        if exponent == 1:
+            return base
+        out = Poly.const(ring, 1)
+        for _ in range(exponent):
+            out = out * base
+        return out
 
     def parse_base() -> Poly:
         kind, value, column = advance()
@@ -281,13 +292,17 @@ def _partition_label(blocks) -> str:
     return ",".join("(" + ",".join(str(x) for x in b) + ")" for b in shown)
 
 
-def _nc_node_id(rs, dynkin: DynkinType, element) -> str:
-    if dynkin.letter == "A":
-        return _partition_label(nc_to_set_partition(element))
-    factors = reflection_factorization(rs, element.w)
-    if not factors:
-        return "e"
-    return "*".join(f"r{i}" for i in factors)
+def _nc_ids(lattice) -> list[str]:
+    """Node identifiers of the lattice's elements: set partitions in
+    type A, reflection factorizations otherwise."""
+    if lattice.rs.dynkin.letter == "A":
+        return [
+            _partition_label(nc_to_set_partition(e)) for e in lattice.elements
+        ]
+    return [
+        "*".join(f"r{k}" for k in lattice.reflection_factorization(i)) or "e"
+        for i in range(len(lattice))
+    ]
 
 
 def _json_text(document) -> str:
@@ -334,14 +349,14 @@ def _chosen_format(args) -> str:
 # ---------------------------------------------------------------------------
 # nc
 
-def _nc_lattice(dynkin: DynkinType, quiver: Quiver):
+def _nc_lattice(dynkin: DynkinType, quiver: Quiver) -> NcLattice:
     rs = build_root_system(dynkin)
-    return rs, NcLattice(rs, coxeter_element(rs, quiver))
+    return NcLattice(rs, coxeter_element(rs, quiver))
 
 
 def _nc_lattice_data(dynkin: DynkinType, quiver: Quiver):
-    rs, lattice = _nc_lattice(dynkin, quiver)
-    ids = [_nc_node_id(rs, dynkin, e) for e in lattice.elements]
+    lattice = _nc_lattice(dynkin, quiver)
+    ids = _nc_ids(lattice)
     if len(set(ids)) != len(ids):
         raise RuntimeError("node identifiers collide")
     order = sorted(
@@ -365,7 +380,7 @@ def cmd_nc(args) -> int:
     fmt = _chosen_format(args)
     if fmt == "count":
         # the size of NC(W, c) needs no labels, order or covers
-        _, lattice = _nc_lattice(dynkin, quiver)
+        lattice = _nc_lattice(dynkin, quiver)
         _write_output(f"{len(lattice)}\n", args.out)
         return 0
     lattice, ordered_ids, nodes, edges = _nc_lattice_data(dynkin, quiver)
@@ -398,23 +413,6 @@ def _wide_id(wide) -> str:
     return "{" + ";".join(_dim_label(d) for d in wide.sorted_dims()) + "}"
 
 
-def _inclusion_covers(wides):
-    sets = [frozenset(w.dims) for w in wides]
-    n = len(wides)
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not sets[i] < sets[j]:
-                continue
-            if any(
-                k != i and k != j and sets[i] < sets[k] < sets[j]
-                for k in range(n)
-            ):
-                continue
-            covers.append((i, j))
-    return covers
-
-
 def cmd_thick(args) -> int:
     dynkin = DynkinType.parse(args.type)
     quiver = _parse_orientation(dynkin, args.orientation)
@@ -439,18 +437,26 @@ def cmd_thick(args) -> int:
     if fmt == "count":
         _write_output(f"{len(wides)}\n", args.out)
         return exit_code
+    lattice, positions = nc_positions(quiver, field)
+    if None in positions:
+        raise ValueError("an image is not below the Coxeter element")
     if fmt == "dot":
+        # inclusion corresponds to the order of NC(W, c), so the covers
+        # are the lattice's, carried back through the bijection
+        if sorted(positions) != list(range(len(lattice))):
+            raise RuntimeError("subcategories do not map bijectively onto NC")
+        wide_at = {p: k for k, p in enumerate(positions)}
         edges = sorted(
-            (ids[i], ids[j]) for i, j in _inclusion_covers(wides)
+            (ids[wide_at[i]], ids[wide_at[j]]) for i, j in lattice.covers()
         )
         _write_output(_dot_text([ids[i] for i in order], edges), args.out)
         return exit_code
-    rs = build_root_system(dynkin)
+    nc_ids = _nc_ids(lattice)
     subcats = [
         {
             "id": ids[i],
             "dimension_vectors": [list(d) for d in wides[i].sorted_dims()],
-            "nc_image": _nc_node_id(rs, dynkin, wide_to_nc(wides[i])),
+            "nc_image": nc_ids[positions[i]],
         }
         for i in order
     ]
@@ -537,14 +543,14 @@ def cmd_specfn(args) -> int:
     dynkin = DynkinType.parse(args.type)
     quiver = _parse_orientation(dynkin, args.orientation)
     poset = _parse_poset(args.poset)
-    rs, nc = _nc_lattice(dynkin, quiver)
+    nc = _nc_lattice(dynkin, quiver)
     fmt = _chosen_format(args)
     if fmt == "count":
         # counted under the same size guard, without labels or covers
         count = smashing_count if args.mode == "monotone" else all_function_count
         _write_output(f"{count(poset, nc)}\n", args.out)
         return 0
-    nc_ids = [_nc_node_id(rs, dynkin, e) for e in nc.elements]
+    nc_ids = _nc_ids(nc)
     build = monotone_functions if args.mode == "monotone" else all_functions
     lattice = build(poset, nc)
     ids = [_function_id(fn, nc_ids) for fn in lattice.members]
@@ -617,8 +623,7 @@ def cmd_figures(args) -> int:
         },
     )
 
-    rs = build_root_system(dynkin)
-    nc_ids = [_nc_node_id(rs, dynkin, e) for e in lattice.elements]
+    nc_ids = _nc_ids(lattice)
     functions = monotone_functions(poset_chain(2), lattice)
     fn_ids = [_function_id(fn, nc_ids) for fn in functions.members]
     fn_order = sorted(range(len(fn_ids)), key=lambda i: fn_ids[i])

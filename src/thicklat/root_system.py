@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .linalg import QQ, int_identity, int_mat_inverse, int_mat_mul, int_rank, nullspace
@@ -238,6 +239,12 @@ def simple_reflection(rs: RootSystem, vertex: int) -> WeylElement:
     return reflection(rs, tuple(1 if i == vertex - 1 else 0 for i in range(rs.rank)))
 
 
+@lru_cache(maxsize=None)
+def reflection_mats(rs: RootSystem) -> tuple:
+    """The matrices of the reflections in rs.positive_roots, in order."""
+    return tuple(reflection(rs, r).mat for r in rs.positive_roots)
+
+
 def coxeter_element(rs: RootSystem, arrows) -> WeylElement:
     """Coxeter element for an orientation of the Dynkin diagram.
 
@@ -357,7 +364,7 @@ def enumerate_nc(rs: RootSystem, c: WeylElement) -> tuple[NcElement, ...]:
     """
     if reflection_length(c) != rs.rank:
         raise ValueError("c does not have full reflection length")
-    refls = [reflection(rs, r).mat for r in rs.positive_roots]
+    refls = reflection_mats(rs)
     top = NcElement(rs, c, c, _checked=True)
     found = {c.mat: top}
     level = [top]
@@ -451,8 +458,9 @@ class NcLattice:
     """The enumerated interval [e, c] with its order structure.
 
     Elements are kept in canonical order (lexicographic on flattened
-    matrices); comparisons are cached as up-set and down-set bitmasks,
-    built from the elements' moved-root masks.  In a lattice
+    matrices) and found by their matrices through `position`;
+    comparisons are cached as up-set and down-set bitmasks, built from
+    the elements' moved-root masks.  In a lattice
     up(i) & up(j) = up(i v j) and down(i) & down(j) = down(i ^ j), so
     joins and meets are lookups of those masks.
     """
@@ -463,7 +471,7 @@ class NcLattice:
         self.elements = (
             tuple(elements) if elements is not None else enumerate_nc(rs, c)
         )
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.position = {e.w.mat: i for i, e in enumerate(self.elements)}
         self._up: list[int] | None = None
         self._down: list[int] | None = None
         self._by_up: dict[int, int] = {}
@@ -523,22 +531,22 @@ class NcLattice:
             raise RuntimeError("meet does not exist; lattice property violated")
         return k
 
+    def reflection_factorization(self, i: int) -> tuple[int, ...]:
+        """Lexicographically first minimal factorization of element i
+        into reflections.
 
-def reflection_factorization(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
-    """Lexicographically first minimal factorization into reflections.
-
-    Returns indices into rs.positive_roots; the leftmost factor comes
-    first.  Greedy: always take the smallest reflection index that drops
-    the length.  By Carter's lemma t*w is shorter than w exactly when the
-    root of t lies in R(w), so that index is the lowest bit of R(w).
-    """
-    out = []
-    cur = w
-    while True:
-        moved = moved_roots(rs, cur)
-        if not moved:
-            return tuple(out)
-        i = next(_bits(moved))
-        out.append(i)
-        t = reflection(rs, rs.positive_roots[i])
-        cur = WeylElement(int_mat_mul(t.mat, cur.mat))
+        Returns indices into rs.positive_roots; the leftmost factor comes
+        first.  Greedy: always take the smallest reflection index that
+        drops the length.  By Carter's lemma t*w is shorter than w exactly
+        when the root of t lies in R(w), so that index is the lowest bit
+        of R(w), and t*w is again below c, so it is found in the lattice
+        by its matrix with its R(t*w) already known.
+        """
+        refls = reflection_mats(self.rs)
+        word = []
+        e = self.elements[i]
+        while e.moved:
+            k = next(_bits(e.moved))
+            word.append(k)
+            e = self.elements[self.position[int_mat_mul(refls[k], e.w.mat)]]
+        return tuple(word)

@@ -4,9 +4,15 @@ A wide subcategory is closed under kernels, cokernels, and extensions.
 Since every object decomposes into indecomposables indexed by positive
 roots, a subcategory is recorded as the set of dimension vectors of the
 indecomposables it contains.  Closures are computed as a fixed point
-over memoized pairwise contributions; each wide subcategory is sent to
-a noncrossing partition by multiplying the reflections of its simple
-objects in an order with no backward morphisms or extensions.
+over memoized pairwise contributions.  Every wide subcategory is the
+closure of its simples, which are pairwise Hom-orthogonal bricks, so the
+enumeration closes only Hom-orthogonal sets of indecomposables.
+
+Each wide subcategory is sent to the noncrossing partition given by the
+product of the reflections of its simples, taken in an order with no
+backward morphisms or extensions, and found in NC(W, c) by its matrix.
+By Ingalls-Thomas its moved roots are the subcategory's dimension
+vectors, which is how the bijection is checked.
 """
 from __future__ import annotations
 
@@ -30,14 +36,7 @@ from .quiver_rep import (
     morphism_from_coeffs,
     tree_module,
 )
-from .root_system import (
-    NcElement,
-    NcLattice,
-    WeylElement,
-    coxeter_element,
-    reflection,
-    reflection_length,
-)
+from .root_system import NcElement, NcLattice, coxeter_element, reflection_mats
 from .quiver_rep import _root_system_for
 
 
@@ -98,10 +97,15 @@ class _RepContext:
         self._pair_masks: dict[tuple[int, int], int] = {}
         self._embeds: dict[tuple[int, int], bool] = {}
         self.wides = None
+        self.positions = None
 
     @cached_property
-    def coxeter(self) -> WeylElement:
-        return coxeter_element(_root_system_for(self.quiver.dynkin), self.quiver.arrows)
+    def lattice(self) -> NcLattice:
+        """NC(W, c) for the Coxeter element of the quiver's orientation.
+        Its roots are self.roots in the same order, so a mask over the
+        indecomposables is also a mask over the moved roots."""
+        rs = _root_system_for(self.quiver.dynkin)
+        return NcLattice(rs, coxeter_element(rs, self.quiver.arrows))
 
     def hom(self, i: int, j: int) -> int:
         key = (i, j)
@@ -223,20 +227,16 @@ def _orthogonal_seed_masks(ctx: _RepContext):
 def enumerate_thick(quiver: Quiver, field) -> tuple[WideSubcategory, ...]:
     """All wide subcategories, canonically ordered.
 
-    Up to 12 indecomposables every subset is used as a closure seed;
-    beyond that only subsets with no morphisms between distinct members
-    are seeded, which still reaches every subcategory since each one is
-    the closure of its simples.
+    Only sets of indecomposables with no morphisms between distinct
+    members are seeded: this reaches every subcategory, since each one
+    is the closure of its simples, and Hom-orthogonal bricks are the
+    simples of the wide subcategory they generate (Ringel).
     """
     ctx = _context(quiver, field)
     if ctx.wides is not None:
         return ctx.wides
     n = len(ctx.roots)
-    if n <= 12:
-        seeds = range(1 << n)
-    else:
-        seeds = _orthogonal_seed_masks(ctx)
-    closed_masks = {_close_mask(ctx, seed) for seed in seeds}
+    closed_masks = {_close_mask(ctx, seed) for seed in _orthogonal_seed_masks(ctx)}
     wides = [
         WideSubcategory(
             quiver,
@@ -266,99 +266,103 @@ def simples_of(wide: WideSubcategory) -> tuple[DimVector, ...]:
     return tuple(out)
 
 
-def _precedence_orders(simples, before):
-    """All orderings of simples compatible with the precedence pairs,
-    by backtracking over available minima."""
-    n = len(simples)
-    orders = []
-
-    def extend(remaining: list[int], acc: tuple[int, ...]):
-        if not remaining:
-            orders.append(acc)
-            return
-        for k in remaining:
-            if all(not before[j][k] for j in remaining if j != k):
-                extend([x for x in remaining if x != k], acc + (k,))
-
-    extend(list(range(n)), ())
-    return orders
-
-
 def wide_to_nc(wide: WideSubcategory) -> NcElement:
     """The noncrossing partition of a wide subcategory: the product of
     the reflections of its simples, taken in an order with no backward
-    morphisms or extensions.
+    morphisms or extensions, as an element of NC(W, c).
 
-    All admissible orders are multiplied out and must agree.
+    Every such order gives the same product (Ingalls-Thomas), so the
+    reflections are multiplied once, in the order that always takes the
+    first simple with nothing left that must precede it, and the product
+    is looked up in the lattice by its matrix.
     """
     ctx = _context(wide.quiver, wide.field)
-    rs = _root_system_for(wide.quiver.dynkin)
+    lattice = ctx.lattice
+    refls = reflection_mats(lattice.rs)
     simples = simples_of(wide)
-    k = len(simples)
     idx = [ctx.index[d] for d in simples]
     # simples[a] must come before simples[b] when a morphism or an
     # extension points from b to a; as dim Ext1(M_b, M_a) = hom(b, a) -
     # <b, a>, that is when hom(b, a) or the Euler form <b, a> is nonzero
-    before = [
-        [
-            a != b
+    preceded_by = [
+        {
+            a
+            for a in range(len(idx))
+            if a != b
             and (
                 ctx.hom(idx[b], idx[a]) != 0
                 or euler_form(wide.quiver, simples[b], simples[a]) != 0
             )
-            for b in range(k)
-        ]
-        for a in range(k)
+        }
+        for b in range(len(idx))
     ]
-    orders = _precedence_orders(simples, before)
-    if not orders:
-        raise RuntimeError("no admissible order of the simples exists")
-    mats = set()
-    for order in orders:
-        mat = None
-        for pos in order:
-            t = reflection(rs, simples[pos]).mat
-            mat = t if mat is None else int_mat_mul(mat, t)
-        if mat is None:
-            mat = int_identity(rs.rank)
-        mats.add(mat)
-    if len(mats) != 1:
-        raise RuntimeError("product of simple reflections depends on the order")
-    w = WeylElement(mats.pop())
-    if reflection_length(w) != k:
+    remaining = list(range(len(idx)))
+    mat = int_identity(lattice.rs.rank)
+    while remaining:
+        free = [b for b in remaining if not preceded_by[b].intersection(remaining)]
+        if not free:
+            raise RuntimeError("no admissible order of the simples exists")
+        remaining.remove(free[0])
+        mat = int_mat_mul(mat, refls[idx[free[0]]])
+    position = lattice.position.get(mat)
+    if position is None:
+        raise ValueError("an image is not below the Coxeter element")
+    image = lattice.elements[position]
+    if image.length != len(simples):
         raise RuntimeError("product length differs from the number of simples")
-    return NcElement(rs, w, ctx.coxeter)
+    return image
+
+
+def nc_positions(quiver: Quiver, field) -> tuple[NcLattice, tuple]:
+    """NC(W, c) for the quiver's Coxeter element, and the position in it
+    of wide_to_nc of each member of enumerate_thick(quiver, field), or
+    None where that product is not below c.  Computed once per quiver
+    and field."""
+    ctx = _context(quiver, field)
+    if ctx.positions is None:
+        positions = []
+        for wide in enumerate_thick(quiver, field):
+            try:
+                positions.append(ctx.lattice.position[wide_to_nc(wide).w.mat])
+            except ValueError:
+                positions.append(None)
+        ctx.positions = tuple(positions)
+    return ctx.lattice, ctx.positions
 
 
 def verify_bijection(quiver: Quiver, field) -> BijectionReport:
     """Check that wide subcategories map bijectively and order
-    isomorphically onto the noncrossing partition lattice."""
+    isomorphically onto the noncrossing partition lattice.
+
+    Both orders are inclusion, of dimension vectors and of moved roots
+    (Brady-Watt), so a bijection under which every subcategory's
+    dimension vectors are the moved roots of its image is an order
+    isomorphism; that equality is checked per subcategory.
+    """
     wides = enumerate_thick(quiver, field)
+    lattice, positions = nc_positions(quiver, field)
     ctx = _context(quiver, field)
-    lattice = NcLattice(_root_system_for(quiver.dynkin), ctx.coxeter)
     failures = []
-    images = [wide_to_nc(w) for w in wides]
-    image_set = set(images)
-    if len(image_set) != len(wides):
+    hits = [p for p in positions if p is not None]
+    if len(set(hits)) != len(hits):
         failures.append("map is not injective")
-    positions = [lattice.index.get(x) for x in images]
-    if None in positions:
+    if len(hits) != len(positions):
         failures.append("an image is not below the Coxeter element")
-    is_bijective = len(image_set) == len(wides) == len(lattice)
-    if not is_bijective:
+    is_bijective = len(set(hits)) == len(wides) == len(lattice)
+    if len(wides) != len(lattice):
         failures.append(
             f"count mismatch: {len(wides)} subcategories vs {len(lattice)} partitions"
         )
     # an image outside the lattice leaves no order to compare with
-    is_order_iso = None not in positions
+    is_order_iso = len(hits) == len(positions)
     if is_order_iso:
-        for i, wi in enumerate(wides):
-            for j, wj in enumerate(wides):
-                if (wi.dims <= wj.dims) != lattice.leq(positions[i], positions[j]):
-                    is_order_iso = False
-                    failures.append(
-                        f"order mismatch at {wi.sorted_dims()} vs {wj.sorted_dims()}"
-                    )
+        for wide, p in zip(wides, positions):
+            if ctx.mask_of_dims(wide.dims) != lattice.elements[p].moved:
+                is_order_iso = False
+                failures.append(
+                    "moved roots differ from the dimension vectors at "
+                    f"{wide.sorted_dims()}"
+                )
     return BijectionReport(
         quiver=quiver,
         field_char=field.char,

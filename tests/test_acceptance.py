@@ -50,6 +50,7 @@ from thicklat.spec_model import (
     poset_diamond,
     poset_point,
 )
+from thicklat import thick_enum
 from thicklat.thick_enum import enumerate_thick, verify_bijection, wide_closure
 
 
@@ -138,6 +139,16 @@ def test_criterion_4_thick_counts_and_bijection():
         "wide subcategory counts 2, 5, 14, 50 over GF(2) with order "
         f"isomorphisms onto the partition lattices ({elapsed:.2f}s)",
     )
+
+
+def test_d4_thick_enumeration_over_gf5_within_budget(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    quiver = default_orientation(DynkinType.parse("D4"))
+    start = time.perf_counter()
+    wides = enumerate_thick(quiver, GF(5))
+    elapsed = time.perf_counter() - start
+    assert len(wides) == 50
+    assert elapsed < 0.15
 
 
 def test_criterion_5_field_independence():

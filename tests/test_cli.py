@@ -10,10 +10,15 @@ from thicklat.cli import (
     MAX_TERMS,
     ExponentBoundError,
     PolynomialSyntaxError,
+    _wide_id,
     main,
     parse_polynomial,
 )
 from thicklat.koszul import Poly, PolyRing
+from thicklat.linalg import GF
+from thicklat.quiver_rep import default_orientation
+from thicklat.root_system import DynkinType
+from thicklat.thick_enum import enumerate_thick
 
 
 def run_cli(args):
@@ -160,6 +165,32 @@ def test_thick_nc_images_are_distinct():
     doc = json.loads(out)
     images = [s["nc_image"] for s in doc["payload"]["subcategories"]]
     assert len(set(images)) == len(images) == 14
+
+
+def inclusion_covers(wides):
+    """Oracle: pairs of subcategories with nothing strictly between."""
+    sets = [frozenset(w.dims) for w in wides]
+    n = len(wides)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if sets[i] < sets[j]
+        and not any(sets[i] < sets[k] < sets[j] for k in range(n))
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
+def test_thick_dot_covers_match_inclusion_oracle(name, p):
+    code, out, err = run_cli(
+        ["thick", "--type", name, "--field", str(p), "--format", "dot"]
+    )
+    assert code == 0 and err == ""
+    wides = enumerate_thick(default_orientation(DynkinType.parse(name)), GF(p))
+    ids = [_wide_id(w) for w in wides]
+    expected = {f'  "{ids[i]}" -> "{ids[j]}";' for i, j in inclusion_covers(wides)}
+    assert {line for line in out.splitlines() if "->" in line} == expected
 
 
 def test_thick_rejects_bad_field():
@@ -525,6 +556,39 @@ def test_parse_polynomial_term_bound():
             parse_polynomial(ring, text)
         assert err.value.column == column
         assert f"bound of {MAX_TERMS} terms" in str(err.value)
+
+
+def test_parse_polynomial_product_bound():
+    # a product of factors with t1 and t2 terms has at most t1 * t2
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, 9)))
+    base = "(x1+x2+x3+x4+x5+x6+x7+x8)"
+    assert parse_polynomial(ring, f"{base}^2*{base}^2") == parse_polynomial(
+        ring, f"{base}^4"
+    )
+    # 65 * 65 terms pass, a third factor of 3 terms does not
+    text = "(x1 + 1)^64*(x2 + 1)^64"
+    assert len(parse_polynomial(ring, text).terms) == 65 * 65
+    with pytest.raises(ExponentBoundError) as err:
+        parse_polynomial(ring, text + "*(x3 + 1)^2")
+    assert err.value.column == 24
+    assert str(err.value) == (
+        f"product may expand beyond the bound of {MAX_TERMS} terms (column 24)"
+    )
+
+
+def test_koszul_refuses_products_of_powers_quickly():
+    variables = ",".join(f"x{i}" for i in range(1, 9))
+    base = "(x1+x2+x3+x4+x5+x6+x7+x8)"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["koszul", "--vars", variables,
+         "--gens", f"{base}^6*{base}^6", "--at", ",".join("1" * 8)]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == (
+        "thicklat: error: product may expand beyond the bound of 10000 terms (column 28)\n"
+    )
 
 
 def test_koszul_refuses_multinomial_powers_quickly():

@@ -16,9 +16,11 @@ from thicklat.thick_enum import enumerate_thick, verify_bijection
 
 from test_root_system import (
     assert_atoms_and_coatoms,
+    assert_factorizations_match_moved_roots_oracle,
     assert_order_matches_rank_oracle,
     nc_lattice,
 )
+from test_thick_enum import assert_all_orders_agree
 
 long_tests = pytest.mark.skipif(
     os.environ.get("THICKLAT_LONG_TESTS") != "1",
@@ -66,3 +68,13 @@ def test_exceptional_tree_modules(name):
         assert module.dim == d
         for mat in module.maps:
             assert all(x in (0, 1) for row in mat for x in row)
+
+
+@long_tests
+def test_e6_factorizations_match_moved_roots_oracle():
+    assert_factorizations_match_moved_roots_oracle(nc_lattice("E6"))
+
+
+@long_tests
+def test_e6_every_admissible_order_gives_the_image():
+    assert_all_orders_agree(default_orientation(DynkinType.parse("E6")), GF(2))

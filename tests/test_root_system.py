@@ -17,8 +17,8 @@ from thicklat.root_system import (
     is_noncrossing_partition,
     nc_leq,
     nc_to_set_partition,
+    moved_roots,
     reflection,
-    reflection_factorization,
     reflection_length,
     simple_reflection,
 )
@@ -362,8 +362,8 @@ def test_reflection_factorization_properties(name):
     rs = build_root_system(DynkinType.parse(name))
     lattice = nc_lattice(name)
     refls = [reflection(rs, r) for r in rs.positive_roots]
-    for element in lattice.elements:
-        factors = reflection_factorization(rs, element.w)
+    for i, element in enumerate(lattice.elements):
+        factors = lattice.reflection_factorization(i)
         assert len(factors) == element.length
         prod = WeylElement(
             tuple(
@@ -398,10 +398,45 @@ def _greedy_factorization(rs, w):
 @pytest.mark.parametrize("name", ["A3", "D4", "D5"])
 def test_reflection_factorization_matches_greedy_oracle(name):
     rs = build_root_system(DynkinType.parse(name))
-    for element in nc_lattice(name).elements:
-        assert reflection_factorization(rs, element.w) == _greedy_factorization(
+    lattice = nc_lattice(name)
+    for i, element in enumerate(lattice.elements):
+        assert lattice.reflection_factorization(i) == _greedy_factorization(
             rs, element.w
         )
+
+
+def moved_roots_factorization(rs, w):
+    """Oracle: the greedy factorization with R(t*w) solved afresh by
+    moved_roots at every step, outside any lattice."""
+    out = []
+    cur = w
+    while True:
+        moved = moved_roots(rs, cur)
+        if not moved:
+            return tuple(out)
+        i = (moved & -moved).bit_length() - 1
+        out.append(i)
+        t = reflection(rs, rs.positive_roots[i])
+        cur = WeylElement(int_mat_mul(t.mat, cur.mat))
+
+
+def assert_factorizations_match_moved_roots_oracle(lattice):
+    for i, element in enumerate(lattice.elements):
+        assert lattice.reflection_factorization(i) == moved_roots_factorization(
+            lattice.rs, element.w
+        )
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
+def test_reflection_factorization_matches_moved_roots_oracle(name):
+    assert_factorizations_match_moved_roots_oracle(nc_lattice(name))
+
+
+def test_reflection_factorization_in_any_orientation():
+    dynkin = DynkinType.parse("D5")
+    rs = build_root_system(dynkin)
+    c = coxeter_element(rs, ((2, 1), (3, 2), (3, 4), (5, 3)))
+    assert_factorizations_match_moved_roots_oracle(NcLattice(rs, c))
 
 
 def test_reflection_factorization_is_lex_minimal():
@@ -410,7 +445,7 @@ def test_reflection_factorization_is_lex_minimal():
     lattice = nc_lattice("A3")
     refls = [reflection(rs, r) for r in rs.positive_roots]
     nrefl = len(refls)
-    for element in lattice.elements:
+    for i, element in enumerate(lattice.elements):
         k = element.length
         best = None
         for word in itertools.product(range(nrefl), repeat=k):
@@ -428,7 +463,7 @@ def test_reflection_factorization_is_lex_minimal():
                 )
             if prod_mat == element.w.mat and (best is None or word < best):
                 best = word
-        assert reflection_factorization(rs, element.w) == best
+        assert lattice.reflection_factorization(i) == best
 
 
 def test_coxeter_element_rejects_wrong_diagram():

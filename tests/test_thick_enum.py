@@ -21,12 +21,15 @@ from thicklat.quiver_rep import (
     kernel_rep,
     tree_module,
 )
+from thicklat.linalg import int_identity, int_mat_mul
 from thicklat.root_system import (
     DynkinType,
     NcLattice,
     build_root_system,
     coxeter_element,
     nc_leq,
+    reflection,
+    reflection_mats,
 )
 from thicklat import thick_enum
 from thicklat.thick_enum import (
@@ -34,6 +37,7 @@ from thicklat.thick_enum import (
     _context,
     _lines,
     enumerate_thick,
+    nc_positions,
     simples_of,
     verify_bijection,
     wide_closure,
@@ -68,8 +72,8 @@ def test_enumeration_runs_once_per_quiver_and_field(monkeypatch):
     wides = enumerate_thick(quiver, field)
     assert verify_bijection(quiver, field).ok
     assert enumerate_thick(quiver, field) is wides
-    # one closure per seed: all 2^6 subsets of the six indecomposables
-    assert len(closed) == 64
+    # one closure per Hom-orthogonal seed, as many as subcategories
+    assert len(closed) == 14
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4"])
@@ -310,3 +314,149 @@ def test_euler_form_precedence_matches_ext_cocycles(p):
             or len(ext_cocycle_basis(ctx.reps[b], ctx.reps[a])) != 0
         )
         assert by_euler == by_cocycles, (ctx.roots[b], ctx.roots[a])
+
+
+# ---------------------------------------------------------------------------
+# the seeding, the image and the order check against the slow paths
+
+
+OTHER_ORIENTATIONS = {
+    "A3": ((2, 1), (2, 3)),
+    "A4": ((2, 1), (2, 3), (4, 3)),
+    "D4": ((2, 1), (3, 2), (2, 4)),
+}
+
+
+def _all_subset_closures(ctx):
+    """Oracle: the closure of every subset of the indecomposables."""
+    return {thick_enum._close_mask(ctx, seed) for seed in range(1 << len(ctx.roots))}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("oriented", [False, True])
+@pytest.mark.parametrize("name", ["A3", "A4", "D4"])
+def test_orthogonal_seeds_match_all_subsets(name, oriented, p):
+    dynkin = DynkinType.parse(name)
+    quiver = Quiver(dynkin, OTHER_ORIENTATIONS[name]) if oriented else quiver_of(name)
+    field = GF(p)
+    ctx = _context(quiver, field)
+    wides = enumerate_thick(quiver, field)
+    assert {ctx.mask_of_dims(w.dims) for w in wides} == _all_subset_closures(ctx)
+    # Hom-orthogonal sets of bricks are the simples of exactly one
+    # subcategory each (Ringel), so no seed is wasted
+    assert len(thick_enum._orthogonal_seed_masks(ctx)) == len(wides)
+
+
+def _precedence_orders(k, before):
+    """All orderings of range(k) in which j comes before m whenever
+    before[j][m], by backtracking over available minima."""
+    orders = []
+
+    def extend(remaining, acc):
+        if not remaining:
+            orders.append(acc)
+            return
+        for m in remaining:
+            if all(not before[j][m] for j in remaining if j != m):
+                extend([x for x in remaining if x != m], acc + (m,))
+
+    extend(list(range(k)), ())
+    return orders
+
+
+def all_order_products(wide):
+    """Oracle: the product of the simples' reflections in every order
+    with no backward morphisms or extensions."""
+    ctx = _context(wide.quiver, wide.field)
+    rs = build_root_system(wide.quiver.dynkin)
+    simples = simples_of(wide)
+    idx = [ctx.index[d] for d in simples]
+    before = [
+        [
+            a != b
+            and (
+                ctx.hom(idx[b], idx[a]) != 0
+                or euler_form(wide.quiver, simples[b], simples[a]) != 0
+            )
+            for b in range(len(simples))
+        ]
+        for a in range(len(simples))
+    ]
+    products = set()
+    for order in _precedence_orders(len(simples), before):
+        mat = int_identity(rs.rank)
+        for a in order:
+            mat = int_mat_mul(mat, reflection(rs, simples[a]).mat)
+        products.add(mat)
+    return products
+
+
+def assert_all_orders_agree(quiver, field):
+    for wide in enumerate_thick(quiver, field):
+        assert all_order_products(wide) == {wide_to_nc(wide).w.mat}, wide.dims
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
+def test_every_admissible_order_gives_the_image(name):
+    assert_all_orders_agree(quiver_of(name), GF(2))
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
+def test_order_isomorphism_matches_pairwise_oracle(name):
+    quiver, field = quiver_of(name), GF(2)
+    wides = enumerate_thick(quiver, field)
+    lattice, positions = nc_positions(quiver, field)
+    assert verify_bijection(quiver, field).is_order_isomorphism
+    for (w1, p1), (w2, p2) in itertools.product(zip(wides, positions), repeat=2):
+        assert (w1.dims <= w2.dims) == lattice.leq(p1, p2)
+
+
+def test_bijection_report_flags_images_with_other_moved_roots(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    quiver, field = quiver_of("A3"), GF(2)
+    wides = enumerate_thick(quiver, field)
+    _, positions = nc_positions(quiver, field)
+    # the empty and the full subcategory trade images: still a bijection
+    swapped = (positions[-1],) + positions[1:-1] + (positions[0],)
+    _context(quiver, field).positions = swapped
+    report = verify_bijection(quiver, field)
+    assert report.is_bijective and not report.is_order_isomorphism
+    assert not report.ok
+    assert report.failures == tuple(
+        f"moved roots differ from the dimension vectors at {w.sorted_dims()}"
+        for w in (wides[0], wides[-1])
+    )
+
+
+def test_bijection_report_flags_products_outside_the_lattice(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    quiver, field = quiver_of("A2"), GF(2)
+    ctx = _context(quiver, field)
+    atom = next(w for w in enumerate_thick(quiver, field) if len(w.dims) == 1)
+    del ctx.lattice.position[wide_to_nc(atom).w.mat]
+    with pytest.raises(ValueError, match="not below the Coxeter element"):
+        wide_to_nc(atom)
+    report = verify_bijection(quiver, field)
+    assert not report.ok
+    assert not report.is_bijective and not report.is_order_isomorphism
+    assert report.failures == ("an image is not below the Coxeter element",)
+
+
+def assert_pair_closures_are_joins(quiver, field):
+    """Ingalls-Thomas: the wide subcategory generated by two bricks has
+    the moved roots of the join of their reflections as its dimension
+    vectors."""
+    ctx = _context(quiver, field)
+    lattice = ctx.lattice
+    atoms = [lattice.position[t] for t in reflection_mats(lattice.rs)]
+    for a, b in itertools.combinations_with_replacement(range(len(ctx.roots)), 2):
+        closed = wide_closure(quiver, field, {ctx.roots[a], ctx.roots[b]})
+        join = lattice.elements[lattice.join(atoms[a], atoms[b])]
+        assert ctx.mask_of_dims(closed.dims) == join.moved, (ctx.roots[a], ctx.roots[b])
+
+
+@pytest.mark.parametrize(
+    "name,p", [(n, p) for n in ("D4", "D5") for p in (2, 3, 5)] + [("E6", 2)]
+)
+def test_pair_closures_are_joins_of_reflections(name, p):
+    assert_pair_closures_are_joins(quiver_of(name), GF(p))
