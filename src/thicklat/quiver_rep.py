@@ -671,9 +671,6 @@ def _fitting_split(rep: FieldRep, phi):
     invertible.
     """
     field = rep.field
-    exponent = 1
-    while (1 << exponent) < max(rep.total_dim, 2):
-        exponent += 1
     ker_bases = []
     im_bases = []
     ker_total = 0
@@ -684,7 +681,9 @@ def _fitting_split(rep: FieldRep, phi):
             ker_bases.append([])
             im_bases.append([])
             continue
-        power = _mat_power(field, phi[v], size, 1 << exponent)
+        # by Fitting's lemma on the vertex space, phi_v^size has the
+        # stable kernel and image of phi_v
+        power = _mat_power(field, phi[v], size, size)
         kb = nullspace(field, power, ncols=size)
         ib = _column_space_basis(field, power, size)
         if len(kb) + len(ib) != size:

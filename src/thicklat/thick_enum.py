@@ -3,9 +3,19 @@
 A wide subcategory is closed under kernels, cokernels, and extensions.
 Since every object decomposes into indecomposables indexed by positive
 roots, a subcategory is recorded as the set of dimension vectors of the
-indecomposables it contains.  Closures are computed as a fixed point
-over memoized pairwise contributions.  Every wide subcategory is the
-closure of its simples, which are pairwise Hom-orthogonal bricks, so the
+indecomposables it contains.
+
+Closures build no module beyond the indecomposables.  Perpendicular
+categories of a hereditary algebra are wide (Geigle-Lenzing,
+Perpendicular categories with applications to representations and
+sheaves, J. Algebra 1991).  Every wide subcategory of a Dynkin quiver is
+generated by an exceptional sequence, so it is the right perpendicular
+category of its own left perpendicular category (Ingalls-Thomas,
+Compositio 2009).  A set S has the left perpendicular category of the
+subcategory it generates, so that subcategory is the right perpendicular
+of the left perpendicular of S, read off one table of vanishing Hom and
+Ext1 between indecomposables.  Every wide subcategory is the closure of
+its simples, which are pairwise Hom-orthogonal bricks, so the
 enumeration closes only Hom-orthogonal sets of indecomposables.
 
 Each wide subcategory is sent to the noncrossing partition given by the
@@ -25,18 +35,14 @@ from .quiver_rep import (
     DimVector,
     Quiver,
     base_change,
-    decompose_dims,
     euler_form,
-    ext_cocycle_basis,
-    extension_middle,
     hom_basis,
     indecomposable_dims,
     kernel_rep,
-    cokernel_rep,
     morphism_from_coeffs,
     tree_module,
 )
-from .root_system import NcElement, NcLattice, coxeter_element, reflection_mats
+from .root_system import NcElement, NcLattice, _bits, coxeter_element, reflection_mats
 from .quiver_rep import _root_system_for
 
 
@@ -94,7 +100,6 @@ class _RepContext:
         self.index = {d: i for i, d in enumerate(self.roots)}
         self.reps = [base_change(tree_module(quiver, d), field) for d in self.roots]
         self._hom: dict[tuple[int, int], int] = {}
-        self._pair_masks: dict[tuple[int, int], int] = {}
         self._embeds: dict[tuple[int, int], bool] = {}
         self.wides = None
         self.positions = None
@@ -113,37 +118,32 @@ class _RepContext:
             self._hom[key] = len(hom_basis(self.reps[i], self.reps[j]))
         return self._hom[key]
 
+    def ext(self, i: int, j: int) -> int:
+        """dim Ext1(root i, root j) = dim Hom - <i, j> (hereditary)."""
+        return self.hom(i, j) - euler_form(self.quiver, self.roots[i], self.roots[j])
+
+    @cached_property
+    def perp(self) -> tuple[list[int], list[int], list[int]]:
+        """Bitmasks over the indecomposables, from Hom and Ext1 of every
+        ordered pair: left[s] = {x : Hom(x, s) = 0 = Ext1(x, s)},
+        right[y] = {z : Hom(y, z) = 0 = Ext1(y, z)}, and
+        orth[i] = {j : Hom(i, j) = 0 = Hom(j, i)}."""
+        n = len(self.roots)
+        left, right, orth = [0] * n, [0] * n, [0] * n
+        for a in range(n):
+            for b in range(n):
+                if self.hom(a, b) == 0:
+                    if self.hom(b, a) == 0:
+                        orth[a] |= 1 << b
+                    if self.ext(a, b) == 0:
+                        left[b] |= 1 << a
+                        right[a] |= 1 << b
+        return left, right, orth
+
     def mask_of_dims(self, dims) -> int:
         mask = 0
         for d in dims:
             mask |= 1 << self.index[d]
-        return mask
-
-    def pair_mask(self, i: int, j: int) -> int:
-        """Indecomposables generated by all morphisms and extensions
-        between root i and root j."""
-        key = (i, j)
-        cached = self._pair_masks.get(key)
-        if cached is not None:
-            return cached
-        field = self.field
-        m, n = self.reps[i], self.reps[j]
-        # m and n are the kernel and cokernel of the zero morphism and the
-        # summands of the split extension.  For a unit lam, lam*phi has the
-        # kernel, cokernel and injectivity of phi, and lam*psi a middle term
-        # isomorphic to that of psi, so one vector per line covers the rest.
-        dims = {m.dim, n.dim}
-        basis = hom_basis(m, n)
-        for coeffs in _lines(field, len(basis)):
-            phi = morphism_from_coeffs(field, basis, coeffs)
-            dims.update(decompose_dims(kernel_rep(phi, m)))
-            dims.update(decompose_dims(cokernel_rep(phi, n)))
-        ext_basis = ext_cocycle_basis(m, n)
-        for coeffs in _lines(field, len(ext_basis)):
-            psi = morphism_from_coeffs(field, ext_basis, coeffs)
-            dims.update(decompose_dims(extension_middle(m, n, psi)))
-        mask = self.mask_of_dims(dims)
-        self._pair_masks[key] = mask
         return mask
 
     def embeds(self, i: int, j: int) -> bool:
@@ -155,7 +155,7 @@ class _RepContext:
         field = self.field
         m, n = self.reps[i], self.reps[j]
         found = False
-        if all(a <= b for a, b in zip(m.dim, n.dim)):
+        if all(a <= b for a, b in zip(m.dim, n.dim)) and self.hom(i, j):
             basis = hom_basis(m, n)
             found = any(
                 kernel_rep(morphism_from_coeffs(field, basis, c), m).total_dim == 0
@@ -176,19 +176,25 @@ def _context(quiver: Quiver, field) -> _RepContext:
 
 
 def _close_mask(ctx: _RepContext, mask: int) -> int:
-    while True:
-        new = mask
-        members = [i for i in range(len(ctx.roots)) if (mask >> i) & 1]
-        for i in members:
-            for j in members:
-                new |= ctx.pair_mask(i, j)
-        if new == mask:
-            return mask
-        mask = new
+    """The wide subcategory generated by a mask of indecomposables, as the
+    right perpendicular of its left perpendicular: the indecomposables z
+    with Hom(x, z) = 0 = Ext1(x, z) for every x that has no Hom or Ext1
+    into any member."""
+    left, right, _ = ctx.perp
+    full = (1 << len(ctx.roots)) - 1
+    perp = full
+    for s in _bits(mask):
+        perp &= left[s]
+    closed = full
+    for y in _bits(perp):
+        closed &= right[y]
+    return closed
 
 
 def wide_closure(quiver: Quiver, field, seed) -> WideSubcategory:
-    """Smallest wide subcategory containing the seed indecomposables.
+    """Smallest wide subcategory containing the seed indecomposables:
+    the right perpendicular category of their left perpendicular one
+    (Geigle-Lenzing; Ingalls-Thomas).
 
     seed is an iterable of dimension vectors, each a positive root.
     """
@@ -210,17 +216,16 @@ def _orthogonal_seed_masks(ctx: _RepContext):
     """All subsets of indecomposables with no morphisms either way
     between distinct members, by backtracking."""
     n = len(ctx.roots)
+    _, _, orth = ctx.perp
     out = []
 
-    def extend(start: int, chosen: tuple[int, ...], mask: int):
+    def extend(start: int, allowed: int, mask: int):
         out.append(mask)
         for i in range(start, n):
-            if all(
-                ctx.hom(i, j) == 0 and ctx.hom(j, i) == 0 for j in chosen
-            ):
-                extend(i + 1, chosen + (i,), mask | (1 << i))
+            if (allowed >> i) & 1:
+                extend(i + 1, allowed & orth[i], mask | (1 << i))
 
-    extend(0, (), 0)
+    extend(0, (1 << n) - 1, 0)
     return out
 
 

@@ -151,6 +151,16 @@ def test_d4_thick_enumeration_over_gf5_within_budget(monkeypatch):
     assert elapsed < 0.15
 
 
+def test_e6_thick_enumeration_over_gf31_within_budget(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    quiver = default_orientation(DynkinType.parse("E6"))
+    start = time.perf_counter()
+    wides = enumerate_thick(quiver, GF(31))
+    elapsed = time.perf_counter() - start
+    assert len(wides) == 833
+    assert elapsed < 3.0
+
+
 def test_criterion_5_field_independence():
     quiver = default_orientation(DynkinType.parse("A3"))
     families = {

@@ -20,7 +20,7 @@ from test_root_system import (
     assert_order_matches_rank_oracle,
     nc_lattice,
 )
-from test_thick_enum import assert_all_orders_agree
+from test_thick_enum import assert_all_orders_agree, assert_closure_matches_fixed_point
 
 long_tests = pytest.mark.skipif(
     os.environ.get("THICKLAT_LONG_TESTS") != "1",
@@ -44,7 +44,9 @@ def test_e6_order_matches_rank_oracle():
 
 
 @long_tests
-@pytest.mark.parametrize("name,count", [("D5", 182), ("E6", 833)])
+@pytest.mark.parametrize(
+    "name,count", [("D5", 182), ("E6", 833), ("E7", 4160), ("E8", 25080)]
+)
 def test_large_thick_counts(name, count):
     quiver = default_orientation(DynkinType.parse(name))
     assert len(enumerate_thick(quiver, GF(2))) == count
@@ -78,3 +80,10 @@ def test_e6_factorizations_match_moved_roots_oracle():
 @long_tests
 def test_e6_every_admissible_order_gives_the_image():
     assert_all_orders_agree(default_orientation(DynkinType.parse("E6")), GF(2))
+
+
+@long_tests
+def test_e6_closure_matches_pairwise_fixed_point():
+    assert_closure_matches_fixed_point(
+        default_orientation(DynkinType.parse("E6")), GF(2)
+    )
