@@ -418,8 +418,6 @@ def cmd_thick(args) -> int:
     quiver = _parse_orientation(dynkin, args.orientation)
     field = GF(args.field)
     wides = enumerate_thick(quiver, field)
-    ids = [_wide_id(w) for w in wides]
-    order = sorted(range(len(ids)), key=lambda i: (len(wides[i].dims), ids[i]))
     fmt = _chosen_format(args)
     arguments = {
         "type": str(dynkin),
@@ -437,6 +435,8 @@ def cmd_thick(args) -> int:
     if fmt == "count":
         _write_output(f"{len(wides)}\n", args.out)
         return exit_code
+    ids = [_wide_id(w) for w in wides]
+    order = sorted(range(len(ids)), key=lambda i: (len(wides[i].dims), ids[i]))
     lattice, positions = nc_positions(quiver, field)
     if None in positions:
         raise ValueError("an image is not below the Coxeter element")

@@ -2,9 +2,11 @@
 
 A quiver here is always an orientation of a simply laced Dynkin
 diagram.  Indecomposable representations are realized as tree modules:
-every structure matrix has entries 0 or 1.  They are produced by
-reflection functors starting from a simple representation, with kernel
-bases rescaled and sign-normalized at every step.
+every structure matrix has entries 0 or 1.  Each one is glued from
+simples: a non-simple indecomposable is the middle term of a unit
+cocycle extension of two smaller, Hom-orthogonal tree modules with a
+one dimensional Ext1 between them (Ringel 1976: such a middle term is a
+brick; Ringel 1998: exceptional modules are tree modules).
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
 
 from . import linalg
 from .linalg import QQ, mat_mul, nullspace, rref, solve
@@ -22,7 +23,7 @@ DimVector = tuple[int, ...]
 
 
 class TreeModuleError(RuntimeError):
-    """Raised when the 0/1 normal form of a tree module cannot be reached."""
+    """Raised when a root has no gluing pair giving a 0/1 tree module."""
 
 
 @dataclass(frozen=True)
@@ -137,229 +138,39 @@ def base_change(module: TreeModule, field) -> FieldRep:
 
 
 # ---------------------------------------------------------------------------
-# tree modules via reflection functors
-
-def _primitive_int_vector(vec):
-    """Scale an exact rational vector to a primitive integer vector with
-    positive leading entry."""
-    fr = [Fraction(x) for x in vec]
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
-def _reflect_at_sink(arrows, dims, maps, v):
-    """One reflection functor step at a sink v.
-
-    arrows: tuple of (s, t); maps: dict arrow -> matrix (rows of ints).
-    Returns (new_arrows, new_dims, new_maps) with arrows at v reversed
-    and the new vertex space the kernel of the stacked arrival map.
-    """
-    in_arrows = sorted(a for a in arrows if a[1] == v)
-    if any(a[0] == v for a in arrows):
-        raise RuntimeError(f"vertex {v} is not a sink")
-    blocks = [(a, dims[a[0] - 1]) for a in in_arrows]
-    width = sum(w for _, w in blocks)
-    rows = []
-    for r in range(dims[v - 1]):
-        row = []
-        for a, w in blocks:
-            row.extend(maps[a][r])
-        rows.append(row)
-    kernel = [
-        _primitive_int_vector(vec) for vec in nullspace(QQ, rows, ncols=width)
-    ]
-    new_dims = list(dims)
-    new_dims[v - 1] = len(kernel)
-    new_maps = {a: m for a, m in maps.items() if a not in in_arrows}
-    new_arrows = [a for a in arrows if a not in in_arrows]
-    offset = 0
-    for a, w in blocks:
-        u = a[0]
-        rev = (v, u)
-        block = tuple(
-            tuple(vec[offset + r] for vec in kernel) for r in range(w)
-        )
-        new_maps[rev] = block
-        new_arrows.append(rev)
-        offset += w
-    return tuple(sorted(new_arrows)), tuple(new_dims), new_maps
-
-
-def _normalize_signs(dims, maps):
-    """Flip basis-vector signs per vertex so every entry lands in {0, 1}.
-
-    The flip parities satisfy one parity constraint per nonzero entry;
-    solved by union-find with parity.  Raises TreeModuleError when an
-    entry exceeds +-1 or the constraints conflict.
-    """
-    nodes = [(v, i) for v, d in enumerate(dims, start=1) for i in range(d)]
-    parent = {k: k for k in nodes}
-    parity = {k: 0 for k in nodes}
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        p = 0
-        for y in reversed(path):
-            p ^= parity[y]
-            parent[y] = x
-            parity[y] = p
-        return x
-
-    def rel(x):
-        find(x)
-        return parity[x] if parent[x] != x else 0
-
-    def union(x, y, want):
-        rx, ry = find(x), find(y)
-        px = parity[x] if parent[x] != x else 0
-        py = parity[y] if parent[y] != y else 0
-        if rx == ry:
-            if (px ^ py) != want:
-                raise TreeModuleError("sign constraints conflict")
-            return
-        parent[ry] = rx
-        parity[ry] = px ^ py ^ want
-
-    for a, mat in maps.items():
-        s, t = a
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                if x == 0:
-                    continue
-                if abs(x) != 1:
-                    raise TreeModuleError(f"entry {x} not reachable from 0/1")
-                union((t, i), (s, j), 1 if x < 0 else 0)
-
-    flip = {k: rel(k) for k in nodes}
-    fixed = {}
-    for a, mat in maps.items():
-        s, t = a
-        fixed[a] = tuple(
-            tuple(
-                x * (-1 if (flip[(t, i)] ^ flip[(s, j)]) else 1)
-                for j, x in enumerate(row)
-            )
-            for i, row in enumerate(mat)
-        )
-    return fixed
-
-
-def _source_order(quiver: Quiver) -> list[int]:
-    """Topological order of the vertices, sources first, smallest label
-    breaking ties."""
-    remaining = set(quiver.vertices())
-    order = []
-    while remaining:
-        sources = [
-            v
-            for v in sorted(remaining)
-            if not any(t == v and s in remaining for s, t in quiver.arrows)
-        ]
-        if not sources:
-            raise ValueError("orientation has a cycle")
-        order.append(sources[0])
-        remaining.discard(sources[0])
-    return order
-
-
-def _simple_reflection_of_dim(cartan, dim, v):
-    pairing = sum(cartan[v - 1][k] * dim[k] for k in range(len(dim)))
-    return tuple(
-        x - (pairing if k == v - 1 else 0) for k, x in enumerate(dim)
-    )
-
+# tree modules by gluing
 
 @lru_cache(maxsize=None)
 def tree_module(quiver: Quiver, dim: DimVector) -> TreeModule:
     """The indecomposable representation with the given dimension vector,
     presented with 0/1 matrices.
 
-    dim must be a positive root of the quiver's type.  The module is
-    built by running reflection functors back from a simple
-    representation along an admissible source order.  For the handful of
-    exceptional-type roots where the reflected kernel bases cannot be
-    sign-normalized, it is glued instead as the middle term of a unit
-    cocycle extension of two smaller tree modules, which keeps every
-    entry in {0, 1}.
+    dim must be a positive root of the quiver's type.  A simple root
+    gives the module with zero arrow matrices.  Any other root is glued
+    from smaller ones: the first beta in positive_roots order such that
+    gamma = dim - beta is a root, M_beta and M_gamma are Hom-orthogonal,
+    Ext1(M_beta, M_gamma) = 0 and dim Ext1(M_gamma, M_beta) = 1.  The
+    module is the middle term of the extension of M_gamma by M_beta whose
+    cocycle is a single unit entry, so every entry stays in {0, 1}.
+
+    A nonsplit extension of two Hom-orthogonal bricks with a one
+    dimensional Ext1 is again a brick (Ringel, Representations of
+    K-species and bimodules, J. Algebra 1976), and every exceptional
+    module has such a 0/1 tree basis (Ringel, Exceptional modules are
+    tree modules, Linear Algebra Appl. 1998).  TreeModuleError is raised
+    when no gluing pair exists.
     """
     dim = tuple(int(x) for x in dim)
     rs = _root_system_for(quiver.dynkin)
-    if dim not in rs.positive_roots:
-        raise ValueError(f"{dim!r} is not a positive root of {quiver.dynkin}")
-    try:
-        return _tree_module_by_reflections(quiver, dim)
-    except TreeModuleError:
-        return _tree_module_by_gluing(quiver, dim)
-
-
-def _tree_module_by_reflections(quiver: Quiver, dim: DimVector) -> TreeModule:
-    rs = _root_system_for(quiver.dynkin)
-    order = _source_order(quiver)
-    n = quiver.rank
-    bound = n * (quiver.dynkin.coxeter_number() + 2)
-
-    seq = []
-    orientations = [quiver.arrows]
-    current = dim
-    idx = 0
-    while True:
-        v = order[idx % n]
-        if current == tuple(1 if k == v - 1 else 0 for k in range(n)):
-            break
-        current = _simple_reflection_of_dim(rs.cartan, current, v)
-        if any(x < 0 for x in current):
-            raise RuntimeError("dimension vector left the positive cone")
-        seq.append(v)
-        flipped = tuple(
-            sorted((t, s) if v in (s, t) else (s, t) for s, t in orientations[-1])
-        )
-        orientations.append(flipped)
-        idx += 1
-        if idx > bound:
-            raise RuntimeError("reflection sequence failed to terminate")
-
-    arrows = orientations[-1]
-    dims = current
-    maps = {
-        a: tuple((0,) * dims[a[0] - 1] for _ in range(dims[a[1] - 1]))
-        for a in arrows
-    }
-    for j in range(len(seq) - 1, -1, -1):
-        v = seq[j]
-        arrows, dims, maps = _reflect_at_sink(arrows, dims, maps, v)
-        maps = _normalize_signs(dims, maps)
-        if arrows != orientations[j]:
-            raise RuntimeError("orientation bookkeeping went wrong")
-    if dims != dim:
-        raise RuntimeError("reflection functors produced the wrong dimensions")
-    ordered = tuple(maps[a] for a in quiver.arrows)
-    return TreeModule(quiver, dims, ordered)
-
-
-def _tree_module_by_gluing(quiver: Quiver, dim: DimVector) -> TreeModule:
-    """Middle term of a unit cocycle extension between smaller roots.
-
-    Searches, in canonical root order, for positive roots b + c = dim
-    whose modules are Hom-orthogonal with a one dimensional extension
-    space Ext1(M_c, M_b) and none the other way; the block matrix
-    construction then stays over {0, 1}.
-    """
-    rs = _root_system_for(quiver.dynkin)
     roots = set(rs.positive_roots)
+    if dim not in roots:
+        raise ValueError(f"{dim!r} is not a positive root of {quiver.dynkin}")
+    if sum(dim) == 1:
+        maps = tuple(
+            tuple((0,) * dim[s - 1] for _ in range(dim[t - 1]))
+            for s, t in quiver.arrows
+        )
+        return TreeModule(quiver, dim, maps)
     for beta in rs.positive_roots:
         gamma = tuple(x - y for x, y in zip(dim, beta))
         if gamma not in roots:

@@ -160,6 +160,29 @@ def test_thick_counts_and_verify():
         assert "nc_image" in sub
 
 
+def test_thick_and_koszul_with_a_sink_at_the_e6_branch_vertex():
+    """The simple module at the branch sink of this orientation is built
+    like every other root, so both commands succeed."""
+    orientation = ["--orientation", "1>3,2>4,3>4,5>4,5>6"]
+    code, out, _ = run_cli(
+        ["thick", "--type", "E6", "--field", "2", "--count"] + orientation
+    )
+    assert code == 0 and out == "833\n"
+    code, out, _ = run_cli(
+        ["thick", "--type", "E6", "--field", "2", "--verify"] + orientation
+    )
+    assert code == 0
+    assert json.loads(out)["payload"]["verification"]["ok"] is True
+    code, out, _ = run_cli(
+        ["koszul", "--vars", "x", "--gens", "x", "--at", "0",
+         "--module", "E6:(0,0,0,1,0,0)"] + orientation
+    )
+    assert code == 0
+    assert json.loads(out)["payload"]["module"]["dimension_vector"] == [
+        0, 0, 0, 1, 0, 0
+    ]
+
+
 def test_thick_nc_images_are_distinct():
     _, out, _ = run_cli(["thick", "--type", "A3", "--field", "3"])
     doc = json.loads(out)

@@ -95,6 +95,23 @@ def test_int_rank_low_rank_products():
         assert int_rank(prod) == fraction_rank(prod) <= k
 
 
+def test_int_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("int_rank")
+    cases = [
+        random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        for _ in range(60)
+    ]
+    for low, high in ((-5, 5), (-10**9, 10**9)):
+        for _ in range(20):
+            n, k, m = rng.randint(2, 7), rng.randint(1, 3), rng.randint(2, 7)
+            a = random_int_matrix(rng, n, k, low, high)
+            b = random_int_matrix(rng, k, m, low, high)
+            cases.append(int_mat_mul(a, b))
+    for mat in cases:
+        assert int_rank(mat) == sympy.Matrix(mat).rank()
+
+
 def test_int_mat_inverse_round_trip():
     rng = random.Random(11)
     for _ in range(30):

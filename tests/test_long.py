@@ -1,5 +1,6 @@
 """Heavier cross-checks, enabled with THICKLAT_LONG_TESTS=1."""
 import os
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from test_root_system import (
     assert_order_matches_rank_oracle,
     nc_lattice,
 )
+from test_quiver_rep import assert_tree_modules_are_rigid_bricks, orientations
 from test_thick_enum import assert_all_orders_agree, assert_closure_matches_fixed_point
 
 long_tests = pytest.mark.skipif(
@@ -70,6 +72,19 @@ def test_exceptional_tree_modules(name):
         assert module.dim == d
         for mat in module.maps:
             assert all(x in (0, 1) for row in mat for x in row)
+
+
+@long_tests
+def test_every_e7_orientation_builds_rigid_bricks():
+    for quiver in orientations("E7"):
+        assert_tree_modules_are_rigid_bricks(quiver, GF(2))
+
+
+@long_tests
+def test_sampled_e8_orientations_build_rigid_bricks():
+    every = list(orientations("E8"))
+    for quiver in random.Random(8).sample(every, 8):
+        assert_tree_modules_are_rigid_bricks(quiver, GF(2))
 
 
 @long_tests

@@ -140,14 +140,39 @@ def test_tree_modules_exist_with_unit_entries(name):
                 assert all(x in (0, 1) for x in row)
 
 
-@pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4"])
+def orientations(name: str):
+    """Every orientation of the named diagram, in a fixed order."""
+    dynkin = DynkinType.parse(name)
+    edges = dynkin.diagram_edges()
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield Quiver(
+            dynkin,
+            tuple((t, s) if f else (s, t) for (s, t), f in zip(edges, flips)),
+        )
+
+
+def assert_tree_modules_are_rigid_bricks(quiver, field):
+    """Every root builds a 0/1 module of that dimension vector that is a
+    rigid brick over the field, hence the indecomposable of that root."""
+    for d in indecomposable_dims(quiver):
+        module = tree_module(quiver, d)
+        assert module.dim == d
+        assert all(x in (0, 1) for mat in module.maps for row in mat for x in row)
+        rep = base_change(module, field)
+        assert hom_dim(rep, rep) == 1, (quiver.arrows, d)
+        assert ext_dim(rep, rep) == 0, (quiver.arrows, d)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4", "D5", "E6"])
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.char}")
 def test_tree_modules_are_rigid_bricks(name, field):
-    quiver = quiver_of(name)
-    for d in indecomposable_dims(quiver):
-        rep = base_change(tree_module(quiver, d), field)
-        assert hom_dim(rep, rep) == 1
-        assert ext_dim(rep, rep) == 0
+    assert_tree_modules_are_rigid_bricks(quiver_of(name), field)
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "E6"])
+def test_every_orientation_builds_rigid_bricks(name):
+    for quiver in orientations(name):
+        assert_tree_modules_are_rigid_bricks(quiver, GF(2))
 
 
 def test_tree_module_rejects_non_roots():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from thicklat.quiver_rep import default_orientation
+from thicklat.figures import FIGURE2_COVERS, FIGURE2_NODE_COUNT
+from thicklat.quiver_rep import Quiver, default_orientation
 from thicklat.root_system import DynkinType, NcLattice, build_root_system, coxeter_element
 from thicklat.spec_model import (
     FinitePoset,
+    FunctionLattice,
     SizeGuardError,
     SpecFunction,
     all_functions,
@@ -321,3 +323,40 @@ def test_lattice_iso_on_nc_lattices():
     reversed_c = coxeter_element(rs, Quiver(DynkinType.parse("A2"), ((2, 1),)))
     b = NcLattice(rs, reversed_c)
     assert lattice_iso(a, b) is not None
+
+
+def reversed_nc_lattice(name: str) -> NcLattice:
+    """NC(W, c) for the orientation with every default arrow reversed."""
+    dynkin = DynkinType.parse(name)
+    rs = build_root_system(dynkin)
+    quiver = Quiver(dynkin, tuple((t, s) for s, t in dynkin.diagram_edges()))
+    return NcLattice(rs, coxeter_element(rs, quiver))
+
+
+def test_lattice_iso_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def digraph(obj):
+        if isinstance(obj, NcLattice):
+            n, covers = len(obj), obj.covers()
+        elif isinstance(obj, FunctionLattice):
+            n, covers = len(obj.members), obj.covers
+        else:
+            n, covers = obj
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(covers)
+        return graph
+
+    figure2 = (FIGURE2_NODE_COUNT, FIGURE2_COVERS)
+    tampered = (FIGURE2_NODE_COUNT, FIGURE2_COVERS[:-1] + ((0, 9),))
+    functions = monotone_functions(poset_chain(2), nc_lattice("A2"))
+    pairs = [
+        (nc_lattice("A3"), reversed_nc_lattice("A3"), True),
+        (nc_lattice("D4"), reversed_nc_lattice("D4"), True),
+        (functions, figure2, True),
+        (functions, tampered, False),
+    ]
+    for a, b, isomorphic in pairs:
+        assert nx.is_isomorphic(digraph(a), digraph(b)) is isomorphic
+        assert (lattice_iso(a, b) is not None) is isomorphic
