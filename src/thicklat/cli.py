@@ -305,8 +305,83 @@ def _nc_ids(lattice) -> list[str]:
     ]
 
 
+_escape = json.encoder.encode_basestring_ascii
+# the JSON text of a scalar, by its exact type
+_SCALARS = {
+    str: _escape,
+    int: int.__repr__,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+}
+# chunks are joined into one piece this often, so that the chunk list
+# never holds much more than the text itself
+_CHUNKS_PER_PIECE = 8192
+
+
 def _json_text(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """json.dumps(document, indent=2, sort_keys=True) + "\\n", byte for byte.
+
+    With an indent, json.dumps takes its pure-Python encoder.  This
+    writer escapes strings with the same C escaper and emits each
+    separator, key and scalar as one chunk.  A subtree that is not a
+    plain tree of str-keyed dicts, lists, tuples, strs, ints, bools and
+    None goes to json.dumps itself, re-indented to its depth: exact, as
+    JSON text holds no raw newline inside a string.
+    """
+    pieces: list[str] = []
+    chunks: list[str] = []
+    append = chunks.append
+    scalar = _SCALARS.get
+
+    def write(value, lead: str, pad: str) -> None:
+        # lead is the separator, indentation and key before the value;
+        # pad is a newline and the value's own indentation
+        kind = type(value)
+        convert = scalar(kind)
+        if convert is not None:
+            append(lead + convert(value))
+            return
+        if kind is dict and all(type(key) is str for key in value):
+            if not value:
+                append(lead + "{}")
+                return
+            inner = pad + "  "
+            sep = lead + "{" + inner
+            for key in sorted(value):
+                item = value[key]
+                head = sep + _escape(key) + ": "
+                convert = scalar(type(item))
+                if convert is None:
+                    write(item, head, inner)
+                else:
+                    append(head + convert(item))
+                sep = "," + inner
+            append(pad + "}")
+        elif kind is list or kind is tuple:
+            if not value:
+                append(lead + "[]")
+                return
+            inner = pad + "  "
+            sep = lead + "[" + inner
+            for item in value:
+                convert = scalar(type(item))
+                if convert is None:
+                    write(item, sep, inner)
+                else:
+                    append(sep + convert(item))
+                sep = "," + inner
+            append(pad + "]")
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True)
+            append(lead + text.replace("\n", pad))
+        if len(chunks) >= _CHUNKS_PER_PIECE:
+            pieces.append("".join(chunks))
+            chunks.clear()
+
+    write(document, "", "\n")
+    chunks.append("\n")
+    pieces.append("".join(chunks))
+    return "".join(pieces)
 
 
 def _dot_quote(name: str) -> str:
@@ -532,11 +607,15 @@ def _parse_poset(spec: str) -> FinitePoset:
     )
 
 
-def _function_id(fn, nc_ids) -> str:
-    pairs = sorted(
-        (point, nc_ids[fn.value_index(point)]) for point in fn.poset.elements
-    )
-    return ";".join(f"{point}={value}" for point, value in pairs)
+def _function_ids(lattice, nc_ids) -> list[str]:
+    """Node identifiers of the members: point=value pairs by point name."""
+    names = lattice.poset.elements
+    ranked = sorted(range(len(names)), key=names.__getitem__)
+    heads = [f"{names[k]}=" for k in ranked]
+    return [
+        ";".join(head + nc_ids[fn.values[k]] for head, k in zip(heads, ranked))
+        for fn in lattice.members
+    ]
 
 
 def cmd_specfn(args) -> int:
@@ -553,7 +632,7 @@ def cmd_specfn(args) -> int:
     nc_ids = _nc_ids(nc)
     build = monotone_functions if args.mode == "monotone" else all_functions
     lattice = build(poset, nc)
-    ids = [_function_id(fn, nc_ids) for fn in lattice.members]
+    ids = _function_ids(lattice, nc_ids)
     if len(set(ids)) != len(ids):
         raise RuntimeError("node identifiers collide")
     order = sorted(range(len(ids)), key=lambda i: ids[i])
@@ -572,8 +651,8 @@ def cmd_specfn(args) -> int:
             {
                 "id": ids[i],
                 "values": {
-                    point: nc_ids[lattice.members[i].value_index(point)]
-                    for point in poset.elements
+                    point: nc_ids[v]
+                    for point, v in zip(poset.elements, lattice.members[i].values)
                 },
             }
             for i in order
@@ -583,7 +662,7 @@ def cmd_specfn(args) -> int:
             "cover_count": len(edges),
             "points": list(poset.elements),
             "members": members,
-            "covers": [list(e) for e in edges],
+            "covers": edges,
         }
         _write_output(
             _json_text(_document("specfn", arguments, payload)), args.out
@@ -625,7 +704,7 @@ def cmd_figures(args) -> int:
 
     nc_ids = _nc_ids(lattice)
     functions = monotone_functions(poset_chain(2), lattice)
-    fn_ids = [_function_id(fn, nc_ids) for fn in functions.members]
+    fn_ids = _function_ids(functions, nc_ids)
     fn_order = sorted(range(len(fn_ids)), key=lambda i: fn_ids[i])
     fn_edges = sorted((fn_ids[i], fn_ids[j]) for i, j in functions.covers)
     figure2_iso = (

@@ -17,7 +17,8 @@ DEFAULT_SIZE_GUARD = 100_000
 
 
 class SizeGuardError(ValueError):
-    """Raised before enumerating a function space that is too large."""
+    """Raised before enumerating a function space, or building a poset,
+    that is too large."""
 
 
 def size_guard_limit() -> int:
@@ -31,9 +32,34 @@ def size_guard_limit() -> int:
         raise ValueError(f"THICKLAT_SIZE_GUARD={raw!r} is not an integer") from exc
 
 
+# Monotone functions are enumerated by one nested generator per point,
+# so a poset with many more points would exhaust the interpreter's
+# recursion limit, and each function found costs a step per point; a
+# poset above this is refused before its order is built.
+MAX_POSET_POINTS = 64
+
+
+def _check_point_count(count: int) -> None:
+    if count > MAX_POSET_POINTS:
+        raise SizeGuardError(
+            f"{count} poset points exceed the cap {MAX_POSET_POINTS}"
+        )
+
+
+def _relation_rows(elements: tuple[str, ...], pairs) -> list[int]:
+    """Row i has bit j set when (elements[i], elements[j]) is a pair."""
+    pos = {x: i for i, x in enumerate(elements)}
+    rows = [0] * len(elements)
+    for a, b in pairs:
+        if a not in pos or b not in pos:
+            raise ValueError(f"relation {(a, b)!r} uses unknown elements")
+        rows[pos[a]] |= 1 << pos[b]
+    return rows
+
+
 @dataclass(frozen=True)
 class FinitePoset:
-    """A finite poset on named elements.
+    """A finite poset on named elements, at most MAX_POSET_POINTS of them.
 
     leq is the full reflexive-transitive relation as (lower, higher)
     pairs; validated on construction.
@@ -44,40 +70,47 @@ class FinitePoset:
 
     def __post_init__(self):
         elems = tuple(self.elements)
+        _check_point_count(len(elems))
         object.__setattr__(self, "elements", elems)
         rel = frozenset((str(a), str(b)) for a, b in self.leq)
         object.__setattr__(self, "leq", rel)
-        names = set(elems)
-        if len(names) != len(elems):
+        if len(set(elems)) != len(elems):
             raise ValueError("duplicate poset elements")
-        for a, b in rel:
-            if a not in names or b not in names:
-                raise ValueError(f"relation {(a, b)!r} uses unknown elements")
-        for x in elems:
-            if (x, x) not in rel:
+        up = _relation_rows(elems, rel)
+        for i, x in enumerate(elems):
+            if not (up[i] >> i) & 1:
                 raise ValueError(f"relation is not reflexive at {x!r}")
+        pos = {x: i for i, x in enumerate(elems)}
         for a, b in rel:
-            if a != b and (b, a) in rel:
+            i, j = pos[a], pos[b]
+            if i != j and (up[j] >> i) & 1:
                 raise ValueError(f"antisymmetry fails on {a!r}, {b!r}")
-            for c in elems:
-                if (b, c) in rel and (a, c) not in rel:
-                    raise ValueError(f"transitivity fails on {a!r}, {b!r}, {c!r}")
+            missing = up[j] & ~up[i]
+            if missing:
+                c = elems[(missing & -missing).bit_length() - 1]
+                raise ValueError(f"transitivity fails on {a!r}, {b!r}, {c!r}")
 
     @staticmethod
     def from_covers(elements, covers) -> "FinitePoset":
-        """Build from cover pairs (lower, higher) by transitive closure."""
+        """Build from cover pairs (lower, higher) by transitive closure
+        (Warshall's algorithm on bit rows)."""
         elements = tuple(str(x) for x in elements)
-        rel = {(x, x) for x in elements}
-        rel.update((str(a), str(b)) for a, b in covers)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        return FinitePoset(elements, frozenset(rel))
+        _check_point_count(len(elements))
+        up = _relation_rows(elements, ((str(a), str(b)) for a, b in covers))
+        for i in range(len(elements)):
+            up[i] |= 1 << i
+        for k in range(len(up)):
+            bit, row = 1 << k, up[k]
+            for i, other in enumerate(up):
+                if other & bit:
+                    up[i] = other | row
+        rel = frozenset(
+            (a, b)
+            for a, row in zip(elements, up)
+            for j, b in enumerate(elements)
+            if (row >> j) & 1
+        )
+        return FinitePoset(elements, rel)
 
     def less(self, a: str, b: str) -> bool:
         """Strictly below: a is a proper specialization source of b."""
@@ -113,6 +146,7 @@ def poset_point() -> FinitePoset:
 def poset_chain(n: int) -> FinitePoset:
     if n < 1:
         raise ValueError("chain length must be at least 1")
+    _check_point_count(n)
     names = tuple(f"p{i}" for i in range(n))
     return FinitePoset.from_covers(
         names, tuple((f"p{i}", f"p{i+1}") for i in range(n - 1))
@@ -122,6 +156,7 @@ def poset_chain(n: int) -> FinitePoset:
 def poset_antichain(n: int) -> FinitePoset:
     if n < 1:
         raise ValueError("antichain size must be at least 1")
+    _check_point_count(n)
     return FinitePoset.from_covers(tuple(f"p{i}" for i in range(n)), ())
 
 
@@ -273,43 +308,44 @@ def monotone_functions(
 ) -> FunctionLattice:
     """The lattice of monotone (specialization-closed) functions.
 
-    Covers are found from below.  For a point p and an upper cover hi
-    of f(p), the least monotone g >= f with g(p) >= hi is the candidate
-    cand(p, hi): f(q) v hi at every q >= p, f(q) elsewhere.  Every cover
-    of f is a candidate, and cand(p', hi') <= t for a monotone t >= f
-    exactly when hi' <= t(p').  So a candidate t is a cover iff every
-    pair (p', hi') with hi' <= t(p') yields t itself, which is a count:
-    the pairs below t, one popcount per point, against the pairs that
-    yield t.
+    g covers f exactly when g = f[p -> hi] for one point p, with hi an
+    upper cover of f(p) in the lattice and hi <= f(q) at every q > p.
+
+    Proof.  Such a g is monotone, and any k with f < k <= g agrees with
+    f off p and lies strictly above f(p) at p, so k = g.  Conversely,
+    take f < g, let p be maximal among the points where they differ
+    and hi an upper cover of f(p) with hi <= g(p).  Then h = f[p -> hi]
+    is monotone, as q > p gives hi <= g(p) <= g(q) = f(q), and
+    f < h <= g; so if g covers f, g = h.
+
+    The covers of f are therefore read off one mask per point: the
+    upper covers of f(p), intersected with the lower sets of f(q) for
+    q > p.
     """
     limit = size_guard_limit() if guard is None else guard
     tuples = sorted(_monotone_value_tuples(poset, nc, limit))
     members = [SpecFunction(poset, nc, v) for v in tuples]
     index = {v: i for i, v in enumerate(tuples)}
     _, down = nc._masks()
-    cover_up: list[list[int]] = [[] for _ in range(len(nc))]
+    cover_up_mask = [0] * len(nc)
     for lo, hi in nc.covers():
-        cover_up[lo].append(hi)
-    cover_up_mask = [sum(1 << hi for hi in his) for his in cover_up]
+        cover_up_mask[lo] |= 1 << hi
     points = range(len(poset.elements))
-    at_or_above = [
-        [q for q, b in enumerate(poset.elements) if (a, b) in poset.leq]
+    above = [
+        [q for q, b in enumerate(poset.elements) if poset.less(a, b)]
         for a in poset.elements
     ]
     covers = []
     for i, vals in enumerate(tuples):
-        yields: dict[tuple[int, ...], int] = {}
         for p in points:
-            for hi in cover_up[vals[p]]:
-                out = list(vals)
-                for q in at_or_above[p]:
-                    out[q] = nc.join(out[q], hi)
-                t = tuple(out)
-                yields[t] = yields.get(t, 0) + 1
-        above = [cover_up_mask[v] for v in vals]
-        for t, count in yields.items():
-            if sum((above[p] & down[t[p]]).bit_count() for p in points) == count:
-                covers.append((i, index[t]))
+            allowed = cover_up_mask[vals[p]]
+            for q in above[p]:
+                allowed &= down[vals[q]]
+            head, tail = vals[:p], vals[p + 1:]
+            while allowed:
+                low = allowed & -allowed
+                covers.append((i, index[head + (low.bit_length() - 1,) + tail]))
+                allowed ^= low
     covers.sort()
     return FunctionLattice(poset, nc, tuple(members), tuple(covers))
 

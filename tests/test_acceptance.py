@@ -213,7 +213,7 @@ def test_d4_diamond_monotone_functions_within_budget():
     elapsed = time.perf_counter() - start
     assert len(lattice.members) == 9432
     assert len(lattice.covers) == 48108
-    assert elapsed < 2.0
+    assert elapsed < 0.5
 
 
 def test_criterion_8_koszul_support_dichotomy():

@@ -1,4 +1,5 @@
 """Command line behavior: formats, determinism, exit codes, errors."""
+import hashlib
 import io
 import json
 import sys
@@ -10,6 +11,7 @@ from thicklat.cli import (
     MAX_TERMS,
     ExponentBoundError,
     PolynomialSyntaxError,
+    _json_text,
     _wide_id,
     main,
     parse_polynomial,
@@ -18,6 +20,7 @@ from thicklat.koszul import Poly, PolyRing
 from thicklat.linalg import GF
 from thicklat.quiver_rep import default_orientation
 from thicklat.root_system import DynkinType
+from thicklat.spec_model import MAX_POSET_POINTS
 from thicklat.thick_enum import enumerate_thick
 
 
@@ -129,6 +132,78 @@ def test_reruns_are_byte_identical(args):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.endswith("\n")
+
+
+# SHA-256 of stdout, recorded when every JSON document was written by
+# json.dumps(indent=2, sort_keys=True)
+PINNED_STDOUT = {
+    "specfn --type D4 --poset diamond":
+        "5f52159c231d6ce8583e95be21e4ea72e56f1af7b48565660b660572cc3dfc03",
+    "specfn --type D4 --poset diamond --format dot":
+        "aff5ad4323f3401251b2fbfe4374062d16bb3fb18221fe0e61a1df190b27d550",
+    "specfn --type A4 --poset antichain2 --mode all":
+        "9007119bc99a0f6ee2bc8d585d7e54f4b2b45fbb678d6d9eda5eb52adb386adc",
+    "nc --type D5":
+        "ae356034c4d4994b25e5a48a41ea950492cc2e2af8cbd433efd6e73bcaf4bb45",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(command):
+    code, out, _ = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nc", "--type", "A3"],
+        ["thick", "--type", "A3", "--field", "2", "--verify"],
+        ["specfn", "--type", "A2", "--poset", "diamond"],
+        ["specfn", "--type", "A2", "--poset", "chain2", "--mode", "all"],
+        ["koszul", "--vars", "x,y", "--gens", "x^2-3/4*y,y", "--at", "1/2,3"],
+        [
+            "koszul", "--vars", "x,y", "--gens", "x,y", "--at", "0,0",
+            "--module", "A2:(1,1)",
+        ],
+    ],
+)
+def test_json_output_is_json_dumps_of_its_document(args):
+    code, out, _ = run_cli(args)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    class Mapping(dict):
+        pass
+
+    text = st.text(max_size=6) | st.sampled_from(
+        ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2603", "\U0001f600"]
+    )
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | text
+    other_keys = st.integers() | st.booleans() | st.floats(allow_nan=False)
+
+    def containers(children):
+        return (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(text, children, max_size=4)
+            | st.dictionaries(other_keys, children, max_size=3)
+            | st.dictionaries(text, children, max_size=3).map(Mapping)
+        )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.recursive(scalars, containers, max_leaves=30))
+    def check(document):
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert _json_text(document) == expected
+
+    check()
 
 
 def test_out_flag_matches_stdout(tmp_path):
@@ -310,6 +385,34 @@ def test_specfn_size_guard(monkeypatch):
     )
     assert code == 1
     assert "125" in err and "THICKLAT_SIZE_GUARD" in err
+
+
+def test_specfn_refuses_posets_over_the_point_cap_quickly(tmp_path):
+    chain_file = tmp_path / "chain.txt"
+    chain_file.write_text(
+        "".join(f"p{i}<p{i + 1}\n" for i in range(999)), encoding="utf-8"
+    )
+    cases = [
+        (f"chain{MAX_POSET_POINTS + 1}", MAX_POSET_POINTS + 1),
+        ("chain1000", 1000),
+        ("antichain" + "9" * 30, int("9" * 30)),
+        (f"@{chain_file}", 1000),
+    ]
+    for spec, points in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["specfn", "--type", "A1", "--poset", spec, "--count"]
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err == (
+            f"thicklat: error: {points} poset points exceed the cap "
+            f"{MAX_POSET_POINTS}\n"
+        )
+    code, out, _ = run_cli(
+        ["specfn", "--type", "A1", "--poset", f"chain{MAX_POSET_POINTS}", "--count"]
+    )
+    assert code == 0 and out == f"{MAX_POSET_POINTS + 1}\n"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from thicklat.figures import FIGURE2_COVERS, FIGURE2_NODE_COUNT
 from thicklat.quiver_rep import Quiver, default_orientation
 from thicklat.root_system import DynkinType, NcLattice, build_root_system, coxeter_element
 from thicklat.spec_model import (
+    MAX_POSET_POINTS,
     FinitePoset,
     FunctionLattice,
     SizeGuardError,
@@ -110,6 +111,70 @@ def test_from_covers_takes_transitive_closure():
 def test_from_covers_rejects_cycles():
     with pytest.raises(ValueError):
         FinitePoset.from_covers(("a", "b"), (("a", "b"), ("b", "a")))
+
+
+def closure_by_fixed_point(elements, covers):
+    """Transitive closure by adding composite pairs until none is new."""
+    rel = {(x, x) for x in elements} | set(covers)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c, d in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return frozenset(rel)
+
+
+def test_from_covers_matches_fixed_point_closure():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        size = data.draw(st.integers(min_value=1, max_value=7))
+        names = data.draw(st.permutations([f"p{i}" for i in range(size)]))
+        pairs = list(itertools.combinations(names, 2))
+        chosen = data.draw(
+            st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+        )
+        covers = [pair for pair, keep in zip(pairs, chosen) if keep]
+        poset = FinitePoset.from_covers(names, covers)
+        assert poset.leq == closure_by_fixed_point(names, covers)
+
+    check()
+
+
+def test_poset_validation_messages():
+    names = ("a", "b", "c")
+    refl = {(x, x) for x in names}
+    with pytest.raises(ValueError, match="transitivity fails on 'a', 'b', 'c'"):
+        FinitePoset(names, frozenset(refl | {("a", "b"), ("b", "c")}))
+    with pytest.raises(ValueError, match="antisymmetry fails"):
+        FinitePoset(names, frozenset(refl | {("a", "b"), ("b", "a")}))
+    with pytest.raises(ValueError, match="not reflexive at 'c'"):
+        FinitePoset(names, frozenset(refl - {("c", "c")}))
+    with pytest.raises(ValueError, match="unknown elements"):
+        FinitePoset(names, frozenset(refl | {("a", "z")}))
+    with pytest.raises(ValueError, match="unknown elements"):
+        FinitePoset.from_covers(names, (("a", "z"),))
+
+
+def test_posets_over_the_point_cap_are_refused():
+    cap = MAX_POSET_POINTS
+    assert len(poset_chain(cap).leq) == cap * (cap + 1) // 2
+    assert len(poset_antichain(cap).leq) == cap
+    names = tuple(f"p{i}" for i in range(cap + 1))
+    for build in (
+        lambda: poset_chain(cap + 1),
+        lambda: poset_antichain(10**30),
+        lambda: FinitePoset.from_covers(names, ()),
+        lambda: FinitePoset(names, frozenset((x, x) for x in names)),
+    ):
+        with pytest.raises(SizeGuardError, match=f"exceed the cap {cap}"):
+            build()
 
 
 # ---------------------------------------------------------------------------
