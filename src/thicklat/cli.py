@@ -40,7 +40,7 @@ from .root_system import (
     DynkinType,
     NcLattice,
     build_root_system,
-    coxeter_element,
+    catalan_number,
     nc_to_set_partition,
 )
 from .spec_model import (
@@ -48,6 +48,7 @@ from .spec_model import (
     SizeGuardError,
     all_function_count,
     all_functions,
+    check_size_guard,
     lattice_iso,
     monotone_functions,
     poset_antichain,
@@ -283,6 +284,14 @@ def _parse_orientation(dynkin: DynkinType, text: str | None) -> Quiver:
     return Quiver(dynkin, tuple(arrows))
 
 
+def _lattice_args(args) -> tuple[DynkinType, Quiver]:
+    """The type and orientation of nc, thick and specfn, refused before
+    anything is enumerated when NC(W, c) is over the size guard."""
+    dynkin = DynkinType.parse(args.type)
+    check_size_guard(catalan_number(dynkin), "elements")
+    return dynkin, _parse_orientation(dynkin, args.orientation)
+
+
 def _orientation_echo(quiver: Quiver) -> str:
     return ",".join(f"{s}>{t}" for s, t in quiver.arrows)
 
@@ -297,7 +306,8 @@ def _nc_ids(lattice) -> list[str]:
     type A, reflection factorizations otherwise."""
     if lattice.rs.dynkin.letter == "A":
         return [
-            _partition_label(nc_to_set_partition(e)) for e in lattice.elements
+            _partition_label(nc_to_set_partition(lattice.rs, e))
+            for e in lattice.elements
         ]
     return [
         "*".join(f"r{k}" for k in lattice.reflection_factorization(i)) or "e"
@@ -425,8 +435,7 @@ def _chosen_format(args) -> str:
 # nc
 
 def _nc_lattice(dynkin: DynkinType, quiver: Quiver) -> NcLattice:
-    rs = build_root_system(dynkin)
-    return NcLattice(rs, coxeter_element(rs, quiver))
+    return NcLattice(build_root_system(dynkin), quiver)
 
 
 def _nc_lattice_data(dynkin: DynkinType, quiver: Quiver):
@@ -434,24 +443,19 @@ def _nc_lattice_data(dynkin: DynkinType, quiver: Quiver):
     ids = _nc_ids(lattice)
     if len(set(ids)) != len(ids):
         raise RuntimeError("node identifiers collide")
-    order = sorted(
-        range(len(ids)), key=lambda i: (lattice.elements[i].length, ids[i])
-    )
-    nodes = [
-        {"id": ids[i], "length": lattice.elements[i].length} for i in order
-    ]
+    order = sorted(range(len(ids)), key=lambda i: (lattice.lengths[i], ids[i]))
+    nodes = [{"id": ids[i], "length": lattice.lengths[i]} for i in order]
     if dynkin.letter == "A":
         for row, i in zip(nodes, order):
             row["blocks"] = [
-                list(b) for b in nc_to_set_partition(lattice.elements[i])
+                list(b) for b in nc_to_set_partition(lattice.rs, lattice.elements[i])
             ]
     edges = sorted((ids[i], ids[j]) for i, j in lattice.covers())
     return lattice, [ids[i] for i in order], nodes, edges
 
 
 def cmd_nc(args) -> int:
-    dynkin = DynkinType.parse(args.type)
-    quiver = _parse_orientation(dynkin, args.orientation)
+    dynkin, quiver = _lattice_args(args)
     fmt = _chosen_format(args)
     if fmt == "count":
         # the size of NC(W, c) needs no labels, order or covers
@@ -489,8 +493,7 @@ def _wide_id(wide) -> str:
 
 
 def cmd_thick(args) -> int:
-    dynkin = DynkinType.parse(args.type)
-    quiver = _parse_orientation(dynkin, args.orientation)
+    dynkin, quiver = _lattice_args(args)
     field = GF(args.field)
     wides = enumerate_thick(quiver, field)
     fmt = _chosen_format(args)
@@ -619,8 +622,7 @@ def _function_ids(lattice, nc_ids) -> list[str]:
 
 
 def cmd_specfn(args) -> int:
-    dynkin = DynkinType.parse(args.type)
-    quiver = _parse_orientation(dynkin, args.orientation)
+    dynkin, quiver = _lattice_args(args)
     poset = _parse_poset(args.poset)
     nc = _nc_lattice(dynkin, quiver)
     fmt = _chosen_format(args)
@@ -679,15 +681,9 @@ def cmd_figures(args) -> int:
     quiver = default_orientation(dynkin)
     lattice, ordered_ids, nodes, edges = _nc_lattice_data(dynkin, quiver)
 
-    partitions = {nc_to_set_partition(e) for e in lattice.elements}
-    figure1_nodes_match = partitions == set(FIGURE1_NODES)
-    computed_covers = {
-        (
-            nc_to_set_partition(lattice.elements[i]),
-            nc_to_set_partition(lattice.elements[j]),
-        )
-        for i, j in lattice.covers()
-    }
+    partitions = [nc_to_set_partition(lattice.rs, e) for e in lattice.elements]
+    figure1_nodes_match = set(partitions) == set(FIGURE1_NODES)
+    computed_covers = {(partitions[i], partitions[j]) for i, j in lattice.covers()}
     figure1_covers_match = computed_covers == set(FIGURE1_COVERS)
     figure1_ok = figure1_nodes_match and figure1_covers_match
 

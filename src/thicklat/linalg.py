@@ -4,8 +4,8 @@ Matrices are tuples (or lists) of rows.  Rational entries are ints or
 fractions.Fraction; prime-field entries are ints reduced mod p.  Nothing
 here ever touches a float.
 
-Every elimination (nullspace, left_nullspace, solve, rank and
-int_mat_inverse) runs through one kernel, rref, on rows of plain ints:
+Every elimination (nullspace, left_nullspace, solve and rank) runs
+through one kernel, rref, on rows of plain ints:
 
 - over GF(p) every update is reduced mod p on the spot, and touches only
   the rows with a nonzero in the pivot column and, in them, only the
@@ -180,25 +180,6 @@ def int_rank(rows) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def int_mat_inverse(mat):
-    """Inverse of an integer matrix with determinant +-1.
-
-    Raises ValueError if the matrix is singular or the inverse is not
-    integral.
-    """
-    n = len(mat)
-    red, pivots = rref(QQ, [list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(mat)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for row in red:
-        if any(x.denominator != 1 for x in row[n:]):
-            raise ValueError("inverse is not integral")
-        inv.append(tuple(int(x) for x in row[n:]))
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from itertools import product
 
 from . import linalg
 from .linalg import QQ, mat_mul, nullspace, rref, solve
+from . import root_system
 from .root_system import DynkinType, build_root_system
 
 DimVector = tuple[int, ...]
@@ -59,15 +60,9 @@ def default_orientation(dynkin: DynkinType) -> Quiver:
 
 
 def euler_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
-    """<d, e> = sum_v d_v e_v - sum_{a: s->t} d_s e_t.
-
-    For representations M, N with these dimension vectors this equals
-    dim Hom(M, N) - dim Ext1(M, N).
-    """
-    total = sum(x * y for x, y in zip(d, e))
-    for s, t in quiver.arrows:
-        total -= d[s - 1] * e[t - 1]
-    return total
+    """<d, e> = dim Hom(M, N) - dim Ext1(M, N) for representations M, N
+    with these dimension vectors; see root_system.euler_form."""
+    return root_system.euler_form(quiver.arrows, d, e)
 
 
 @lru_cache(maxsize=None)

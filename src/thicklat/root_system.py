@@ -1,16 +1,31 @@
 """Simply laced root systems and noncrossing partition lattices.
 
-Roots are integer vectors in the basis of simple roots.  Weyl group
-elements are integer matrices acting on those coordinates.  The
-noncrossing partition lattice for a Coxeter element c is the interval
-[e, c] in the absolute order: u <= w iff reflection lengths add up
-along u, u^-1 w, w.
+Roots are integer vectors in the basis of simple roots.  The
+noncrossing partition lattice NC(W, c) for a Coxeter element c is the
+interval [e, c] in the absolute order: u <= w iff reflection lengths add
+up along u, u^-1 w, w.
 
-Inside [e, c] an element w is keyed by R(w), the positive roots in its
-moved space Mov(w) = im(w - I), as a bitmask.  R(w) spans Mov(w), so by
-Brady-Watt u <= w iff R(u) is a subset of R(w); by Carter's lemma the
-lower covers of w are the w*t with the root of t in R(w).  Enumeration,
-order and covers thus need no rank computation per candidate or pair.
+An element w is kept as R(w), the positive roots in its moved space
+Mov(w) = im(w - I), as a bitmask; by Brady-Watt u <= w iff R(u) is a
+subset of R(w).  For the Coxeter element of an orientation of the
+diagram, the masks R(w) are the dimension vectors of the wide
+subcategories of the quiver's representations (Ingalls-Thomas,
+Compositio 2009), and the whole lattice comes from the quiver's Euler
+form.  Hom and Ext1 between indecomposables of a Dynkin quiver are never
+both nonzero, so <g, b> = 0 exactly when both vanish.  With
+left[b] = {g : <g, b> = 0} and right[b] = {g : <b, g> = 0}:
+
+- the lower covers of R(w) are the R(w*t_b) = R(w) & left[b], one per
+  root b in R(w) (Carter's lemma), so NC is walked down from R(c), all
+  the positive roots, and an element's length is the rank minus its
+  depth in the walk;
+- R(t_b*w) = R(w) & right[b], which peels reflection factorizations;
+- in type A each root alpha_i + ... + alpha_j of R(w) joins the points
+  i and j + 1 of the noncrossing set partition.
+
+Weyl group elements, as integer matrices acting on root coordinates,
+are kept for the independent check of the bijection with wide
+subcategories: reflection lengths, Coxeter elements and moved roots.
 """
 from __future__ import annotations
 
@@ -19,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import QQ, int_identity, int_mat_inverse, int_mat_mul, int_rank, nullspace
+from .linalg import QQ, int_identity, int_mat_mul, int_rank, nullspace
 
 LETTERS = ("A", "D", "E")
 
@@ -102,28 +117,18 @@ def catalan_number(dynkin: DynkinType) -> int:
 class WeylElement:
     """A Weyl group element as an integer matrix in the root basis.
 
-    Hashable; reflection length and the inverse matrix are computed
-    once and cached.
+    Hashable; the reflection length is computed once and cached.
     """
 
-    __slots__ = ("mat", "_inv", "_length")
+    __slots__ = ("mat", "_length")
 
-    def __init__(self, mat, inv=None):
+    def __init__(self, mat):
         self.mat = tuple(tuple(int(x) for x in row) for row in mat)
-        self._inv = inv
         self._length = None
 
     @property
     def rank(self) -> int:
         return len(self.mat)
-
-    def inverse_mat(self):
-        if self._inv is None:
-            self._inv = int_mat_inverse(self.mat)
-        return self._inv
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement(self.inverse_mat(), inv=self.mat)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(int_mat_mul(self.mat, other.mat))
@@ -245,6 +250,18 @@ def reflection_mats(rs: RootSystem) -> tuple:
     return tuple(reflection(rs, r).mat for r in rs.positive_roots)
 
 
+def _orientation(rs: RootSystem, arrows) -> tuple[tuple[int, int], ...]:
+    """The (source, target) pairs of arrows, or of arrows.arrows, checked
+    to orient the diagram of rs."""
+    arrows = tuple(tuple(a) for a in getattr(arrows, "arrows", arrows))
+    edges = tuple(sorted(tuple(sorted(a)) for a in arrows))
+    if edges != rs.dynkin.diagram_edges():
+        raise ValueError(
+            f"orientation {arrows!r} is not an orientation of the {rs.dynkin} diagram"
+        )
+    return arrows
+
+
 def coxeter_element(rs: RootSystem, arrows) -> WeylElement:
     """Coxeter element for an orientation of the Dynkin diagram.
 
@@ -254,12 +271,7 @@ def coxeter_element(rs: RootSystem, arrows) -> WeylElement:
     reflection of the first peeled vertex is the leftmost factor.  For
     A2 oriented 1 -> 2 this yields s2 * s1.
     """
-    arrows = tuple(tuple(a) for a in getattr(arrows, "arrows", arrows))
-    edges = tuple(sorted(tuple(sorted(a)) for a in arrows))
-    if edges != rs.dynkin.diagram_edges():
-        raise ValueError(
-            f"orientation {arrows!r} is not an orientation of the {rs.dynkin} diagram"
-        )
+    arrows = _orientation(rs, arrows)
     remaining = set(rs.dynkin.vertices())
     order = []
     while remaining:
@@ -308,131 +320,85 @@ def _bits(mask: int):
         mask ^= low
 
 
-class NcElement:
-    """An element of the noncrossing partition lattice NC(W, c).
+def euler_form(arrows, d, e) -> int:
+    """<d, e> = sum_v d_v e_v - sum_{a: s->t} d_s e_t over the arrows
+    (s, t) of a quiver.
 
-    Wraps a Weyl element w known to lie in the absolute-order interval
-    [e, c] of the Weyl group of rs; the defining length identity is
-    revalidated on construction.  Its moved roots R(w) are computed on
-    first use.
+    For representations M, N with these dimension vectors this equals
+    dim Hom(M, N) - dim Ext1(M, N).
     """
-
-    __slots__ = ("rs", "w", "c", "_moved")
-
-    def __init__(
-        self, rs: RootSystem, w: WeylElement, c: WeylElement, _checked: bool = False
-    ):
-        self.rs = rs
-        self.w = w
-        self.c = c
-        self._moved = None
-        if not _checked:
-            rest = WeylElement(int_mat_mul(w.inverse_mat(), c.mat))
-            if reflection_length(w) + reflection_length(rest) != reflection_length(c):
-                raise ValueError("element is not below the Coxeter element")
-
-    @property
-    def length(self) -> int:
-        return reflection_length(self.w)
-
-    @property
-    def moved(self) -> int:
-        """R(w) as a bitmask over rs.positive_roots; see moved_roots."""
-        if self._moved is None:
-            self._moved = moved_roots(self.rs, self.w)
-        return self._moved
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NcElement)
-            and other.w.mat == self.w.mat
-            and other.c.mat == self.c.mat
-        )
-
-    def __hash__(self):
-        return hash((self.w.mat, self.c.mat))
-
-    def __repr__(self):
-        return f"NcElement({self.w.mat!r})"
+    total = sum(x * y for x, y in zip(d, e))
+    for s, t in arrows:
+        total -= d[s - 1] * e[t - 1]
+    return total
 
 
-def enumerate_nc(rs: RootSystem, c: WeylElement) -> tuple[NcElement, ...]:
-    """All elements of [e, c], walked top-down from c through the lower
-    covers w*t, t with root in R(w) (Carter's lemma).
+@lru_cache(maxsize=None)
+def euler_perps(rs: RootSystem, arrows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """left[b] = {g : <g, b> = 0} and right[b] = {g : <b, g> = 0}, as
+    bitmasks over rs.positive_roots, for an orientation's arrows.
 
-    Returned in canonical order: lexicographic on flattened matrices.
+    Hom and Ext1 between indecomposables of a Dynkin quiver are never
+    both nonzero, so <g, b> = 0 exactly when Hom(g, b) = 0 = Ext1(g, b).
     """
-    if reflection_length(c) != rs.rank:
-        raise ValueError("c does not have full reflection length")
-    refls = reflection_mats(rs)
-    top = NcElement(rs, c, c, _checked=True)
-    found = {c.mat: top}
+    roots = rs.positive_roots
+    pairing = [[euler_form(arrows, g, b) for b in roots] for g in roots]
+    n = len(roots)
+    left = tuple(
+        sum(1 << g for g in range(n) if pairing[g][b] == 0) for b in range(n)
+    )
+    right = tuple(
+        sum(1 << g for g in range(n) if pairing[b][g] == 0) for b in range(n)
+    )
+    return left, right
+
+
+def enumerate_nc(rs: RootSystem, arrows) -> dict[int, int]:
+    """The elements of NC(W, c), for c the Coxeter element of the
+    orientation, as {R(w): reflection length of w}.
+
+    Walked down from R(c), every positive root: the lower covers of R(w)
+    are R(w) & left[b], one per root b in R(w), and an element's length
+    is the rank minus its depth in the walk.
+    """
+    left, _ = euler_perps(rs, _orientation(rs, arrows))
+    top = (1 << len(rs.positive_roots)) - 1
+    found = {top: rs.rank}
     level = [top]
+    length = rs.rank
     while level:
+        length -= 1
         below = []
         for w in level:
-            for k in _bits(w.moved):
-                mat = int_mat_mul(w.w.mat, refls[k])
-                if mat not in found:
-                    found[mat] = NcElement(rs, WeylElement(mat), c, _checked=True)
-                    below.append(found[mat])
+            for b in _bits(w):
+                u = w & left[b]
+                if u not in found:
+                    found[u] = length
+                    below.append(u)
         level = below
-    return tuple(sorted(found.values(), key=lambda e: e.w.mat))
+    return found
 
 
-def nc_leq(u: NcElement, w: NcElement) -> bool:
-    """Absolute-order comparison inside [e, c]: whether R(u) is a subset
-    of R(w), since R spans the moved space and u <= w iff Mov(u) lies in
-    Mov(w) (Brady-Watt)."""
-    if u.c.mat != w.c.mat:
-        raise ValueError("elements live under different Coxeter elements")
-    return u.moved & ~w.moved == 0
-
-
-def _type_a_permutation(u: NcElement) -> dict[int, int]:
-    """The permutation of {1..n+1} given by a type A Weyl element."""
-    mat = u.w.mat
-    n = len(mat)
-    perm: dict[int, int] = {}
-    for i in range(1, n + 1):
-        col = tuple(mat[r][i - 1] for r in range(n))
-        ambient = [0] * (n + 1)
-        for k in range(n + 1):
-            prev = col[k - 1] if k >= 1 else 0
-            cur = col[k] if k < n else 0
-            ambient[k] = cur - prev
-        plus = [k + 1 for k, x in enumerate(ambient) if x == 1]
-        minus = [k + 1 for k, x in enumerate(ambient) if x == -1]
-        if len(plus) != 1 or len(minus) != 1:
-            raise RuntimeError("matrix does not act as a permutation")
-        for key, val in ((i, plus[0]), (i + 1, minus[0])):
-            if perm.setdefault(key, val) != val:
-                raise RuntimeError("inconsistent permutation extraction")
-    return perm
-
-
-def nc_to_set_partition(u: NcElement) -> tuple[tuple[int, ...], ...]:
-    """Cycle partition of {1..rank+1} for a type A element.
+def nc_to_set_partition(rs: RootSystem, moved: int) -> tuple[tuple[int, ...], ...]:
+    """The noncrossing partition of {1..rank+1} of a type A element,
+    from its moved roots R(w): each root alpha_i + ... + alpha_j in R(w)
+    joins the points i and j + 1, and the blocks are the connected
+    components.
 
     Blocks are sorted ascending, and listed by smallest member.
     """
-    perm = _type_a_permutation(u)
-    n = len(u.w.mat)
-    seen: set[int] = set()
-    blocks = []
-    for start in range(1, n + 2):
-        if start in seen:
-            continue
-        block = [start]
-        seen.add(start)
-        cur = perm[start]
-        while cur != start:
-            block.append(cur)
-            seen.add(cur)
-            cur = perm[cur]
-        blocks.append(tuple(sorted(block)))
-    blocks.sort(key=lambda b: b[0])
-    return tuple(blocks)
+    if rs.dynkin.letter != "A":
+        raise ValueError(f"set partitions need type A, not {rs.dynkin}")
+    block = list(range(rs.rank + 2))
+    for k in _bits(moved):
+        root = rs.positive_roots[k]
+        first = root.index(1)
+        old, new = block[first + sum(root) + 1], block[first + 1]
+        block = [new if b == old else b for b in block]
+    blocks: dict[int, list[int]] = {}
+    for point in range(1, rs.rank + 2):
+        blocks.setdefault(block[point], []).append(point)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
 
 
 def _blocks_cross(first, second) -> bool:
@@ -455,23 +421,26 @@ def is_noncrossing_partition(blocks) -> bool:
 
 
 class NcLattice:
-    """The enumerated interval [e, c] with its order structure.
+    """NC(W, c) for the Coxeter element c of an orientation, each element
+    w kept as its moved-root mask R(w).
 
-    Elements are kept in canonical order (lexicographic on flattened
-    matrices) and found by their matrices through `position`;
-    comparisons are cached as up-set and down-set bitmasks, built from
-    the elements' moved-root masks.  In a lattice
+    elements holds the masks in ascending order, lengths their
+    reflection lengths, and index finds an element by its mask.  The
+    order is inclusion of masks (Brady-Watt).  Up-sets and down-sets are
+    built on first use, as bitmasks over the elements; in a lattice
     up(i) & up(j) = up(i v j) and down(i) & down(j) = down(i ^ j), so
     joins and meets are lookups of those masks.
     """
 
-    def __init__(self, rs: RootSystem, c: WeylElement, elements=None):
+    def __init__(self, rs: RootSystem, arrows):
         self.rs = rs
-        self.c = c
-        self.elements = (
-            tuple(elements) if elements is not None else enumerate_nc(rs, c)
-        )
-        self.position = {e.w.mat: i for i, e in enumerate(self.elements)}
+        self.arrows = _orientation(rs, arrows)
+        self.left, self.right = euler_perps(rs, self.arrows)
+        found = enumerate_nc(rs, self.arrows)
+        self.elements = tuple(sorted(found))
+        self.lengths = tuple(found[m] for m in self.elements)
+        self.index = {m: i for i, m in enumerate(self.elements)}
+        self._covers: tuple[tuple[int, int], ...] | None = None
         self._up: list[int] | None = None
         self._down: list[int] | None = None
         self._by_up: dict[int, int] = {}
@@ -481,41 +450,51 @@ class NcLattice:
         return len(self.elements)
 
     def _masks(self):
+        """up[i] is the AND of col[r] over the roots r in R(i), where
+        col[r] holds the elements whose mask has r; down[j] is the AND of
+        the complements of col[r] over the roots r not in R(j)."""
         if self._up is None:
-            moved = [e.moved for e in self.elements]
-            self._up = [
-                sum(1 << j for j, s in enumerate(moved) if r & ~s == 0) for r in moved
-            ]
-            self._down = [
-                sum(1 << i for i, r in enumerate(moved) if r & ~s == 0) for s in moved
-            ]
+            col = [0] * len(self.rs.positive_roots)
+            for i, m in enumerate(self.elements):
+                for r in _bits(m):
+                    col[r] |= 1 << i
+            full = (1 << len(self.elements)) - 1
+            top = (1 << len(col)) - 1
+            self._up, self._down = [], []
+            for m in self.elements:
+                up = down = full
+                for r in _bits(m):
+                    up &= col[r]
+                for r in _bits(top & ~m):
+                    down &= ~col[r]
+                self._up.append(up)
+                self._down.append(down)
             self._by_up = {mask: i for i, mask in enumerate(self._up)}
             self._by_down = {mask: i for i, mask in enumerate(self._down)}
         return self._up, self._down
 
     def leq(self, i: int, j: int) -> bool:
-        up, _ = self._masks()
-        return bool((up[i] >> j) & 1)
+        return self.elements[i] & ~self.elements[j] == 0
 
     def bottom(self) -> int:
-        return next(i for i, e in enumerate(self.elements) if e.length == 0)
+        return self.index[0]
 
     def top(self) -> int:
-        n = self.rs.rank
-        return next(i for i, e in enumerate(self.elements) if e.length == n)
+        return self.index[(1 << len(self.rs.positive_roots)) - 1]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (lower, higher): comparable and one reflection
-        length apart, since [e, c] is graded by reflection length."""
-        up, _ = self._masks()
-        levels = [0] * (self.rs.rank + 2)
-        for i, e in enumerate(self.elements):
-            levels[e.length] |= 1 << i
-        return tuple(
-            (i, j)
-            for i, e in enumerate(self.elements)
-            for j in _bits(up[i] & levels[e.length + 1])
-        )
+        """Cover pairs (lower, higher), ascending: the edges of the walk
+        in enumerate_nc, R(w) & left[b] below R(w) for each b in R(w)."""
+        if self._covers is None:
+            index, left = self.index, self.left
+            self._covers = tuple(
+                sorted(
+                    (index[w & left[b]], i)
+                    for i, w in enumerate(self.elements)
+                    for b in _bits(w)
+                )
+            )
+        return self._covers
 
     def join(self, i: int, j: int) -> int:
         up, _ = self._masks()
@@ -537,16 +516,14 @@ class NcLattice:
 
         Returns indices into rs.positive_roots; the leftmost factor comes
         first.  Greedy: always take the smallest reflection index that
-        drops the length.  By Carter's lemma t*w is shorter than w exactly
-        when the root of t lies in R(w), so that index is the lowest bit
-        of R(w), and t*w is again below c, so it is found in the lattice
-        by its matrix with its R(t*w) already known.
+        drops the length.  t*w is shorter than w exactly when the root b
+        of t lies in R(w) (Carter's lemma), so that index is the lowest
+        bit of R(w), and R(t*w) = R(w) & right[b].
         """
-        refls = reflection_mats(self.rs)
         word = []
-        e = self.elements[i]
-        while e.moved:
-            k = next(_bits(e.moved))
+        moved = self.elements[i]
+        while moved:
+            k = (moved & -moved).bit_length() - 1
             word.append(k)
-            e = self.elements[self.position[int_mat_mul(refls[k], e.w.mat)]]
+            moved &= self.right[k]
         return tuple(word)

@@ -219,11 +219,12 @@ class FunctionLattice:
         )
 
 
-def _guard(count: int, guard: int | None):
+def check_size_guard(count: int, noun: str, guard: int | None = None) -> None:
+    """Refuse count items, named by noun, above the size guard."""
     limit = size_guard_limit() if guard is None else guard
     if count > limit:
         raise SizeGuardError(
-            f"{count} functions exceed the size guard {limit}; "
+            f"{count} {noun} exceed the size guard {limit}; "
             "raise THICKLAT_SIZE_GUARD to proceed"
         )
 
@@ -233,7 +234,7 @@ def all_function_count(
 ) -> int:
     """Number of all functions, len(nc) ** points, under the size guard."""
     count = len(nc) ** len(poset.elements)
-    _guard(count, guard)
+    check_size_guard(count, "functions", guard)
     return count
 
 

@@ -18,32 +18,43 @@ Ext1 between indecomposables.  Every wide subcategory is the closure of
 its simples, which are pairwise Hom-orthogonal bricks, so the
 enumeration closes only Hom-orthogonal sets of indecomposables.
 
-Each wide subcategory is sent to the noncrossing partition given by the
-product of the reflections of its simples, taken in an order with no
-backward morphisms or extensions, and found in NC(W, c) by its matrix.
-By Ingalls-Thomas its moved roots are the subcategory's dimension
-vectors, which is how the bijection is checked.
+Each enumerated subcategory keeps its seed, which is the set of its
+simples, and is sent to the element of NC(W, c) whose moved roots are
+its dimension vectors (Ingalls-Thomas), found in the lattice by that
+mask.  Three sides are computed independently of each other: NC(W, c)
+from the quiver's Euler form (root_system), the subcategories from Hom
+spaces over the field (hom_basis), and the check of the bijection from
+Weyl matrices.  verify_bijection multiplies the reflections of each
+subcategory's simples, in an order with no backward morphisms or
+extensions, and checks that the product w has the number of simples as
+its reflection length, lies below c, and has the subcategory's
+dimension vectors as its moved roots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .linalg import int_identity, int_mat_mul
 from .quiver_rep import (
     DimVector,
     Quiver,
+    _root_system_for,
     base_change,
     euler_form,
     hom_basis,
     indecomposable_dims,
-    kernel_rep,
-    morphism_from_coeffs,
     tree_module,
 )
-from .root_system import NcElement, NcLattice, _bits, coxeter_element, reflection_mats
-from .quiver_rep import _root_system_for
+from .root_system import (
+    NcLattice,
+    WeylElement,
+    _bits,
+    coxeter_element,
+    moved_roots,
+    reflection_length,
+    reflection_mats,
+)
 
 
 @dataclass(frozen=True)
@@ -77,14 +88,6 @@ class BijectionReport:
         return self.is_bijective and self.is_order_isomorphism and not self.failures
 
 
-def _lines(field, n: int):
-    """One nonzero vector of F^n per line through the origin: the vectors
-    whose first nonzero entry is 1."""
-    for lead in range(n):
-        for tail in product(field.elements(), repeat=n - lead - 1):
-            yield (field.zero,) * lead + (field.one,) + tail
-
-
 class _RepContext:
     """Memoized morphism data for all indecomposables of one quiver over
     one finite field, and the wide subcategories once enumerated."""
@@ -100,8 +103,8 @@ class _RepContext:
         self.index = {d: i for i, d in enumerate(self.roots)}
         self.reps = [base_change(tree_module(quiver, d), field) for d in self.roots]
         self._hom: dict[tuple[int, int], int] = {}
-        self._embeds: dict[tuple[int, int], bool] = {}
         self.wides = None
+        self.seeds = None
         self.positions = None
 
     @cached_property
@@ -110,7 +113,7 @@ class _RepContext:
         Its roots are self.roots in the same order, so a mask over the
         indecomposables is also a mask over the moved roots."""
         rs = _root_system_for(self.quiver.dynkin)
-        return NcLattice(rs, coxeter_element(rs, self.quiver.arrows))
+        return NcLattice(rs, self.quiver)
 
     def hom(self, i: int, j: int) -> int:
         key = (i, j)
@@ -145,24 +148,6 @@ class _RepContext:
         for d in dims:
             mask |= 1 << self.index[d]
         return mask
-
-    def embeds(self, i: int, j: int) -> bool:
-        """Whether some injective morphism root i -> root j exists."""
-        key = (i, j)
-        cached = self._embeds.get(key)
-        if cached is not None:
-            return cached
-        field = self.field
-        m, n = self.reps[i], self.reps[j]
-        found = False
-        if all(a <= b for a, b in zip(m.dim, n.dim)) and self.hom(i, j):
-            basis = hom_basis(m, n)
-            found = any(
-                kernel_rep(morphism_from_coeffs(field, basis, c), m).total_dim == 0
-                for c in _lines(field, len(basis))
-            )
-        self._embeds[key] = found
-        return found
 
 
 _CONTEXTS: dict = {}
@@ -235,55 +220,73 @@ def enumerate_thick(quiver: Quiver, field) -> tuple[WideSubcategory, ...]:
     Only sets of indecomposables with no morphisms between distinct
     members are seeded: this reaches every subcategory, since each one
     is the closure of its simples, and Hom-orthogonal bricks are the
-    simples of the wide subcategory they generate (Ringel).
+    simples of exactly one wide subcategory (Ringel).  So each
+    subcategory has one seed, which is kept as its simples.
     """
     ctx = _context(quiver, field)
     if ctx.wides is not None:
         return ctx.wides
-    n = len(ctx.roots)
-    closed_masks = {_close_mask(ctx, seed) for seed in _orthogonal_seed_masks(ctx)}
+    seeds = {}
+    for seed in _orthogonal_seed_masks(ctx):
+        closed = _close_mask(ctx, seed)
+        if closed in seeds:
+            raise RuntimeError("two Hom-orthogonal seeds close to one subcategory")
+        seeds[closed] = seed
     wides = [
-        WideSubcategory(
-            quiver,
-            field,
-            frozenset(ctx.roots[i] for i in range(n) if (mask >> i) & 1),
-        )
-        for mask in closed_masks
+        WideSubcategory(quiver, field, frozenset(ctx.roots[i] for i in _bits(mask)))
+        for mask in seeds
     ]
     wides.sort(key=lambda w: (len(w.dims), w.sorted_dims()))
+    ctx.seeds = seeds
     ctx.wides = tuple(wides)
     return ctx.wides
 
 
 def simples_of(wide: WideSubcategory) -> tuple[DimVector, ...]:
-    """Members with no proper nonzero subobject inside the subcategory,
-    found by scanning injective morphisms from the other members."""
+    """The simples of a wide subcategory, sorted: the Hom-orthogonal
+    seed that the enumeration closed to it."""
     ctx = _context(wide.quiver, wide.field)
-    members = wide.sorted_dims()
-    out = []
-    for d in members:
-        i = ctx.index[d]
-        if any(
-            ctx.embeds(ctx.index[e], i) for e in members if e != d
-        ):
-            continue
-        out.append(d)
-    return tuple(out)
+    enumerate_thick(wide.quiver, wide.field)
+    seed = ctx.seeds.get(ctx.mask_of_dims(wide.dims))
+    if seed is None:
+        raise ValueError("not a wide subcategory")
+    return tuple(sorted(ctx.roots[i] for i in _bits(seed)))
 
 
-def wide_to_nc(wide: WideSubcategory) -> NcElement:
-    """The noncrossing partition of a wide subcategory: the product of
-    the reflections of its simples, taken in an order with no backward
-    morphisms or extensions, as an element of NC(W, c).
-
-    Every such order gives the same product (Ingalls-Thomas), so the
-    reflections are multiplied once, in the order that always takes the
-    first simple with nothing left that must precede it, and the product
-    is looked up in the lattice by its matrix.
-    """
+def wide_to_nc(wide: WideSubcategory) -> int:
+    """The position in NC(W, c) of the noncrossing partition of a wide
+    subcategory: the element whose moved roots are the subcategory's
+    dimension vectors (Ingalls-Thomas), found by that mask."""
     ctx = _context(wide.quiver, wide.field)
-    lattice = ctx.lattice
-    refls = reflection_mats(lattice.rs)
+    position = ctx.lattice.index.get(ctx.mask_of_dims(wide.dims))
+    if position is None:
+        raise ValueError("an image is not below the Coxeter element")
+    return position
+
+
+def nc_positions(quiver: Quiver, field) -> tuple[NcLattice, tuple]:
+    """NC(W, c) for the quiver's Coxeter element, and the position in it
+    of wide_to_nc of each member of enumerate_thick(quiver, field), or
+    None where no element has those moved roots.  Computed once per
+    quiver and field."""
+    ctx = _context(quiver, field)
+    if ctx.positions is None:
+        positions = []
+        for wide in enumerate_thick(quiver, field):
+            try:
+                positions.append(wide_to_nc(wide))
+            except ValueError:
+                positions.append(None)
+        ctx.positions = tuple(positions)
+    return ctx.lattice, ctx.positions
+
+
+def _admissible_word(wide: WideSubcategory) -> list[int]:
+    """The root indices of the simples in an order with no backward
+    morphisms or extensions: the order that always takes the first
+    simple with nothing left that must precede it.  Every such order
+    gives the same product of reflections (Ingalls-Thomas)."""
+    ctx = _context(wide.quiver, wide.field)
     simples = simples_of(wide)
     idx = [ctx.index[d] for d in simples]
     # simples[a] must come before simples[b] when a morphism or an
@@ -302,67 +305,75 @@ def wide_to_nc(wide: WideSubcategory) -> NcElement:
         for b in range(len(idx))
     ]
     remaining = list(range(len(idx)))
-    mat = int_identity(lattice.rs.rank)
+    word = []
     while remaining:
         free = [b for b in remaining if not preceded_by[b].intersection(remaining)]
         if not free:
             raise RuntimeError("no admissible order of the simples exists")
         remaining.remove(free[0])
-        mat = int_mat_mul(mat, refls[idx[free[0]]])
-    position = lattice.position.get(mat)
-    if position is None:
-        raise ValueError("an image is not below the Coxeter element")
-    image = lattice.elements[position]
-    if image.length != len(simples):
-        raise RuntimeError("product length differs from the number of simples")
-    return image
+        word.append(idx[free[0]])
+    return word
 
 
-def nc_positions(quiver: Quiver, field) -> tuple[NcLattice, tuple]:
-    """NC(W, c) for the quiver's Coxeter element, and the position in it
-    of wide_to_nc of each member of enumerate_thick(quiver, field), or
-    None where that product is not below c.  Computed once per quiver
-    and field."""
-    ctx = _context(quiver, field)
-    if ctx.positions is None:
-        positions = []
-        for wide in enumerate_thick(quiver, field):
-            try:
-                positions.append(ctx.lattice.position[wide_to_nc(wide).w.mat])
-            except ValueError:
-                positions.append(None)
-        ctx.positions = tuple(positions)
-    return ctx.lattice, ctx.positions
+def _product(rank: int, mats) -> WeylElement:
+    out = int_identity(rank)
+    for mat in mats:
+        out = int_mat_mul(out, mat)
+    return WeylElement(out)
 
 
 def verify_bijection(quiver: Quiver, field) -> BijectionReport:
     """Check that wide subcategories map bijectively and order
-    isomorphically onto the noncrossing partition lattice.
+    isomorphically onto the noncrossing partition lattice, on the Weyl
+    group side.
 
-    Both orders are inclusion, of dimension vectors and of moved roots
-    (Brady-Watt), so a bijection under which every subcategory's
-    dimension vectors are the moved roots of its image is an order
-    isomorphism; that equality is checked per subcategory.
+    For each subcategory the reflections of its simples are multiplied
+    in an admissible order.  The product w must have the number of
+    simples as its reflection length and lie below c, that is
+    l(w) + l(w^-1 c) = l(c), with w^-1 the reversed product, and the
+    lattice built from the Euler form must hold the subcategory's mask;
+    distinct
+    subcategories must give distinct products, as many as NC(W, c) has
+    elements.  Both orders are inclusion, of dimension vectors and of
+    moved roots (Brady-Watt), so a bijection under which every
+    subcategory's dimension vectors are the moved roots of its image is
+    an order isomorphism; that equality is checked per subcategory.
     """
     wides = enumerate_thick(quiver, field)
     lattice, positions = nc_positions(quiver, field)
     ctx = _context(quiver, field)
+    rs = lattice.rs
+    refls = reflection_mats(rs)
+    c = coxeter_element(rs, quiver)
     failures = []
-    hits = [p for p in positions if p is not None]
-    if len(set(hits)) != len(hits):
+    images = []
+    below = None not in positions
+    for wide in wides:
+        word = _admissible_word(wide)
+        w = _product(rs.rank, [refls[k] for k in word])
+        if reflection_length(w) != len(word):
+            failures.append(
+                "reflection length differs from the number of simples at "
+                f"{wide.sorted_dims()}"
+            )
+        rest = _product(rs.rank, [refls[k] for k in reversed(word)] + [c.mat])
+        below &= reflection_length(w) + reflection_length(rest) == rs.rank
+        images.append(w)
+    injective = len(set(images)) == len(images)
+    if not injective:
         failures.append("map is not injective")
-    if len(hits) != len(positions):
+    if not below:
         failures.append("an image is not below the Coxeter element")
-    is_bijective = len(set(hits)) == len(wides) == len(lattice)
+    is_bijective = injective and below and len(wides) == len(lattice)
     if len(wides) != len(lattice):
         failures.append(
             f"count mismatch: {len(wides)} subcategories vs {len(lattice)} partitions"
         )
     # an image outside the lattice leaves no order to compare with
-    is_order_iso = len(hits) == len(positions)
+    is_order_iso = below
     if is_order_iso:
-        for wide, p in zip(wides, positions):
-            if ctx.mask_of_dims(wide.dims) != lattice.elements[p].moved:
+        for wide, w in zip(wides, images):
+            if ctx.mask_of_dims(wide.dims) != moved_roots(rs, w):
                 is_order_iso = False
                 failures.append(
                     "moved roots differ from the dimension vectors at "

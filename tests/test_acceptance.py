@@ -39,7 +39,6 @@ from thicklat.root_system import (
     NcLattice,
     build_root_system,
     catalan_number,
-    coxeter_element,
     nc_to_set_partition,
 )
 from thicklat.spec_model import (
@@ -56,8 +55,7 @@ from thicklat.thick_enum import enumerate_thick, verify_bijection, wide_closure
 
 def nc_lattice(name: str) -> NcLattice:
     dynkin = DynkinType.parse(name)
-    rs = build_root_system(dynkin)
-    return NcLattice(rs, coxeter_element(rs, default_orientation(dynkin)))
+    return NcLattice(build_root_system(dynkin), default_orientation(dynkin))
 
 
 def report(number: int, text: str) -> None:
@@ -69,11 +67,13 @@ def test_criterion_1_figure1_reproduction():
     lattice = nc_lattice("A2")
     assert len(lattice) == 5
     assert len(lattice.covers()) == 6
-    partitions = {nc_to_set_partition(e) for e in lattice.elements}
+    partitions = {nc_to_set_partition(lattice.rs, e) for e in lattice.elements}
     assert ((1, 2, 3),) in partitions
     assert ((1,), (2,), (3,)) in partitions
     atoms = {
-        nc_to_set_partition(e) for e in lattice.elements if e.length == 1
+        nc_to_set_partition(lattice.rs, e)
+        for e, length in zip(lattice.elements, lattice.lengths)
+        if length == 1
     }
     assert atoms == {
         ((1, 2), (3,)),
@@ -107,20 +107,28 @@ def test_criterion_3_catalan_counts():
         "D4": 50,
         "D5": 182,
         "E6": 833,
+        "E7": 4160,
+        "E8": 25080,
     }
     timings = {}
     for name, count in expected.items():
         start = time.perf_counter()
         lattice = nc_lattice(name)
+        covers = lattice.covers()
+        labels = [lattice.reflection_factorization(i) for i in range(len(lattice))]
         timings[name] = time.perf_counter() - start
-        assert len(lattice) == count, name
+        assert len(lattice) == len(set(labels)) == count, name
+        lengths = lattice.lengths
+        assert all(lengths[j] == lengths[i] + 1 for i, j in covers), name
         assert catalan_number(DynkinType.parse(name)) == count, name
-    assert timings["E6"] < 60.0
-    assert all(t < 5.0 for n, t in timings.items() if n != "E6")
+    assert timings["E6"] < 1.0
+    assert timings["E7"] < 3.0 and timings["E8"] < 3.0
+    assert all(t < 0.5 for n, t in timings.items() if n[0] != "E")
     report(
         3,
-        "enumeration sizes 2, 5, 14, 42, 50, 182, 833 match the degree "
-        f"product formula (E6 {timings['E6']:.2f}s)",
+        "enumeration sizes 2, 5, 14, 42, 50, 182, 833, 4160, 25080 match the "
+        f"degree product formula (E6 {timings['E6']:.2f}s, "
+        f"E8 {timings['E8']:.2f}s with covers and labels)",
     )
 
 

@@ -21,7 +21,10 @@ from thicklat.linalg import GF
 from thicklat.quiver_rep import default_orientation
 from thicklat.root_system import DynkinType
 from thicklat.spec_model import MAX_POSET_POINTS
+from thicklat import thick_enum
 from thicklat.thick_enum import enumerate_thick
+
+from test_quiver_rep import orientations
 
 
 def run_cli(args):
@@ -145,6 +148,24 @@ PINNED_STDOUT = {
         "9007119bc99a0f6ee2bc8d585d7e54f4b2b45fbb678d6d9eda5eb52adb386adc",
     "nc --type D5":
         "ae356034c4d4994b25e5a48a41ea950492cc2e2af8cbd433efd6e73bcaf4bb45",
+    # recorded before NC(W, c) was computed from the Euler form
+    "nc --type E6 --format dot":
+        "897c76284b39be67a3cbf28c82218cc193900cc3f85b21bb5609eb412f507217",
+    "nc --type A5":
+        "6e3a7576a7b815d898ca304d53d0d7ecfb817bb2f4d1bee458fedc1d900a966d",
+    "thick --type D5 --field 2 --verify":
+        "2d00b85eebef56943aafdbfa79c320439012f7523dc48e0a2ca55287ea6c6139",
+    "thick --type D4 --field 3 --format dot":
+        "875406db7521ab635d6712b8032f68ec0cd1ca667640460ffe9b614b513bd08c",
+}
+
+# SHA-256 of the nc JSON followed by the thick --field 2 JSON of every
+# orientation in turn, recorded before NC(W, c) was computed from the
+# Euler form
+PINNED_ORIENTATIONS = {
+    "A4": "c264004ecea079cc99a985b1b9bd9a583f8bd0840f8d6d58eec79a177345d9d2",
+    "D4": "41d33f281a2091b05dd04ed918f66025206eaac47e68d8bc29b19991cf3a31e6",
+    "D5": "2f9648846e6a448fdd4c978d4e959623fcfcd955ace5054610a8951f68fd5558",
 }
 
 
@@ -153,6 +174,19 @@ def test_stdout_bytes_are_pinned(command):
     code, out, _ = run_cli(command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ORIENTATIONS))
+def test_every_orientation_is_pinned(name, monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    digest = hashlib.sha256()
+    for quiver in orientations(name):
+        arrows = ",".join(f"{s}>{t}" for s, t in quiver.arrows)
+        for args in (["nc"], ["thick", "--field", "2"]):
+            code, out, _ = run_cli(args + ["--type", name, "--orientation", arrows])
+            assert code == 0
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == PINNED_ORIENTATIONS[name]
 
 
 @pytest.mark.parametrize(
@@ -385,6 +419,37 @@ def test_specfn_size_guard(monkeypatch):
     )
     assert code == 1
     assert "125" in err and "THICKLAT_SIZE_GUARD" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nc", "--count"],
+        ["thick", "--field", "2", "--count"],
+        ["specfn", "--poset", "point"],
+    ],
+)
+def test_lattice_commands_refuse_types_over_the_size_guard_quickly(args):
+    start = time.perf_counter()
+    code, out, err = run_cli(args[:1] + ["--type", "A14"] + args[1:])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == (
+        "thicklat: error: 9694845 elements exceed the size guard 100000; "
+        "raise THICKLAT_SIZE_GUARD to proceed\n"
+    )
+
+
+def test_nc_size_guard_is_the_catalan_number(monkeypatch):
+    monkeypatch.setenv("THICKLAT_SIZE_GUARD", "41")
+    code, out, err = run_cli(["nc", "--type", "A4", "--count"])
+    assert code == 1 and out == ""
+    assert err == (
+        "thicklat: error: 42 elements exceed the size guard 41; "
+        "raise THICKLAT_SIZE_GUARD to proceed\n"
+    )
+    monkeypatch.setenv("THICKLAT_SIZE_GUARD", "42")
+    assert run_cli(["nc", "--type", "A4", "--count"]) == (0, "42\n", "")
 
 
 def test_specfn_refuses_posets_over_the_point_cap_quickly(tmp_path):

@@ -10,7 +10,6 @@ from thicklat.root_system import (
     DynkinType,
     NcLattice,
     build_root_system,
-    coxeter_element,
     is_noncrossing_partition,
     nc_to_set_partition,
 )
@@ -19,8 +18,7 @@ from thicklat.spec_model import lattice_iso, monotone_functions, poset_chain
 
 def nc_a2() -> NcLattice:
     dynkin = DynkinType.parse("A2")
-    rs = build_root_system(dynkin)
-    return NcLattice(rs, coxeter_element(rs, default_orientation(dynkin)))
+    return NcLattice(build_root_system(dynkin), default_orientation(dynkin))
 
 
 def test_figure1_nodes_are_the_noncrossing_partitions():
@@ -37,15 +35,9 @@ def test_figure1_nodes_are_the_noncrossing_partitions():
 
 def test_figure1_matches_computed_lattice():
     lattice = nc_a2()
-    partitions = {nc_to_set_partition(e) for e in lattice.elements}
-    assert partitions == set(FIGURE1_NODES)
-    computed = {
-        (
-            nc_to_set_partition(lattice.elements[i]),
-            nc_to_set_partition(lattice.elements[j]),
-        )
-        for i, j in lattice.covers()
-    }
+    partitions = [nc_to_set_partition(lattice.rs, e) for e in lattice.elements]
+    assert set(partitions) == set(FIGURE1_NODES)
+    computed = {(partitions[i], partitions[j]) for i, j in lattice.covers()}
     assert computed == set(FIGURE1_COVERS)
     assert len(FIGURE1_COVERS) == 6
 

@@ -11,10 +11,10 @@ from thicklat.root_system import (
     NcLattice,
     build_root_system,
     catalan_number,
-    coxeter_element,
 )
 from thicklat.thick_enum import enumerate_thick, verify_bijection
 
+from nc_oracle import assert_mask_lattice_matches_oracle
 from test_root_system import (
     assert_atoms_and_coatoms,
     assert_factorizations_match_moved_roots_oracle,
@@ -33,9 +33,7 @@ long_tests = pytest.mark.skipif(
 @long_tests
 def test_e7_enumeration_count():
     dynkin = DynkinType.parse("E7")
-    rs = build_root_system(dynkin)
-    c = coxeter_element(rs, default_orientation(dynkin))
-    lattice = NcLattice(rs, c)
+    lattice = NcLattice(build_root_system(dynkin), default_orientation(dynkin))
     assert len(lattice) == catalan_number(dynkin) == 4160
     assert_atoms_and_coatoms(lattice)
 
@@ -102,3 +100,17 @@ def test_e6_closure_matches_pairwise_fixed_point():
     assert_closure_matches_fixed_point(
         default_orientation(DynkinType.parse("E6")), GF(2)
     )
+
+
+@long_tests
+def test_every_e6_orientation_matches_matrix_walk():
+    rs = build_root_system(DynkinType.parse("E6"))
+    for quiver in orientations("E6"):
+        assert_mask_lattice_matches_oracle(NcLattice(rs, quiver))
+
+
+@long_tests
+def test_sampled_e7_orientations_match_matrix_walk():
+    rs = build_root_system(DynkinType.parse("E7"))
+    for quiver in random.Random(7).sample(list(orientations("E7")), 4):
+        assert_mask_lattice_matches_oracle(NcLattice(rs, quiver))

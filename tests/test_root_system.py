@@ -3,11 +3,10 @@ import itertools
 
 import pytest
 
-from thicklat.linalg import int_mat_mul
+from thicklat.linalg import int_identity, int_mat_mul
 from thicklat.quiver_rep import default_orientation
 from thicklat.root_system import (
     DynkinType,
-    NcElement,
     NcLattice,
     WeylElement,
     build_root_system,
@@ -15,13 +14,16 @@ from thicklat.root_system import (
     coxeter_element,
     enumerate_nc,
     is_noncrossing_partition,
-    nc_leq,
     nc_to_set_partition,
     moved_roots,
     reflection,
     reflection_length,
+    reflection_mats,
     simple_reflection,
 )
+
+from nc_oracle import NcOracle, assert_mask_lattice_matches_oracle, int_mat_inverse
+from test_quiver_rep import orientations
 
 POSITIVE_ROOT_COUNTS = {
     "A1": 1,
@@ -48,38 +50,50 @@ CATALAN = {
 
 def nc_lattice(name: str) -> NcLattice:
     dynkin = DynkinType.parse(name)
-    rs = build_root_system(dynkin)
-    c = coxeter_element(rs, default_orientation(dynkin))
-    return NcLattice(rs, c)
+    return NcLattice(build_root_system(dynkin), default_orientation(dynkin))
 
 
-def _rank_leq(u: NcElement, w: NcElement) -> bool:
-    """Oracle for the absolute order from its definition: reflection
-    lengths add up along u, u^-1 w, w."""
-    rest = WeylElement(int_mat_mul(u.w.inverse_mat(), w.w.mat))
-    return u.length + reflection_length(rest) == w.length
+def weyl_elements(lattice: NcLattice) -> list[WeylElement]:
+    """The Weyl element of each node: the product of its label's
+    reflections, leftmost factor first."""
+    refls = reflection_mats(lattice.rs)
+    out = []
+    for i in range(len(lattice)):
+        mat = int_identity(lattice.rs.rank)
+        for k in lattice.reflection_factorization(i):
+            mat = int_mat_mul(mat, refls[k])
+        out.append(WeylElement(mat))
+    return out
+
+
 
 
 def assert_atoms_and_coatoms(lattice: NcLattice):
     """Every reflection t lies below c, so the atoms are the reflections
     and the coatoms the c*t, one of each per positive root."""
-    rs, elems = lattice.rs, lattice.elements
+    rs, weyl = lattice.rs, weyl_elements(lattice)
     bottom, top = lattice.bottom(), lattice.top()
     covers = lattice.covers()
-    atoms = {elems[j].w for i, j in covers if i == bottom}
-    coatoms = {elems[i].w for i, j in covers if j == top}
+    atoms = {weyl[j] for i, j in covers if i == bottom}
+    coatoms = {weyl[i] for i, j in covers if j == top}
     refls = [reflection(rs, r) for r in rs.positive_roots]
+    c = coxeter_element(rs, lattice.arrows)
     assert len(atoms) == len(coatoms) == len(rs.positive_roots)
     assert atoms == set(refls)
-    assert coatoms == {lattice.c * t for t in refls}
+    assert coatoms == {c * t for t in refls}
 
 
 def assert_order_matches_rank_oracle(lattice: NcLattice):
-    elems = lattice.elements
-    for i, u in enumerate(elems):
-        for j, w in enumerate(elems):
-            expected = _rank_leq(u, w)
-            assert nc_leq(u, w) == expected
+    """The order against its definition: u <= w iff reflection lengths
+    add up along u, u^-1 w, w."""
+    weyl = weyl_elements(lattice)
+    for i, u in enumerate(weyl):
+        inverse = int_mat_inverse(u.mat)
+        for j, w in enumerate(weyl):
+            rest = WeylElement(int_mat_mul(inverse, w.mat))
+            expected = (
+                reflection_length(u) + reflection_length(rest) == reflection_length(w)
+            )
             assert lattice.leq(i, j) == expected
 
 
@@ -191,41 +205,43 @@ def test_enumerate_nc_counts(name):
 
 
 def test_enumerate_nc_is_deterministic():
-    a = nc_lattice("A3").elements
-    b = nc_lattice("A3").elements
-    assert [e.w.mat for e in a] == [e.w.mat for e in b]
+    a, b = nc_lattice("A3"), nc_lattice("A3")
+    assert a.elements == b.elements and a.lengths == b.lengths
+    dynkin = DynkinType.parse("A3")
+    found = enumerate_nc(build_root_system(dynkin), default_orientation(dynkin))
+    assert a.elements == tuple(sorted(found))
+    assert a.lengths == tuple(found[m] for m in a.elements)
 
 
 def test_nc_element_rejects_outsiders():
-    dynkin = DynkinType.parse("A3")
-    rs = build_root_system(dynkin)
-    c = coxeter_element(rs, default_orientation(dynkin))
-    inside = {e.w.mat for e in enumerate_nc(rs, c)}
+    """The products of two reflections that the lattice holds are those
+    below c by the length identity l(w) + l(w^-1 c) = l(c)."""
+    lattice = nc_lattice("A3")
+    rs = lattice.rs
+    c = coxeter_element(rs, lattice.arrows)
+    inside = set(weyl_elements(lattice))
     refls = [reflection(rs, r) for r in rs.positive_roots]
     rejected = 0
     for t, u in itertools.product(refls, repeat=2):
         w = WeylElement(int_mat_mul(t.mat, u.mat))
-        if w.mat in inside:
-            NcElement(rs, w, c)  # should not raise
-        else:
-            with pytest.raises(ValueError):
-                NcElement(rs, w, c)
-            rejected += 1
+        rest = WeylElement(int_mat_mul(int_mat_inverse(w.mat), c.mat))
+        below = reflection_length(w) + reflection_length(rest) == rs.rank
+        assert (w in inside) == below
+        rejected += not below
     assert rejected > 0
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_nc_partial_order_axioms(name):
     lattice = nc_lattice(name)
-    elems = lattice.elements
-    n = len(elems)
+    n = len(lattice)
     for i in range(n):
         assert lattice.leq(i, i)
     for i in range(n):
         for j in range(n):
             if i != j and lattice.leq(i, j):
                 assert not lattice.leq(j, i)
-                assert elems[i].length < elems[j].length
+                assert lattice.lengths[i] < lattice.lengths[j]
     for i in range(n):
         for j in range(n):
             if not lattice.leq(i, j):
@@ -282,23 +298,19 @@ def test_join_and_meet_match_linear_scan(name):
 
 
 def test_join_and_meet_raise_outside_a_lattice():
-    full = nc_lattice("A3")
-    atoms = [e for e in full.elements if e.length == 1][:2]
-    bottom, top = full.elements[full.bottom()], full.elements[full.top()]
-    two_atoms = NcLattice(full.rs, full.c, atoms)
+    """A join or meet whose bound set matches no element raises: here the
+    lookups lose the join of two atoms, then the bottom."""
+    lattice = nc_lattice("A3")
+    a, b = [i for i in range(len(lattice)) if lattice.lengths[i] == 1][:2]
+    up, down = lattice._masks()
+    del lattice._by_up[up[lattice.join(a, b)]]
     with pytest.raises(RuntimeError, match="join does not exist"):
-        two_atoms.join(0, 1)
+        lattice.join(a, b)
+    assert lattice.meet(a, b) == lattice.bottom()
+    del lattice._by_down[down[lattice.bottom()]]
     with pytest.raises(RuntimeError, match="meet does not exist"):
-        two_atoms.meet(0, 1)
-    # with a bottom but no top only the join is missing, and vice versa
-    with_bottom = NcLattice(full.rs, full.c, [bottom] + atoms)
-    assert with_bottom.meet(1, 2) == 0
-    with pytest.raises(RuntimeError, match="join does not exist"):
-        with_bottom.join(1, 2)
-    with_top = NcLattice(full.rs, full.c, atoms + [top])
-    assert with_top.join(0, 1) == 2
-    with pytest.raises(RuntimeError, match="meet does not exist"):
-        with_top.meet(0, 1)
+        lattice.meet(a, b)
+    assert lattice.join(a, lattice.top()) == lattice.top()
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "D5"])
@@ -320,27 +332,27 @@ def test_covers_are_transitive_reduction():
             assert ((i, j) in covers) == (strict and not between)
     # covers raise length by exactly one
     for i, j in covers:
-        assert lattice.elements[j].length == lattice.elements[i].length + 1
+        assert lattice.lengths[j] == lattice.lengths[i] + 1
 
 
 @pytest.mark.parametrize("name,points", [("A1", 2), ("A2", 3), ("A3", 4)])
 def test_type_a_set_partitions(name, points):
     lattice = nc_lattice(name)
     seen = set()
-    for element in lattice.elements:
-        blocks = nc_to_set_partition(element)
+    for element, length in zip(lattice.elements, lattice.lengths):
+        blocks = nc_to_set_partition(lattice.rs, element)
         seen.add(blocks)
         covered = sorted(x for b in blocks for x in b)
         assert covered == list(range(1, points + 1))
         assert is_noncrossing_partition(blocks)
         # block count tracks the reflection length
-        assert len(blocks) == points - element.length
+        assert len(blocks) == points - length
     assert len(seen) == len(lattice)
 
 
 def test_type_a_order_is_refinement_order():
     lattice = nc_lattice("A3")
-    parts = [nc_to_set_partition(e) for e in lattice.elements]
+    parts = [nc_to_set_partition(lattice.rs, e) for e in lattice.elements]
 
     def refines(p, q):
         return all(any(set(b) <= set(c) for c in q) for b in p)
@@ -361,20 +373,17 @@ def test_is_noncrossing_partition_detects_crossings():
 def test_reflection_factorization_properties(name):
     rs = build_root_system(DynkinType.parse(name))
     lattice = nc_lattice(name)
+    mats = NcOracle(rs, lattice.arrows).mat_of
     refls = [reflection(rs, r) for r in rs.positive_roots]
     for i, element in enumerate(lattice.elements):
         factors = lattice.reflection_factorization(i)
-        assert len(factors) == element.length
-        prod = WeylElement(
-            tuple(
-                tuple(1 if i == j else 0 for j in range(rs.rank))
-                for i in range(rs.rank)
-            )
-        )
+        assert len(factors) == lattice.lengths[i]
+        prod = WeylElement(int_identity(rs.rank))
         # leftmost factor first: w = t_{i1} t_{i2} ... t_{ik}
         for idx in factors:
             prod = WeylElement(int_mat_mul(prod.mat, refls[idx].mat))
-        assert prod.mat == element.w.mat
+        assert prod.mat == mats[element]
+        assert moved_roots(rs, prod) == element
 
 
 def _greedy_factorization(rs, w):
@@ -399,9 +408,10 @@ def _greedy_factorization(rs, w):
 def test_reflection_factorization_matches_greedy_oracle(name):
     rs = build_root_system(DynkinType.parse(name))
     lattice = nc_lattice(name)
+    mats = NcOracle(rs, lattice.arrows).mat_of
     for i, element in enumerate(lattice.elements):
         assert lattice.reflection_factorization(i) == _greedy_factorization(
-            rs, element.w
+            rs, WeylElement(mats[element])
         )
 
 
@@ -421,9 +431,10 @@ def moved_roots_factorization(rs, w):
 
 
 def assert_factorizations_match_moved_roots_oracle(lattice):
+    mats = NcOracle(lattice.rs, lattice.arrows).mat_of
     for i, element in enumerate(lattice.elements):
         assert lattice.reflection_factorization(i) == moved_roots_factorization(
-            lattice.rs, element.w
+            lattice.rs, WeylElement(mats[element])
         )
 
 
@@ -435,18 +446,19 @@ def test_reflection_factorization_matches_moved_roots_oracle(name):
 def test_reflection_factorization_in_any_orientation():
     dynkin = DynkinType.parse("D5")
     rs = build_root_system(dynkin)
-    c = coxeter_element(rs, ((2, 1), (3, 2), (3, 4), (5, 3)))
-    assert_factorizations_match_moved_roots_oracle(NcLattice(rs, c))
+    arrows = ((2, 1), (3, 2), (3, 4), (5, 3))
+    assert_factorizations_match_moved_roots_oracle(NcLattice(rs, arrows))
 
 
 def test_reflection_factorization_is_lex_minimal():
     """Oracle: exhaustive search over all shortest reflection words."""
     rs = build_root_system(DynkinType.parse("A3"))
     lattice = nc_lattice("A3")
+    mats = NcOracle(rs, lattice.arrows).mat_of
     refls = [reflection(rs, r) for r in rs.positive_roots]
     nrefl = len(refls)
     for i, element in enumerate(lattice.elements):
-        k = element.length
+        k = lattice.lengths[i]
         best = None
         for word in itertools.product(range(nrefl), repeat=k):
             prod_mat = None
@@ -461,7 +473,7 @@ def test_reflection_factorization_is_lex_minimal():
                     tuple(1 if i == j else 0 for j in range(rs.rank))
                     for i in range(rs.rank)
                 )
-            if prod_mat == element.w.mat and (best is None or word < best):
+            if prod_mat == mats[element] and (best is None or word < best):
                 best = word
         assert lattice.reflection_factorization(i) == best
 
@@ -475,3 +487,22 @@ def test_coxeter_element_rejects_wrong_diagram():
 
     with pytest.raises(ValueError):
         coxeter_element(rs, FakeQuiver())
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+def test_mask_lattice_matches_matrix_walk_in_every_orientation(name):
+    rs = build_root_system(DynkinType.parse(name))
+    for quiver in orientations(name):
+        assert_mask_lattice_matches_oracle(NcLattice(rs, quiver))
+
+
+def test_nc_lattice_rejects_wrong_diagram():
+    rs = build_root_system(DynkinType.parse("A3"))
+    with pytest.raises(ValueError):
+        NcLattice(rs, ((1, 2), (1, 3)))
+
+
+def test_set_partitions_need_type_a():
+    lattice = nc_lattice("D4")
+    with pytest.raises(ValueError, match="type A"):
+        nc_to_set_partition(lattice.rs, lattice.elements[lattice.top()])

@@ -7,7 +7,7 @@ import pytest
 
 from thicklat.figures import FIGURE2_COVERS, FIGURE2_NODE_COUNT
 from thicklat.quiver_rep import Quiver, default_orientation
-from thicklat.root_system import DynkinType, NcLattice, build_root_system, coxeter_element
+from thicklat.root_system import DynkinType, NcLattice, build_root_system
 from thicklat.spec_model import (
     MAX_POSET_POINTS,
     FinitePoset,
@@ -29,8 +29,7 @@ from thicklat.spec_model import (
 
 def nc_lattice(name: str) -> NcLattice:
     dynkin = DynkinType.parse(name)
-    rs = build_root_system(dynkin)
-    return NcLattice(rs, coxeter_element(rs, default_orientation(dynkin)))
+    return NcLattice(build_root_system(dynkin), default_orientation(dynkin))
 
 
 def brute_covers(lattice):
@@ -385,8 +384,7 @@ def test_lattice_iso_on_nc_lattices():
     rs = build_root_system(DynkinType.parse("A2"))
     from thicklat.quiver_rep import Quiver
 
-    reversed_c = coxeter_element(rs, Quiver(DynkinType.parse("A2"), ((2, 1),)))
-    b = NcLattice(rs, reversed_c)
+    b = NcLattice(rs, Quiver(DynkinType.parse("A2"), ((2, 1),)))
     assert lattice_iso(a, b) is not None
 
 
@@ -395,7 +393,7 @@ def reversed_nc_lattice(name: str) -> NcLattice:
     dynkin = DynkinType.parse(name)
     rs = build_root_system(dynkin)
     quiver = Quiver(dynkin, tuple((t, s) for s, t in dynkin.diagram_edges()))
-    return NcLattice(rs, coxeter_element(rs, quiver))
+    return NcLattice(rs, quiver)
 
 
 def test_lattice_iso_agrees_with_networkx():

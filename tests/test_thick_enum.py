@@ -26,16 +26,12 @@ from thicklat.root_system import (
     DynkinType,
     NcLattice,
     build_root_system,
-    coxeter_element,
-    nc_leq,
     reflection,
-    reflection_mats,
 )
 from thicklat import thick_enum
 from thicklat.thick_enum import (
     WideSubcategory,
     _context,
-    _lines,
     enumerate_thick,
     nc_positions,
     simples_of,
@@ -43,6 +39,8 @@ from thicklat.thick_enum import (
     wide_closure,
     wide_to_nc,
 )
+
+from nc_oracle import NcOracle, embeds, lines, oracle_simples
 
 THICK_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "D4": 50}
 
@@ -171,21 +169,21 @@ def test_wide_to_nc_lengths_and_order():
         quiver = quiver_of(name)
         field = GF(p)
         rs = build_root_system(quiver.dynkin)
-        c = coxeter_element(rs, quiver)
-        lattice = NcLattice(rs, c)
+        lattice = NcLattice(rs, quiver)
         wides = enumerate_thick(quiver, field)
         images = [wide_to_nc(w) for w in wides]
         # bijective onto the lattice
         assert len(set(images)) == len(lattice) == len(wides)
-        assert set(images) == set(lattice.elements)
+        assert set(images) == set(range(len(lattice)))
         for wide, image in zip(wides, images):
-            assert image.length == len(simples_of(wide))
+            assert lattice.lengths[image] == len(simples_of(wide))
             # Ingalls-Thomas: the dimension vectors are the moved roots
-            moved = {r for k, r in enumerate(rs.positive_roots) if image.moved >> k & 1}
-            assert moved == wide.dims
+            moved = lattice.elements[image]
+            roots = rs.positive_roots
+            assert {r for k, r in enumerate(roots) if moved >> k & 1} == wide.dims
         # inclusions map to the absolute order in both directions
         for (w1, u1), (w2, u2) in itertools.product(zip(wides, images), repeat=2):
-            assert (w1.dims <= w2.dims) == nc_leq(u1, u2)
+            assert (w1.dims <= w2.dims) == lattice.leq(u1, u2)
 
 
 def test_subcategory_order_matches_simple_counts():
@@ -234,12 +232,12 @@ def pair_mask(ctx, i, j):
         m, n = ctx.reps[i], ctx.reps[j]
         dims = {m.dim, n.dim}
         basis = hom_basis(m, n)
-        for coeffs in _lines(field, len(basis)):
+        for coeffs in lines(field, len(basis)):
             phi = morphism_from_coeffs(field, basis, coeffs)
             dims.update(decompose_dims(kernel_rep(phi, m)))
             dims.update(decompose_dims(cokernel_rep(phi, n)))
         ext_basis = ext_cocycle_basis(m, n)
-        for coeffs in _lines(field, len(ext_basis)):
+        for coeffs in lines(field, len(ext_basis)):
             psi = morphism_from_coeffs(field, ext_basis, coeffs)
             dims.update(decompose_dims(extension_middle(m, n, psi)))
         _PAIR_MASKS[key] = ctx.mask_of_dims(dims)
@@ -316,7 +314,7 @@ def _brute_embeds(field, m, n):
 def test_lines_give_one_vector_per_line(p):
     field = GF(p)
     for n in range(4):
-        reps = list(_lines(field, n))
+        reps = list(lines(field, n))
         assert len(reps) == (p**n - 1) // (p - 1)
         for vec in reps:
             assert next(x for x in vec if x != 0) == 1
@@ -340,7 +338,7 @@ def test_pair_mask_and_embeds_match_brute_force(name, p):
             assert pair_mask(ctx, i, j) == ctx.mask_of_dims(
                 _brute_pair_dims(field, m, n)
             ), (m.dim, n.dim)
-            assert ctx.embeds(i, j) == _brute_embeds(field, m, n), (m.dim, n.dim)
+            assert embeds(ctx, i, j) == _brute_embeds(field, m, n), (m.dim, n.dim)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -355,6 +353,20 @@ def test_euler_form_precedence_matches_ext_cocycles(p):
             assert ctx.ext(a, b) == len(
                 ext_cocycle_basis(ctx.reps[a], ctx.reps[b])
             ), (name, ctx.roots[a], ctx.roots[b])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("oriented", [False, True])
+@pytest.mark.parametrize("name", ["A4", "D4", "D5"])
+def test_euler_form_perpendiculars_match_the_hom_table(name, oriented, p):
+    """The lattice's Euler-form rows left[b] = {g : <g, b> = 0} and
+    right[b] = {g : <b, g> = 0} are the perpendicular rows that the
+    closure reads off Hom and Ext1 over the field."""
+    dynkin = DynkinType.parse(name)
+    quiver = Quiver(dynkin, OTHER_ORIENTATIONS[name]) if oriented else quiver_of(name)
+    ctx = _context(quiver, GF(p))
+    left, right, _ = ctx.perp
+    assert (tuple(left), tuple(right)) == (ctx.lattice.left, ctx.lattice.right)
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D5", "E6"])
@@ -467,8 +479,13 @@ def all_order_products(wide):
 
 
 def assert_all_orders_agree(quiver, field):
+    """Every admissible order gives the element of NC(W, c) whose moved
+    roots are the dimension vectors, as the matrix walk finds it."""
+    ctx = _context(quiver, field)
+    mats = NcOracle(ctx.lattice.rs, quiver).mat_of
     for wide in enumerate_thick(quiver, field):
-        assert all_order_products(wide) == {wide_to_nc(wide).w.mat}, wide.dims
+        image = mats[ctx.mask_of_dims(wide.dims)]
+        assert all_order_products(wide) == {image}, wide.dims
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
@@ -490,10 +507,11 @@ def test_bijection_report_flags_images_with_other_moved_roots(monkeypatch):
     monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
     quiver, field = quiver_of("A3"), GF(2)
     wides = enumerate_thick(quiver, field)
-    _, positions = nc_positions(quiver, field)
-    # the empty and the full subcategory trade images: still a bijection
-    swapped = (positions[-1],) + positions[1:-1] + (positions[0],)
-    _context(quiver, field).positions = swapped
+    ctx = _context(quiver, field)
+    # the empty and the full subcategory trade simples, so their products
+    # of reflections trade places: still a bijection
+    empty, full = (ctx.mask_of_dims(w.dims) for w in (wides[0], wides[-1]))
+    ctx.seeds[empty], ctx.seeds[full] = ctx.seeds[full], ctx.seeds[empty]
     report = verify_bijection(quiver, field)
     assert report.is_bijective and not report.is_order_isomorphism
     assert not report.ok
@@ -508,11 +526,42 @@ def test_bijection_report_flags_products_outside_the_lattice(monkeypatch):
     quiver, field = quiver_of("A2"), GF(2)
     ctx = _context(quiver, field)
     atom = next(w for w in enumerate_thick(quiver, field) if len(w.dims) == 1)
-    del ctx.lattice.position[wide_to_nc(atom).w.mat]
+    del ctx.lattice.index[ctx.mask_of_dims(atom.dims)]
     with pytest.raises(ValueError, match="not below the Coxeter element"):
         wide_to_nc(atom)
     report = verify_bijection(quiver, field)
     assert not report.ok
+    assert not report.is_bijective and not report.is_order_isomorphism
+    assert report.failures == ("an image is not below the Coxeter element",)
+
+
+def test_bijection_report_flags_products_that_coincide(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    quiver, field = quiver_of("A3"), GF(2)
+    wides = enumerate_thick(quiver, field)
+    ctx = _context(quiver, field)
+    # the empty subcategory takes the simples of the full one
+    empty, full = (ctx.mask_of_dims(w.dims) for w in (wides[0], wides[-1]))
+    ctx.seeds[empty] = ctx.seeds[full]
+    report = verify_bijection(quiver, field)
+    assert not report.is_bijective and not report.is_order_isomorphism
+    assert report.failures == (
+        "map is not injective",
+        f"moved roots differ from the dimension vectors at {wides[0].sorted_dims()}",
+    )
+
+
+def test_bijection_report_flags_products_not_below_c(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    quiver, field = quiver_of("A3"), GF(2)
+    # check the products against the Coxeter element of the opposite
+    # orientation, which not all of them lie below
+    opposite = Quiver(quiver.dynkin, tuple((t, s) for s, t in quiver.arrows))
+    coxeter = thick_enum.coxeter_element
+    monkeypatch.setattr(
+        thick_enum, "coxeter_element", lambda rs, _: coxeter(rs, opposite)
+    )
+    report = verify_bijection(quiver, field)
     assert not report.is_bijective and not report.is_order_isomorphism
     assert report.failures == ("an image is not below the Coxeter element",)
 
@@ -523,11 +572,12 @@ def assert_pair_closures_are_joins(quiver, field):
     vectors."""
     ctx = _context(quiver, field)
     lattice = ctx.lattice
-    atoms = [lattice.position[t] for t in reflection_mats(lattice.rs)]
+    # the reflection in root k moves only that root
+    atoms = [lattice.index[1 << k] for k in range(len(ctx.roots))]
     for a, b in itertools.combinations_with_replacement(range(len(ctx.roots)), 2):
         closed = wide_closure(quiver, field, {ctx.roots[a], ctx.roots[b]})
         join = lattice.elements[lattice.join(atoms[a], atoms[b])]
-        assert ctx.mask_of_dims(closed.dims) == join.moved, (ctx.roots[a], ctx.roots[b])
+        assert ctx.mask_of_dims(closed.dims) == join, (ctx.roots[a], ctx.roots[b])
 
 
 @pytest.mark.parametrize(
@@ -535,3 +585,22 @@ def assert_pair_closures_are_joins(quiver, field):
 )
 def test_pair_closures_are_joins_of_reflections(name, p):
     assert_pair_closures_are_joins(quiver_of(name), GF(p))
+
+
+@pytest.mark.parametrize("name,p", [(n, p) for n in ("D4", "D5") for p in (2, 3)])
+def test_seeded_simples_match_embedding_scan(name, p):
+    for wide in enumerate_thick(quiver_of(name), GF(p)):
+        assert simples_of(wide) == oracle_simples(wide), wide.dims
+
+
+def test_simples_of_refuses_sets_that_are_not_wide():
+    quiver = quiver_of("A2")
+    with pytest.raises(ValueError, match="not a wide subcategory"):
+        simples_of(WideSubcategory(quiver, GF(2), frozenset({(1, 0), (0, 1)})))
+
+
+def test_two_seeds_closing_to_one_subcategory_raise(monkeypatch):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+    monkeypatch.setattr(thick_enum, "_close_mask", lambda ctx, mask: 0)
+    with pytest.raises(RuntimeError, match="close to one subcategory"):
+        enumerate_thick(quiver_of("A2"), GF(2))
