@@ -105,7 +105,6 @@ class _RepContext:
         self._hom: dict[tuple[int, int], int] = {}
         self.wides = None
         self.seeds = None
-        self.positions = None
 
     @cached_property
     def lattice(self) -> NcLattice:
@@ -266,19 +265,14 @@ def wide_to_nc(wide: WideSubcategory) -> int:
 
 def nc_positions(quiver: Quiver, field) -> tuple[NcLattice, tuple]:
     """NC(W, c) for the quiver's Coxeter element, and the position in it
-    of wide_to_nc of each member of enumerate_thick(quiver, field), or
-    None where no element has those moved roots.  Computed once per
-    quiver and field."""
+    of the mask of each member of enumerate_thick(quiver, field), or
+    None where no element has those moved roots."""
     ctx = _context(quiver, field)
-    if ctx.positions is None:
-        positions = []
-        for wide in enumerate_thick(quiver, field):
-            try:
-                positions.append(wide_to_nc(wide))
-            except ValueError:
-                positions.append(None)
-        ctx.positions = tuple(positions)
-    return ctx.lattice, ctx.positions
+    positions = tuple(
+        ctx.lattice.index.get(ctx.mask_of_dims(w.dims))
+        for w in enumerate_thick(quiver, field)
+    )
+    return ctx.lattice, positions
 
 
 def _admissible_word(wide: WideSubcategory) -> list[int]:
@@ -331,10 +325,9 @@ def verify_bijection(quiver: Quiver, field) -> BijectionReport:
     in an admissible order.  The product w must have the number of
     simples as its reflection length and lie below c, that is
     l(w) + l(w^-1 c) = l(c), with w^-1 the reversed product, and the
-    lattice built from the Euler form must hold the subcategory's mask;
-    distinct
-    subcategories must give distinct products, as many as NC(W, c) has
-    elements.  Both orders are inclusion, of dimension vectors and of
+    lattice built from the Euler form must hold the subcategory's mask.
+    Distinct subcategories must give distinct products, as many as
+    NC(W, c) has elements.  Both orders are inclusion, of dimension vectors and of
     moved roots (Brady-Watt), so a bijection under which every
     subcategory's dimension vectors are the moved roots of its image is
     an order isomorphism; that equality is checked per subcategory.

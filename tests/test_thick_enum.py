@@ -25,8 +25,10 @@ from thicklat.linalg import int_identity, int_mat_mul
 from thicklat.root_system import (
     DynkinType,
     NcLattice,
+    WeylElement,
     build_root_system,
     reflection,
+    reflection_length,
 )
 from thicklat import thick_enum
 from thicklat.thick_enum import (
@@ -40,7 +42,7 @@ from thicklat.thick_enum import (
     wide_to_nc,
 )
 
-from nc_oracle import NcOracle, embeds, lines, oracle_simples
+from nc_oracle import NcOracle, embeds, int_mat_inverse, lines, oracle_simples
 
 THICK_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "D4": 50}
 
@@ -164,26 +166,58 @@ def test_simples_are_hom_orthogonal_bricks():
                     assert hom_dim(m, n) == 0
 
 
+def weyl_image(wide):
+    """The product of the simples' reflections in the admissible order
+    that verify_bijection multiplies them in: computed from the simples
+    alone, with no look at the subcategory's other dimension vectors."""
+    rs = build_root_system(wide.quiver.dynkin)
+    roots = _context(wide.quiver, wide.field).roots
+    mat = int_identity(rs.rank)
+    for k in thick_enum._admissible_word(wide):
+        mat = int_mat_mul(mat, reflection(rs, roots[k]).mat)
+    return mat
+
+
+def absolute_leq(u, v):
+    """u <= v in the absolute order: l(u) + l(u^-1 v) = l(v)."""
+    rest = int_mat_mul(int_mat_inverse(u), v)
+    return (
+        reflection_length(WeylElement(u)) + reflection_length(WeylElement(rest))
+        == reflection_length(WeylElement(v))
+    )
+
+
 def test_wide_to_nc_lengths_and_order():
     for name, p in (("A3", 2), ("D4", 3)):
         quiver = quiver_of(name)
         field = GF(p)
         rs = build_root_system(quiver.dynkin)
         lattice = NcLattice(rs, quiver)
+        oracle = NcOracle(rs, quiver)
         wides = enumerate_thick(quiver, field)
         images = [wide_to_nc(w) for w in wides]
+        assert verify_bijection(quiver, field).ok
         # bijective onto the lattice
         assert len(set(images)) == len(lattice) == len(wides)
         assert set(images) == set(range(len(lattice)))
-        for wide, image in zip(wides, images):
-            assert lattice.lengths[image] == len(simples_of(wide))
+        products = [weyl_image(w) for w in wides]
+        for wide, image, w in zip(wides, images, products):
+            # the matrix walk's element at the product of the simples'
+            # reflections is the mask lattice's element at the image
+            o = oracle.position[w]
+            assert lattice.elements[image] == oracle.moved[o]
+            assert lattice.lengths[image] == oracle.lengths[o]
+            assert oracle.lengths[o] == len(simples_of(wide))
             # Ingalls-Thomas: the dimension vectors are the moved roots
-            moved = lattice.elements[image]
+            moved = oracle.moved[o]
             roots = rs.positive_roots
             assert {r for k, r in enumerate(roots) if moved >> k & 1} == wide.dims
-        # inclusions map to the absolute order in both directions
-        for (w1, u1), (w2, u2) in itertools.product(zip(wides, images), repeat=2):
-            assert (w1.dims <= w2.dims) == lattice.leq(u1, u2)
+        # inclusions map to the absolute order of the products in both
+        # directions, and the lattice's order agrees with both
+        for (w1, u1, m1), (w2, u2, m2) in itertools.product(
+            zip(wides, images, products), repeat=2
+        ):
+            assert (w1.dims <= w2.dims) == absolute_leq(m1, m2) == lattice.leq(u1, u2)
 
 
 def test_subcategory_order_matches_simple_counts():
@@ -499,8 +533,15 @@ def test_order_isomorphism_matches_pairwise_oracle(name):
     wides = enumerate_thick(quiver, field)
     lattice, positions = nc_positions(quiver, field)
     assert verify_bijection(quiver, field).is_order_isomorphism
-    for (w1, p1), (w2, p2) in itertools.product(zip(wides, positions), repeat=2):
-        assert (w1.dims <= w2.dims) == lattice.leq(p1, p2)
+    # each subcategory's element found by the product of its simples'
+    # reflections, ordered as the matrix walk's moved roots are
+    oracle = NcOracle(lattice.rs, quiver)
+    found = [oracle.position[weyl_image(w)] for w in wides]
+    for (w1, p1, o1), (w2, p2, o2) in itertools.product(
+        zip(wides, positions, found), repeat=2
+    ):
+        inclusion = w1.dims <= w2.dims
+        assert inclusion == bool(oracle.up[o1] >> o2 & 1) == lattice.leq(p1, p2)
 
 
 def test_bijection_report_flags_images_with_other_moved_roots(monkeypatch):
