@@ -323,13 +323,23 @@ _SCALARS = {
     bool: lambda flag: "true" if flag else "false",
     type(None): lambda _: "null",
 }
-# chunks are joined into one piece this often, so that the chunk list
-# never holds much more than the text itself
+# chunks are joined into one piece and written this often, so that
+# neither the chunk list nor the piece holds much of the text
 _CHUNKS_PER_PIECE = 8192
 
 
-def _json_text(document) -> str:
-    """json.dumps(document, indent=2, sort_keys=True) + "\\n", byte for byte.
+def _write_if_full(chunks: list, write) -> None:
+    """Write the joined chunks as one piece and clear them, once there
+    are _CHUNKS_PER_PIECE of them."""
+    if len(chunks) >= _CHUNKS_PER_PIECE:
+        write("".join(chunks))
+        chunks.clear()
+
+
+def _write_json(document, write) -> None:
+    """Write json.dumps(document, indent=2, sort_keys=True) + "\\n",
+    byte for byte, through write(piece) in pieces: the text is never
+    held whole.
 
     With an indent, json.dumps takes its pure-Python encoder.  This
     writer escapes strings with the same C escaper and emits each
@@ -338,12 +348,11 @@ def _json_text(document) -> str:
     None goes to json.dumps itself, re-indented to its depth: exact, as
     JSON text holds no raw newline inside a string.
     """
-    pieces: list[str] = []
     chunks: list[str] = []
     append = chunks.append
     scalar = _SCALARS.get
 
-    def write(value, lead: str, pad: str) -> None:
+    def walk(value, lead: str, pad: str) -> None:
         # lead is the separator, indentation and key before the value;
         # pad is a newline and the value's own indentation
         kind = type(value)
@@ -362,7 +371,7 @@ def _json_text(document) -> str:
                 head = sep + _escape(key) + ": "
                 convert = scalar(type(item))
                 if convert is None:
-                    write(item, head, inner)
+                    walk(item, head, inner)
                 else:
                     append(head + convert(item))
                 sep = "," + inner
@@ -376,7 +385,7 @@ def _json_text(document) -> str:
             for item in value:
                 convert = scalar(type(item))
                 if convert is None:
-                    write(item, sep, inner)
+                    walk(item, sep, inner)
                 else:
                     append(sep + convert(item))
                 sep = "," + inner
@@ -384,36 +393,39 @@ def _json_text(document) -> str:
         else:
             text = json.dumps(value, indent=2, sort_keys=True)
             append(lead + text.replace("\n", pad))
-        if len(chunks) >= _CHUNKS_PER_PIECE:
-            pieces.append("".join(chunks))
-            chunks.clear()
+        _write_if_full(chunks, write)
 
-    write(document, "", "\n")
-    chunks.append("\n")
-    pieces.append("".join(chunks))
-    return "".join(pieces)
+    walk(document, "", "\n")
+    append("\n")
+    write("".join(chunks))
 
 
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot_text(node_ids, edges) -> str:
-    lines = ["digraph thicklat {", "  rankdir=BT;"]
+def _write_dot(node_ids, edges, write) -> None:
+    """Write the DOT digraph of the nodes and sorted edges through
+    write(piece), in pieces as _write_json does."""
+    lines = ["digraph thicklat {\n  rankdir=BT;\n"]
     for node in node_ids:
-        lines.append(f"  {_dot_quote(node)};")
+        lines.append(f"  {_dot_quote(node)};\n")
+        _write_if_full(lines, write)
     for lo, hi in sorted(edges):
-        lines.append(f"  {_dot_quote(lo)} -> {_dot_quote(hi)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {_dot_quote(lo)} -> {_dot_quote(hi)};\n")
+        _write_if_full(lines, write)
+    lines.append("}\n")
+    write("".join(lines))
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _emit(out: str | None, produce) -> None:
+    """Pass the write of stdout, or of the file out opened only now,
+    to produce, which writes the output through it."""
     if out is None:
-        sys.stdout.write(text)
+        produce(sys.stdout.write)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            produce(handle.write)
 
 
 def _document(command: str, arguments: dict, payload: dict) -> dict:
@@ -459,8 +471,8 @@ def cmd_nc(args) -> int:
     fmt = _chosen_format(args)
     if fmt == "count":
         # the size of NC(W, c) needs no labels, order or covers
-        lattice = _nc_lattice(dynkin, quiver)
-        _write_output(f"{len(lattice)}\n", args.out)
+        count = len(_nc_lattice(dynkin, quiver))
+        _emit(args.out, lambda write: write(f"{count}\n"))
         return 0
     lattice, ordered_ids, nodes, edges = _nc_lattice_data(dynkin, quiver)
     arguments = {
@@ -469,7 +481,7 @@ def cmd_nc(args) -> int:
         "format": fmt,
     }
     if fmt == "dot":
-        _write_output(_dot_text(ordered_ids, edges), args.out)
+        _emit(args.out, lambda write: _write_dot(ordered_ids, edges, write))
     else:
         payload = {
             "element_count": len(lattice),
@@ -477,7 +489,8 @@ def cmd_nc(args) -> int:
             "elements": nodes,
             "covers": [list(e) for e in edges],
         }
-        _write_output(_json_text(_document("nc", arguments, payload)), args.out)
+        document = _document("nc", arguments, payload)
+        _emit(args.out, lambda write: _write_json(document, write))
     return 0
 
 
@@ -511,7 +524,7 @@ def cmd_thick(args) -> int:
         if not report.ok:
             exit_code = 1
     if fmt == "count":
-        _write_output(f"{len(wides)}\n", args.out)
+        _emit(args.out, lambda write: write(f"{len(wides)}\n"))
         return exit_code
     ids = [_wide_id(w) for w in wides]
     order = sorted(range(len(ids)), key=lambda i: (len(wides[i].dims), ids[i]))
@@ -527,7 +540,8 @@ def cmd_thick(args) -> int:
         edges = sorted(
             (ids[wide_at[i]], ids[wide_at[j]]) for i, j in lattice.covers()
         )
-        _write_output(_dot_text([ids[i] for i in order], edges), args.out)
+        nodes = [ids[i] for i in order]
+        _emit(args.out, lambda write: _write_dot(nodes, edges, write))
         return exit_code
     nc_ids = _nc_ids(lattice)
     subcats = [
@@ -548,7 +562,8 @@ def cmd_thick(args) -> int:
             "ok": report.ok,
             "failures": list(report.failures),
         }
-    _write_output(_json_text(_document("thick", arguments, payload)), args.out)
+    document = _document("thick", arguments, payload)
+    _emit(args.out, lambda write: _write_json(document, write))
     return exit_code
 
 
@@ -629,7 +644,8 @@ def cmd_specfn(args) -> int:
     if fmt == "count":
         # counted under the same size guard, without labels or covers
         count = smashing_count if args.mode == "monotone" else all_function_count
-        _write_output(f"{count(poset, nc)}\n", args.out)
+        total = count(poset, nc)
+        _emit(args.out, lambda write: write(f"{total}\n"))
         return 0
     nc_ids = _nc_ids(nc)
     build = monotone_functions if args.mode == "monotone" else all_functions
@@ -647,7 +663,8 @@ def cmd_specfn(args) -> int:
         "format": fmt,
     }
     if fmt == "dot":
-        _write_output(_dot_text([ids[i] for i in order], edges), args.out)
+        nodes = [ids[i] for i in order]
+        _emit(args.out, lambda write: _write_dot(nodes, edges, write))
     else:
         members = [
             {
@@ -666,9 +683,8 @@ def cmd_specfn(args) -> int:
             "members": members,
             "covers": edges,
         }
-        _write_output(
-            _json_text(_document("specfn", arguments, payload)), args.out
-        )
+        document = _document("specfn", arguments, payload)
+        _emit(args.out, lambda write: _write_json(document, write))
     return 0
 
 
@@ -719,15 +735,15 @@ def cmd_figures(args) -> int:
         },
     )
 
+    fn_nodes = [fn_ids[i] for i in fn_order]
     outputs = {
-        "figure1.dot": _dot_text(ordered_ids, edges),
-        "figure1.json": _json_text(figure1_doc),
-        "figure2.dot": _dot_text([fn_ids[i] for i in fn_order], fn_edges),
-        "figure2.json": _json_text(figure2_doc),
+        "figure1.dot": lambda write: _write_dot(ordered_ids, edges, write),
+        "figure1.json": lambda write: _write_json(figure1_doc, write),
+        "figure2.dot": lambda write: _write_dot(fn_nodes, fn_edges, write),
+        "figure2.json": lambda write: _write_json(figure2_doc, write),
     }
-    for name, text in sorted(outputs.items()):
-        with open(os.path.join(args.outdir, name), "w", encoding="utf-8") as f:
-            f.write(text)
+    for name in sorted(outputs):
+        _emit(os.path.join(args.outdir, name), outputs[name])
 
     summary = _document(
         "figures",
@@ -738,7 +754,7 @@ def cmd_figures(args) -> int:
             "figure2_isomorphic_to_reference": figure2_iso,
         },
     )
-    sys.stdout.write(_json_text(summary))
+    _emit(None, lambda write: _write_json(summary, write))
     return 0 if figure1_ok and figure2_iso else 1
 
 
@@ -795,7 +811,8 @@ def cmd_koszul(args) -> int:
             "dimension_vector": list(module.dim),
         }
         payload["module_homology"] = [[n, list(v)] for n, v in vectors]
-    _write_output(_json_text(_document("koszul", arguments, payload)), args.out)
+    document = _document("koszul", arguments, payload)
+    _emit(args.out, lambda write: _write_json(document, write))
     return 0
 
 

@@ -450,27 +450,29 @@ class NcLattice:
         return len(self.elements)
 
     def _masks(self):
-        """up[i] is the AND of col[r] over the roots r in R(i), where
-        col[r] holds the elements whose mask has r; down[j] is the AND of
-        the complements of col[r] over the roots r not in R(j)."""
+        """up[i] = {i} | the union of up[k] over the upper covers k of i,
+        built down from the longest elements; down[j] = {j} | the union
+        of down[k] over the lower covers k of j, built up from the
+        shortest."""
         if self._up is None:
-            col = [0] * len(self.rs.positive_roots)
-            for i, m in enumerate(self.elements):
-                for r in _bits(m):
-                    col[r] |= 1 << i
-            full = (1 << len(self.elements)) - 1
-            top = (1 << len(col)) - 1
-            self._up, self._down = [], []
-            for m in self.elements:
-                up = down = full
-                for r in _bits(m):
-                    up &= col[r]
-                for r in _bits(top & ~m):
-                    down &= ~col[r]
-                self._up.append(up)
-                self._down.append(down)
-            self._by_up = {mask: i for i, mask in enumerate(self._up)}
-            self._by_down = {mask: i for i, mask in enumerate(self._down)}
+            n = len(self.elements)
+            by_length = sorted(range(n), key=self.lengths.__getitem__)
+            below: list[list[int]] = [[] for _ in range(n)]
+            for lo, hi in self.covers():
+                below[hi].append(lo)
+            up, down = [0] * n, [0] * n
+            for i in reversed(by_length):
+                up[i] |= 1 << i
+                for k in below[i]:
+                    up[k] |= up[i]
+            for j in by_length:
+                mask = 1 << j
+                for k in below[j]:
+                    mask |= down[k]
+                down[j] = mask
+            self._up, self._down = up, down
+            self._by_up = {mask: i for i, mask in enumerate(up)}
+            self._by_down = {mask: i for i, mask in enumerate(down)}
         return self._up, self._down
 
     def leq(self, i: int, j: int) -> bool:

@@ -297,10 +297,11 @@ def _monotone_value_tuples(poset: FinitePoset, nc: NcLattice, limit: int):
         allowed = full_mask
         for a in lower_in_order[k]:
             allowed &= up[values[order_pos[a]]]
-        for v in range(len(nc)):
-            if (allowed >> v) & 1:
-                values[order_pos[k]] = v
-                yield from rec(k + 1)
+        while allowed:
+            low = allowed & -allowed
+            values[order_pos[k]] = low.bit_length() - 1
+            yield from rec(k + 1)
+            allowed ^= low
     yield from rec(0)
 
 

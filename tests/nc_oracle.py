@@ -6,7 +6,8 @@ products w*t with the root of t in R(w) (Carter's lemma), R(w) solved by
 one nullspace per element (moved_roots), the order as pairwise mask
 inclusion, covers as comparable pairs one length apart, labels by matrix
 lookup and type A blocks as the cycles of the permutation that the
-matrix induces.  oracle_simples finds the simples of a wide subcategory
+matrix induces.  column_masks builds up-sets and down-sets by root
+columns.  oracle_simples finds the simples of a wide subcategory
 by scanning for injective morphisms between its members.
 """
 from itertools import product
@@ -163,6 +164,36 @@ def assert_mask_lattice_matches_oracle(lattice):
         assert {lattice.elements[j] for j in _bits(down[k])} == {
             oracle.moved[j] for j in _bits(oracle.down[i])
         }
+
+
+def column_masks(lattice):
+    """Up-sets and down-sets of a mask lattice by root columns, as the
+    library built them before it built them from the covers: col[r]
+    holds the elements whose mask has root r, up[i] is the AND of col[r]
+    over r in R(i) and down[j] the AND of the complements of col[r] over
+    r not in R(j)."""
+    col = [0] * len(lattice.rs.positive_roots)
+    for i, m in enumerate(lattice.elements):
+        for r in _bits(m):
+            col[r] |= 1 << i
+    full = (1 << len(lattice.elements)) - 1
+    top = (1 << len(col)) - 1
+    up, down = [], []
+    for m in lattice.elements:
+        above = below = full
+        for r in _bits(m):
+            above &= col[r]
+        for r in _bits(top & ~m):
+            below &= ~col[r]
+        up.append(above)
+        down.append(below)
+    return up, down
+
+
+def assert_masks_match_columns(lattice):
+    """The lattice's up-sets and down-sets against column_masks."""
+    up, down = lattice._masks()
+    assert (list(up), list(down)) == column_masks(lattice)
 
 
 def lines(field, n: int):

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 from thicklat.cli import main as cli_main
@@ -222,6 +223,44 @@ def test_d4_diamond_monotone_functions_within_budget():
     assert len(lattice.members) == 9432
     assert len(lattice.covers) == 48108
     assert elapsed < 0.5
+
+
+def test_specfn_json_peak_memory_within_budget():
+    """The 1.2 MB JSON of all functions from two points into NC(A4) is
+    written in pieces, so the traced peak stays well under the text's
+    several copies."""
+    sizes = []
+
+    class Sink:
+        def write(self, text):
+            sizes.append(len(text))
+
+    old = sys.stdout
+    sys.stdout = Sink()
+    tracemalloc.start()
+    try:
+        code = cli_main(
+            ["specfn", "--type", "A4", "--poset", "antichain2", "--mode", "all"]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.stdout = old
+    assert code == 0 and sum(sizes) == 1158318
+    assert peak < 5 * 2**20
+
+
+def test_e8_point_count_within_budget():
+    buffer, old = io.StringIO(), sys.stdout
+    start = time.perf_counter()
+    sys.stdout = buffer
+    try:
+        code = cli_main(["specfn", "--type", "E8", "--poset", "point", "--count"])
+    finally:
+        sys.stdout = old
+    elapsed = time.perf_counter() - start
+    assert code == 0 and buffer.getvalue() == "25080\n"
+    assert elapsed < 3.0
 
 
 def test_criterion_8_koszul_support_dichotomy():

@@ -11,8 +11,9 @@ from thicklat.cli import (
     MAX_TERMS,
     ExponentBoundError,
     PolynomialSyntaxError,
-    _json_text,
+    _CHUNKS_PER_PIECE,
     _wide_id,
+    _write_json,
     main,
     parse_polynomial,
 )
@@ -37,6 +38,13 @@ def run_cli(args):
     finally:
         sys.stdout, sys.stderr = old_out, old_err
     return code, out.getvalue(), err.getvalue()
+
+
+def json_text(document) -> str:
+    """The whole text that _write_json writes for document."""
+    sink = io.StringIO()
+    _write_json(document, sink.write)
+    return sink.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +243,92 @@ def test_json_text_matches_json_dumps():
     @hypothesis.given(st.recursive(scalars, containers, max_leaves=30))
     def check(document):
         expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        assert _json_text(document) == expected
+        assert json_text(document) == expected
 
     check()
 
 
+def test_json_writer_spans_pieces_byte_for_byte():
+    """A document of several pieces is written in several calls, which
+    join to json.dumps's text."""
+    document = {
+        "rows": [
+            {"id": f"r{i}", "values": [i, None, True, "\u00e9\\"]}
+            for i in range(_CHUNKS_PER_PIECE)
+        ],
+        "count": _CHUNKS_PER_PIECE,
+    }
+    pieces = []
+    _write_json(document, pieces.append)
+    assert len(pieces) >= 3
+    assert "".join(pieces) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def test_specfn_streams_stdout_in_small_pieces():
+    """The D4 diamond lattice, about 7 MB of JSON, reaches stdout in many
+    writes of under 1 MiB each, not as one string."""
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text.encode("utf-8")))
+            return super().write(text)
+
+    out = Recorder()
+    old_out, sys.stdout = sys.stdout, out
+    try:
+        code = main(["specfn", "--type", "D4", "--poset", "diamond"])
+    finally:
+        sys.stdout = old_out
+    assert code == 0
+    assert len(sizes) > 1 and max(sizes) < 1 << 20
+    assert sum(sizes) == len(out.getvalue().encode("utf-8")) > 7_000_000
+
+
+OUT_FLAG_CASES = [
+    ["nc", "--type", "A2"],
+    ["nc", "--type", "D4", "--format", "dot"],
+    ["nc", "--type", "A3", "--count"],
+    ["thick", "--type", "A3", "--field", "2", "--verify"],
+    ["thick", "--type", "A2", "--field", "3", "--format", "dot"],
+    ["thick", "--type", "D4", "--field", "2", "--count"],
+    ["specfn", "--type", "A2", "--poset", "chain2"],
+    ["specfn", "--type", "A3", "--poset", "diamond", "--format", "dot"],
+    ["specfn", "--type", "A2", "--poset", "antichain2", "--mode", "all", "--count"],
+    [
+        "koszul", "--vars", "x,y", "--gens", "x,y", "--at", "0,0",
+        "--module", "A2:(1,1)",
+    ],
+]
+
+
 def test_out_flag_matches_stdout(tmp_path):
-    _, stdout_text, _ = run_cli(["nc", "--type", "A2"])
-    target = tmp_path / "doc.json"
-    code, out, _ = run_cli(["nc", "--type", "A2", "--out", str(target)])
-    assert code == 0 and out == ""
-    assert target.read_text(encoding="utf-8") == stdout_text
+    """JSON, DOT and count output of every command, written with --out,
+    has the bytes of its stdout."""
+    for k, args in enumerate(OUT_FLAG_CASES):
+        code, stdout_text, _ = run_cli(args)
+        assert code == 0, args
+        target = tmp_path / f"output{k}"
+        code, out, _ = run_cli(args + ["--out", str(target)])
+        assert code == 0 and out == "", args
+        assert target.read_bytes() == stdout_text.encode("utf-8"), args
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nc", "--type", "A14"],
+        ["specfn", "--type", "A2", "--poset", "chain2", "--mode", "all",
+         "--count"],
+        ["koszul", "--vars", "x", "--gens", "x^", "--at", "0"],
+    ],
+)
+def test_refused_invocation_creates_no_out_file(args, tmp_path, monkeypatch):
+    monkeypatch.setenv("THICKLAT_SIZE_GUARD", "20")
+    target = tmp_path / "output"
+    code, out, err = run_cli(args + ["--out", str(target)])
+    assert code in (1, 2) and out == "" and err.startswith("thicklat: error:")
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from thicklat.root_system import (
 )
 from thicklat.thick_enum import enumerate_thick, verify_bijection
 
-from nc_oracle import assert_mask_lattice_matches_oracle
+from nc_oracle import assert_mask_lattice_matches_oracle, assert_masks_match_columns
 from test_root_system import (
     assert_atoms_and_coatoms,
     assert_factorizations_match_moved_roots_oracle,
@@ -114,3 +114,9 @@ def test_sampled_e7_orientations_match_matrix_walk():
     rs = build_root_system(DynkinType.parse("E7"))
     for quiver in random.Random(7).sample(list(orientations("E7")), 4):
         assert_mask_lattice_matches_oracle(NcLattice(rs, quiver))
+
+
+@long_tests
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_cover_built_masks_match_root_columns(name):
+    assert_masks_match_columns(nc_lattice(name))

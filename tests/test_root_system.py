@@ -22,7 +22,12 @@ from thicklat.root_system import (
     simple_reflection,
 )
 
-from nc_oracle import NcOracle, assert_mask_lattice_matches_oracle, int_mat_inverse
+from nc_oracle import (
+    NcOracle,
+    assert_mask_lattice_matches_oracle,
+    assert_masks_match_columns,
+    int_mat_inverse,
+)
 from test_quiver_rep import orientations
 
 POSITIVE_ROOT_COUNTS = {
@@ -494,6 +499,13 @@ def test_mask_lattice_matches_matrix_walk_in_every_orientation(name):
     rs = build_root_system(DynkinType.parse(name))
     for quiver in orientations(name):
         assert_mask_lattice_matches_oracle(NcLattice(rs, quiver))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_cover_built_masks_match_root_columns_in_every_orientation(name):
+    rs = build_root_system(DynkinType.parse(name))
+    for quiver in orientations(name):
+        assert_masks_match_columns(NcLattice(rs, quiver))
 
 
 def test_nc_lattice_rejects_wrong_diagram():
