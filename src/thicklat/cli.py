@@ -25,15 +25,7 @@ from .figures import (
     FIGURE2_COVERS,
     FIGURE2_NODE_COUNT,
 )
-from .koszul import (
-    Poly,
-    PolyRing,
-    RationalPoint,
-    evaluate,
-    homology_dims,
-    koszul_complex,
-    koszul_tensor_module,
-)
+from .koszul import MAX_KOSZUL_INPUTS, Poly, PolyRing, RationalPoint, koszul_homology
 from .linalg import GF
 from .quiver_rep import Quiver, TreeModuleError, default_orientation, tree_module
 from .root_system import (
@@ -782,13 +774,15 @@ def _parse_module_spec(text: str, orientation: str | None):
 
 
 def cmd_koszul(args) -> int:
+    for noun, items in (("variables", args.vars), ("generators", args.gens)):
+        count = len(items.split(","))
+        if count > MAX_KOSZUL_INPUTS:
+            raise SizeGuardError(f"{count} {noun} exceed the cap {MAX_KOSZUL_INPUTS}")
     variables = tuple(v.strip() for v in args.vars.split(","))
     ring = PolyRing(variables)
     gens = [parse_polynomial(ring, text) for text in args.gens.split(",")]
     coords = tuple(_parse_rational(x) for x in args.at.split(","))
-    point = RationalPoint(coords)
-    complex_ = koszul_complex(ring, gens)
-    homology = homology_dims(evaluate(complex_, point))
+    homology = koszul_homology(ring, gens, RationalPoint(coords))
     arguments = {
         "vars": ",".join(variables),
         "gens": args.gens,
@@ -798,19 +792,20 @@ def cmd_koszul(args) -> int:
         "variables": list(variables),
         "generators": [str(g) for g in gens],
         "point": [str(x) for x in coords],
-        "ranks": [[n, r] for n, r in sorted(complex_.rank_map().items())],
-        "homology": [[n, homology[n]] for n in sorted(homology)],
+        "ranks": [[n, comb(len(gens), n)] for n in range(len(gens) + 1)],
+        "homology": [[n, h] for n, h in enumerate(homology)],
     }
     if args.module is not None:
         module, dynkin, quiver = _parse_module_spec(args.module, args.orientation)
         arguments["module"] = args.module
-        vectors = koszul_tensor_module(complex_, module, point)
         payload["module"] = {
             "type": str(dynkin),
             "orientation": _orientation_echo(quiver),
             "dimension_vector": list(module.dim),
         }
-        payload["module_homology"] = [[n, list(v)] for n, v in vectors]
+        payload["module_homology"] = [
+            [n, [h * dv for dv in module.dim]] for n, h in enumerate(homology)
+        ]
     document = _document("koszul", arguments, payload)
     _emit(args.out, lambda write: _write_json(document, write))
     return 0

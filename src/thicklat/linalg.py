@@ -19,12 +19,15 @@ through one kernel, rref, on rows of plain ints:
   row by its pivot.
 
 Both paths compute the unique reduced row echelon form, so nothing is
-approximated.  int_rank is Bareiss elimination itself.
+approximated.  int_rank is Bareiss elimination itself.  Every matrix
+product runs through int_mat_mul on plain ints: mat_mul reduces it mod p,
+or over QQ divides it by the factors' common denominators.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def _is_prime(n: int) -> bool:
@@ -134,14 +137,13 @@ QQ = RationalField()
 
 
 # ---------------------------------------------------------------------------
-# integer matrices (used for Weyl group elements)
+# integer matrices: the one product kernel, and Bareiss rank
 
 def int_mat_mul(a, b):
     """Product of two integer matrices given as tuples of row tuples."""
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
 
 def int_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -186,17 +188,22 @@ def int_rank(rows) -> int:
 # field-parameterized elimination
 
 def mat_mul(field, a, b):
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = field.zero
-            for x, y in zip(row, col):
-                acc = field.add(acc, field.mul(x, y))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
+    """Product over a field, on plain ints: reduced mod p over GF(p).
+    Over QQ each factor is scaled by the lcm of its denominators, and
+    one Fraction is built per product entry."""
+    p = field.char
+    if p:
+        return tuple(tuple(x % p for x in row) for row in int_mat_mul(a, b))
+    (a, da), (b, db) = _integer_matrix(a), _integer_matrix(b)
+    den = da * db
+    return tuple(tuple(Fraction(x, den) for x in row) for row in int_mat_mul(a, b))
+
+
+def _integer_matrix(rows):
+    """A rational matrix as (integer matrix, d) with rows = matrix / d, d
+    the lcm of the denominators."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def rref(field, rows):
@@ -326,18 +333,3 @@ def solve(field, a, b):
         x[p] = list(red[r][n:])
     return tuple(tuple(row) for row in x)
 
-
-def kron(a, b):
-    """Kronecker product of matrices over ints / Fractions."""
-    if not a or not a[0]:
-        return ()
-    brows = len(b)
-    bcols = len(b[0]) if b else 0
-    out = []
-    for arow in a:
-        for i in range(brows):
-            row = []
-            for x in arow:
-                row.extend(x * y for y in b[i])
-            out.append(tuple(row))
-    return tuple(out)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .linalg import QQ, int_identity, int_mat_mul, int_rank, nullspace
 
@@ -304,10 +305,10 @@ def moved_roots(rs: RootSystem, w: WeylElement) -> int:
     mask = (1 << len(rs.positive_roots)) - 1
     for fixed in nullspace(QQ, _minus_identity(w.mat)):
         scale = lcm(*(x.denominator for x in fixed))
-        fixed = [int(x * scale) for x in fixed]
-        pairing = [sum(a * x for a, x in zip(row, fixed)) for row in rs.cartan]
+        fixed = [x.numerator * (scale // x.denominator) for x in fixed]
+        pairing = [sum(map(mul, row, fixed)) for row in rs.cartan]
         for k, root in enumerate(rs.positive_roots):
-            if sum(x * y for x, y in zip(root, pairing)):
+            if sum(map(mul, root, pairing)):
                 mask &= ~(1 << k)
     return mask
 

@@ -6,6 +6,7 @@ exact; the stated runtime budgets are asserted with a monotonic clock.
 """
 import io
 import itertools
+import json
 import math
 import random
 import sys
@@ -15,15 +16,7 @@ from fractions import Fraction
 
 from thicklat.cli import main as cli_main
 from thicklat.figures import FIGURE2_COVERS, FIGURE2_NODE_COUNT
-from thicklat.koszul import (
-    Poly,
-    PolyRing,
-    RationalPoint,
-    evaluate,
-    homology_dims,
-    koszul_complex,
-    koszul_tensor_module,
-)
+from thicklat.koszul import Poly, PolyRing, RationalPoint
 from thicklat.linalg import GF, QQ
 from thicklat.quiver_rep import (
     FieldRep,
@@ -52,6 +45,8 @@ from thicklat.spec_model import (
 )
 from thicklat import thick_enum
 from thicklat.thick_enum import enumerate_thick, verify_bijection, wide_closure
+
+from koszul_oracle import evaluate, homology_dims, koszul_complex, koszul_tensor_module
 
 
 def nc_lattice(name: str) -> NcLattice:
@@ -306,6 +301,25 @@ def test_koszul_nine_variables_at_the_origin_within_budget():
     elapsed = time.perf_counter() - start
     assert dims == {i: math.comb(9, i) for i in range(10)}
     assert elapsed < 5.0
+
+
+def test_koszul_cli_twelve_generators_at_the_origin_within_budget():
+    # 6.5 s when the CLI built and ranked the complex
+    names = ",".join(f"x{i}" for i in range(1, 13))
+    buffer, old = io.StringIO(), sys.stdout
+    start = time.perf_counter()
+    sys.stdout = buffer
+    try:
+        code = cli_main(
+            ["koszul", "--vars", names, "--gens", names, "--at", ",".join("0" * 12)]
+        )
+    finally:
+        sys.stdout = old
+    elapsed = time.perf_counter() - start
+    payload = json.loads(buffer.getvalue())["payload"]
+    assert code == 0
+    assert payload["homology"] == [[n, math.comb(12, n)] for n in range(13)]
+    assert elapsed < 0.5
 
 
 def unimodular_pair(rng, n):

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -17,7 +18,7 @@ from thicklat.cli import (
     main,
     parse_polynomial,
 )
-from thicklat.koszul import Poly, PolyRing
+from thicklat.koszul import MAX_KOSZUL_INPUTS, Poly, PolyRing
 from thicklat.linalg import GF
 from thicklat.quiver_rep import default_orientation
 from thicklat.root_system import DynkinType
@@ -165,6 +166,14 @@ PINNED_STDOUT = {
         "2d00b85eebef56943aafdbfa79c320439012f7523dc48e0a2ca55287ea6c6139",
     "thick --type D4 --field 3 --format dot":
         "875406db7521ab635d6712b8032f68ec0cd1ca667640460ffe9b614b513bd08c",
+    # the benchmark's two koszul invocations, recorded while the CLI still
+    # built and ranked the complex
+    "koszul --vars x1,x2,x3,x4,x5,x6,x7,x8 --gens x1,x2,x3,x4,x5,x6,x7,x8"
+    " --at 0,0,0,0,0,0,0,0":
+        "a5faf2b79bad8c7485cf869ac830dd630ea34b70bb878b3088ea9636f0bd753c",
+    "koszul --vars a,b,c,d,e --gens 2*a-1,3*b^2-1/3,c*d-3/2,a*e+b*c+1,d^2-a*c+1/16"
+    " --at 1/2,-1/3,2,3/4,-1 --module E6:(1,2,2,3,2,1)":
+        "f52f968d4211039aa8324549d42b9f4405a59b01da7677b7c4e465de9159cec6",
 }
 
 # SHA-256 of the nc JSON followed by the thick --field 2 JSON of every
@@ -877,3 +886,31 @@ def test_koszul_refuses_multinomial_powers_quickly():
     assert err == (
         "thicklat: error: power may expand beyond the bound of 10000 terms (column 27)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "noun, args",
+    [
+        # the generators do not parse: the cap is checked first
+        ("generators", ["--vars", "x", "--gens", ",".join(["(x"] * 65), "--at", "0"]),
+        ("variables", ["--vars", ",".join(f"x{i}" for i in range(65)),
+                       "--gens", "x0", "--at", ",".join("0" * 65)]),
+    ],
+)
+def test_koszul_refuses_more_than_the_cap_quickly(noun, args):
+    start = time.perf_counter()
+    code, out, err = run_cli(["koszul"] + args)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == f"thicklat: error: 65 {noun} exceed the cap {MAX_KOSZUL_INPUTS}\n"
+
+
+def test_koszul_accepts_the_cap():
+    k = MAX_KOSZUL_INPUTS
+    names = ",".join(f"x{i}" for i in range(k))
+    start = time.perf_counter()
+    code, out, _ = run_cli(["koszul", "--vars", names, "--gens", names, "--at", ",".join("0" * k)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    homology = json.loads(out)["payload"]["homology"]
+    assert homology == [[n, comb(k, n)] for n in range(k + 1)]

@@ -1,27 +1,30 @@
-"""Koszul complexes: polynomial arithmetic, homology, module tensoring."""
+"""Koszul homology: polynomial arithmetic, the symbolic oracle complex,
+module tensoring, and the CLI's theorem against the oracle."""
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from thicklat.koszul import (
+from thicklat.koszul import Poly, PolyRing, RationalPoint, koszul_homology
+from thicklat.linalg import QQ, rank
+from thicklat.quiver_rep import default_orientation, tree_module
+from thicklat.root_system import DynkinType, build_root_system
+
+from koszul_oracle import (
     EvaluatedComplex,
     FreeComplex,
-    Poly,
-    PolyRing,
-    RationalPoint,
     cone_of_scalar,
     evaluate,
     homology_dims,
     koszul_complex,
     koszul_tensor_module,
+    kron,
     tensor,
     unit_complex,
 )
-from thicklat.linalg import QQ, kron, rank
-from thicklat.quiver_rep import default_orientation, tree_module
-from thicklat.root_system import DynkinType, build_root_system
+from test_cli import run_cli
 
 RING = PolyRing(("x", "y"))
 X = Poly.variable(RING, "x")
@@ -369,3 +372,70 @@ def test_module_tensor_matches_kron_rank_oracle(name):
         for pt in points:
             expected = kron_oracle(complex_, module, pt)
             assert koszul_tensor_module(complex_, module, pt) == expected
+
+
+# ---------------------------------------------------------------------------
+# the CLI's theorem against the oracle complex
+
+
+def test_koszul_homology_rejects_foreign_generator_and_wrong_arity():
+    with pytest.raises(ValueError, match="different ring"):
+        koszul_homology(RING, (X, Poly.variable(PolyRing(("z",)), "z")), (0, 0))
+    with pytest.raises(ValueError, match="point has 1 coordinates"):
+        koszul_homology(RING, (X, Y), (0,))
+    assert koszul_homology(RING, (X, Y, X * Y), (0, 3)) == [0, 0, 0, 0]
+    assert koszul_homology(RING, (X, X * Y), (0, 3)) == [1, 2, 1]
+
+
+def vanishing_generators(ring, rng, k, point):
+    """k generators that all vanish at point: random polynomials moved to
+    zero there, with zero and repeated generators mixed in."""
+    gens = []
+    for _ in range(k):
+        kind = rng.randrange(5)
+        if kind == 0:
+            gens.append(Poly.zero(ring))
+        elif kind == 1 and gens:
+            gens.append(rng.choice(gens))
+        else:
+            f = random_poly(ring, rng)
+            gens.append(f - Poly.const(ring, f.evaluate(point)))
+    return gens
+
+
+def cli_koszul_payload(ring, gens, point, module_spec):
+    # the = forms, as a generator or a coordinate may start with "-"
+    code, out, err = run_cli(
+        ["koszul", "--vars", ",".join(ring.variables),
+         "--gens=" + ",".join(str(f) for f in gens),
+         "--at=" + ",".join(str(x) for x in point.coordinates),
+         "--module", module_spec]
+    )
+    assert code == 0 and err == ""
+    return json.loads(out)["payload"]
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_cli_homology_matches_the_oracle_complex(k):
+    ring = PolyRing(("x", "y", "z"))
+    rng = random.Random(900 + k)
+    point = random_point(rng, 3)
+    quiver = default_orientation(DynkinType.parse("A3"))
+    module = tree_module(quiver, (0, 1, 1))
+    everywhere = vanishing_generators(ring, rng, k, point)
+    # one generator moved off zero at the point, the others still vanish
+    somewhere = list(everywhere)
+    somewhere[rng.randrange(k)] += Poly.const(ring, Fraction(rng.randint(1, 5), 3))
+    for gens, vanish in ((everywhere, True), (somewhere, False)):
+        complex_ = koszul_complex(ring, gens)
+        for pt, vanish_here in ((point, vanish), (random_point(rng, 3), None)):
+            payload = cli_koszul_payload(ring, gens, pt, "A3:(0,1,1)")
+            dims = homology_dims(evaluate(complex_, pt))
+            assert payload["ranks"] == [list(r) for r in complex_.ranks]
+            assert payload["homology"] == [[n, dims[n]] for n in sorted(dims)]
+            if k <= 5:  # the module oracle evaluates and ranks the complex again
+                assert payload["module_homology"] == [
+                    [n, list(v)] for n, v in koszul_tensor_module(complex_, module, pt)
+                ]
+            if vanish_here is not None:
+                assert any(dims.values()) == vanish_here

@@ -10,7 +10,6 @@ from thicklat.linalg import (
     int_identity,
     int_mat_mul,
     int_rank,
-    kron,
     left_nullspace,
     mat_mul,
     nullspace,
@@ -22,6 +21,8 @@ from thicklat.linalg import (
 # the rank oracle's inverse, kept with the test oracles since no library
 # code inverts a matrix any more
 from nc_oracle import int_mat_inverse
+# the Kronecker product, kept with the Koszul oracle that uses it
+from koszul_oracle import kron
 
 
 def fraction_rank(rows):
@@ -269,6 +270,41 @@ def test_kron_rank_is_multiplicative():
         b = [[Fraction(rng.randint(-3, 3)) for _ in range(bc)] for _ in range(br)]
         product = kron(a, b)
         assert rank(QQ, product) == rank(QQ, a) * rank(QQ, b)
+
+
+def field_mat_mul(field, a, b):
+    """The product by field methods, one entry at a time: the reference
+    for mat_mul's integer kernel."""
+    bt = list(zip(*b))
+    out = []
+    for row in a:
+        orow = []
+        for col in bt:
+            acc = field.zero
+            for x, y in zip(row, col):
+                acc = field.add(acc, field.mul(x, y))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(97), QQ], ids=repr)
+def test_mat_mul_matches_field_methods(field):
+    rng = random.Random(f"mat_mul:{field!r}")
+    cases = [([], []), ([[]], []), ([[], []], [])]
+    for _ in range(60):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 6)
+        cases.append((random_matrix(rng, field, n, k, rng.random()),
+                      random_matrix(rng, field, k, m, rng.random())))
+    for a, b in cases:
+        product = mat_mul(field, a, b)
+        assert product == field_mat_mul(field, a, b)
+        for row in product:
+            for x in row:
+                if field.char:
+                    assert type(x) is int and 0 <= x < field.char
+                else:
+                    assert type(x) is Fraction
 
 
 def test_mat_mul_matches_int_mat_mul():
