@@ -4,7 +4,9 @@ Noncrossing partition lattices for simply laced Weyl groups, quiver
 representations with rigid 0/1 tree modules, enumeration of wide
 subcategories with the order isomorphism onto noncrossing partitions,
 lattices of monotone functions from finite posets, and Koszul homology
-at rational points.
+at rational points.  The package exports what the command line, the
+README example and perfbench/decompose.py use; the other helpers stay in
+their modules.
 """
 from .figures import (
     FIGURE1_COVERS,
@@ -13,70 +15,39 @@ from .figures import (
     FIGURE2_NODE_COUNT,
 )
 from .koszul import Poly, PolyRing, RationalPoint, koszul_homology
-from .linalg import GF, QQ, RationalField
+from .linalg import GF, QQ
 from .quiver_rep import (
     FieldRep,
     Quiver,
-    TreeModule,
     TreeModuleError,
-    cokernel_rep,
     decompose_dims,
     default_orientation,
-    euler_form,
-    ext_cocycle_basis,
-    ext_dim,
-    extension_middle,
-    hom_basis,
-    hom_dim,
-    indecomposable_dims,
-    kernel_rep,
     tree_module,
 )
 from .root_system import (
     DynkinType,
     NcLattice,
-    RootSystem,
-    WeylElement,
     build_root_system,
     catalan_number,
-    coxeter_element,
-    enumerate_nc,
-    is_noncrossing_partition,
     nc_to_set_partition,
-    reflection,
-    reflection_length,
-    simple_reflection,
 )
 from .spec_model import (
     FinitePoset,
-    FunctionLattice,
     SizeGuardError,
-    SpecFunction,
     all_functions,
-    is_specialization_closed,
     lattice_iso,
     monotone_functions,
     poset_antichain,
     poset_chain,
     poset_diamond,
     poset_point,
-    size_guard_limit,
     smashing_count,
 )
-from .thick_enum import (
-    BijectionReport,
-    WideSubcategory,
-    enumerate_thick,
-    simples_of,
-    verify_bijection,
-    wide_closure,
-    wide_to_nc,
-)
+from .thick_enum import enumerate_thick, verify_bijection
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BijectionReport",
     "DynkinType",
     "FIGURE1_COVERS",
     "FIGURE1_NODES",
@@ -84,41 +55,21 @@ __all__ = [
     "FIGURE2_NODE_COUNT",
     "FieldRep",
     "FinitePoset",
-    "FunctionLattice",
     "GF",
     "NcLattice",
     "Poly",
     "PolyRing",
     "QQ",
     "Quiver",
-    "RationalField",
     "RationalPoint",
-    "RootSystem",
     "SizeGuardError",
-    "SpecFunction",
-    "TreeModule",
     "TreeModuleError",
-    "WeylElement",
-    "WideSubcategory",
     "all_functions",
     "build_root_system",
     "catalan_number",
-    "cokernel_rep",
-    "coxeter_element",
     "decompose_dims",
     "default_orientation",
-    "enumerate_nc",
     "enumerate_thick",
-    "euler_form",
-    "ext_cocycle_basis",
-    "ext_dim",
-    "extension_middle",
-    "hom_basis",
-    "hom_dim",
-    "indecomposable_dims",
-    "is_noncrossing_partition",
-    "is_specialization_closed",
-    "kernel_rep",
     "koszul_homology",
     "lattice_iso",
     "monotone_functions",
@@ -127,14 +78,7 @@ __all__ = [
     "poset_chain",
     "poset_diamond",
     "poset_point",
-    "reflection",
-    "reflection_length",
-    "simple_reflection",
-    "simples_of",
-    "size_guard_limit",
     "smashing_count",
     "tree_module",
     "verify_bijection",
-    "wide_closure",
-    "wide_to_nc",
 ]

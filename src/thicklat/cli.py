@@ -79,7 +79,8 @@ MAX_EXPONENT = 64
 # A power of a t-term base has at most binom(t + e - 1, e) terms, the
 # number of degree-e monomials in t letters, and a product of factors
 # with t1 and t2 terms at most t1 * t2; a power or a product whose bound
-# exceeds this is refused before it is expanded.
+# exceeds this is refused before it is expanded.  `koszul` also refuses
+# generators whose terms add up past it, before parsing the next one.
 MAX_TERMS = 10_000
 
 _SYMBOLS = set("+-*/^()")
@@ -780,7 +781,15 @@ def cmd_koszul(args) -> int:
             raise SizeGuardError(f"{count} {noun} exceed the cap {MAX_KOSZUL_INPUTS}")
     variables = tuple(v.strip() for v in args.vars.split(","))
     ring = PolyRing(variables)
-    gens = [parse_polynomial(ring, text) for text in args.gens.split(",")]
+    gens, terms = [], 0
+    for text in args.gens.split(","):
+        gens.append(parse_polynomial(ring, text))
+        terms += len(gens[-1].terms)
+        if terms > MAX_TERMS:
+            raise SizeGuardError(
+                f"the first {len(gens)} generators have {terms} terms, "
+                f"beyond the bound of {MAX_TERMS} terms"
+            )
     coords = tuple(_parse_rational(x) for x in args.at.split(","))
     homology = koszul_homology(ring, gens, RationalPoint(coords))
     arguments = {

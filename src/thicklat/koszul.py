@@ -19,51 +19,50 @@ are the tests' oracle, in tests/koszul_oracle.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+from .value import Value
 
 # The most variables, and the most generators, `koszul` accepts.  Every
 # generator is a dense exponent tuple over all the variables.
 MAX_KOSZUL_INPUTS = 64
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Value):
     """A polynomial ring over the rationals with named variables."""
 
-    variables: tuple[str, ...]
+    __slots__ = ("variables",)
 
-    def __post_init__(self):
-        variables = tuple(str(v) for v in self.variables)
-        object.__setattr__(self, "variables", variables)
+    def __init__(self, variables: tuple[str, ...]):
+        variables = tuple(str(v) for v in variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         for v in variables:
             if not v.isidentifier():
                 raise ValueError(f"bad variable name {v!r}")
+        object.__setattr__(self, "variables", variables)
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """A polynomial: sorted (exponents, coefficient) terms, extras
     stripped."""
 
-    ring: PolyRing
-    terms: tuple
+    __slots__ = ("ring", "terms")
 
-    def __post_init__(self):
+    def __init__(self, ring: PolyRing, terms: tuple):
         merged: dict = {}
-        for raw_exps, raw_c in self.terms:
+        for raw_exps, raw_c in terms:
             exps = tuple(int(e) for e in raw_exps)
-            if len(exps) != self.ring.nvars or any(e < 0 for e in exps):
+            if len(exps) != ring.nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r}")
             merged[exps] = merged.get(exps, Fraction(0)) + Fraction(raw_c)
         cleaned = tuple((e, c) for e, c in merged.items() if c != 0)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", tuple(sorted(cleaned)))
 
     @staticmethod
@@ -151,16 +150,13 @@ class Poly:
         return " ".join([first] + chunks[1:])
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(Value):
     """A point with exact rational coordinates."""
 
-    coordinates: tuple
+    __slots__ = ("coordinates",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coordinates", tuple(Fraction(x) for x in self.coordinates)
-        )
+    def __init__(self, coordinates: tuple):
+        object.__setattr__(self, "coordinates", tuple(Fraction(x) for x in coordinates))
 
 
 def _point_coords(ring: PolyRing, point):

@@ -10,7 +10,6 @@ brick; Ringel 1998: exceptional modules are tree modules).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -19,32 +18,31 @@ from . import linalg
 from .linalg import QQ, mat_mul, nullspace, rref, solve
 from . import root_system
 from .root_system import DynkinType, build_root_system
+from .value import Value
 
 DimVector = tuple[int, ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class TreeModuleError(RuntimeError):
     """Raised when a root has no gluing pair giving a 0/1 tree module."""
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Value):
     """An orientation of a Dynkin diagram.
 
     arrows are (source, target) vertex pairs, kept in sorted order.
     """
 
-    dynkin: DynkinType
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ("dynkin", "arrows")
 
-    def __post_init__(self):
-        arrows = tuple(sorted((int(s), int(t)) for s, t in self.arrows))
-        object.__setattr__(self, "arrows", arrows)
+    def __init__(self, dynkin: DynkinType, arrows: tuple[tuple[int, int], ...]):
+        arrows = tuple(sorted((int(s), int(t)) for s, t in arrows))
         edges = tuple(sorted(tuple(sorted(a)) for a in arrows))
-        if edges != self.dynkin.diagram_edges():
-            raise ValueError(
-                f"arrows {arrows!r} do not orient the {self.dynkin} diagram"
-            )
+        if edges != dynkin.diagram_edges():
+            raise ValueError(f"arrows {arrows!r} do not orient the {dynkin} diagram")
+        object.__setattr__(self, "dynkin", dynkin)
+        object.__setattr__(self, "arrows", arrows)
 
     @property
     def rank(self) -> int:
@@ -76,47 +74,47 @@ def indecomposable_dims(quiver: Quiver) -> tuple[DimVector, ...]:
     return _root_system_for(quiver.dynkin).positive_roots
 
 
-@dataclass(frozen=True)
-class TreeModule:
+class TreeModule(Value):
     """An indecomposable representation with all matrix entries 0 or 1.
 
     maps[i] is the matrix of arrows[i], of shape dim[target] x dim[source],
     acting on column vectors.
     """
 
-    quiver: Quiver
-    dim: DimVector
-    maps: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("quiver", "dim", "maps")
 
-    def __post_init__(self):
-        if len(self.dim) != self.quiver.rank:
+    def __init__(self, quiver: Quiver, dim: DimVector, maps: tuple[IntMatrix, ...]):
+        if len(dim) != quiver.rank:
             raise ValueError("dimension vector has wrong length")
-        if len(self.maps) != len(self.quiver.arrows):
+        if len(maps) != len(quiver.arrows):
             raise ValueError("one matrix per arrow required")
-        for (s, t), mat in zip(self.quiver.arrows, self.maps):
-            if len(mat) != self.dim[t - 1] or any(
-                len(row) != self.dim[s - 1] for row in mat
-            ):
+        for (s, t), mat in zip(quiver.arrows, maps):
+            if len(mat) != dim[t - 1] or any(len(row) != dim[s - 1] for row in mat):
                 raise ValueError(f"matrix for arrow {(s, t)} has wrong shape")
             if any(x not in (0, 1) for row in mat for x in row):
                 raise ValueError("tree module entries must be 0 or 1")
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "maps", maps)
 
-    def map_for(self, arrow) -> tuple[tuple[int, ...], ...]:
+    def map_for(self, arrow) -> IntMatrix:
         return self.maps[self.quiver.arrows.index(tuple(arrow))]
 
 
-@dataclass(frozen=True)
-class FieldRep:
+class FieldRep(Value):
     """A representation over an explicit field.
 
     Entries are field elements: ints for GF(p), ints or Fractions over
     the rationals.
     """
 
-    field: object
-    quiver: Quiver
-    dim: DimVector
-    maps: tuple[tuple[tuple, ...], ...]
+    __slots__ = ("field", "quiver", "dim", "maps")
+
+    def __init__(self, field, quiver: Quiver, dim: DimVector, maps: tuple[tuple, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "maps", maps)
 
     @property
     def total_dim(self) -> int:

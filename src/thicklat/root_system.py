@@ -29,37 +29,37 @@ subcategories: reflection lengths, Coxeter elements and moved roots.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 
 from .linalg import QQ, int_identity, int_mat_mul, int_rank, nullspace
+from .value import Value
 
 LETTERS = ("A", "D", "E")
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Value):
     """A simply laced Dynkin type: A_n (n>=1), D_n (n>=4), E_6, E_7, E_8.
 
     >>> DynkinType.parse("D4").diagram_edges()
     ((1, 2), (2, 3), (2, 4))
     """
 
-    letter: str
-    rank: int
+    __slots__ = ("letter", "rank")
 
-    def __post_init__(self):
-        if self.letter not in LETTERS:
-            raise ValueError(f"unknown Dynkin letter {self.letter!r}")
-        if self.letter == "A" and self.rank < 1:
+    def __init__(self, letter: str, rank: int):
+        if letter not in LETTERS:
+            raise ValueError(f"unknown Dynkin letter {letter!r}")
+        if letter == "A" and rank < 1:
             raise ValueError("type A requires rank >= 1")
-        if self.letter == "D" and self.rank < 4:
+        if letter == "D" and rank < 4:
             raise ValueError("type D requires rank >= 4")
-        if self.letter == "E" and self.rank not in (6, 7, 8):
+        if letter == "E" and rank not in (6, 7, 8):
             raise ValueError("type E requires rank 6, 7 or 8")
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "rank", rank)
 
     @staticmethod
     def parse(text: str) -> "DynkinType":
@@ -166,13 +166,20 @@ def reflection_length(w: WeylElement) -> int:
     return w._length
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     """A root system of the given type, in simple-root coordinates."""
 
-    dynkin: DynkinType
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
+    __slots__ = ("dynkin", "cartan", "positive_roots")
+
+    def __init__(
+        self,
+        dynkin: DynkinType,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "dynkin", dynkin)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "positive_roots", positive_roots)
 
     @property
     def rank(self) -> int:

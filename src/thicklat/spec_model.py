@@ -8,10 +8,10 @@ so do all unconstrained functions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import product
 
 from .root_system import NcLattice
+from .value import Value
 
 DEFAULT_SIZE_GUARD = 100_000
 
@@ -57,23 +57,19 @@ def _relation_rows(elements: tuple[str, ...], pairs) -> list[int]:
     return rows
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Value):
     """A finite poset on named elements, at most MAX_POSET_POINTS of them.
 
     leq is the full reflexive-transitive relation as (lower, higher)
     pairs; validated on construction.
     """
 
-    elements: tuple[str, ...]
-    leq: frozenset
+    __slots__ = ("elements", "leq")
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
+    def __init__(self, elements: tuple[str, ...], leq: frozenset):
+        elems = tuple(elements)
         _check_point_count(len(elems))
-        object.__setattr__(self, "elements", elems)
-        rel = frozenset((str(a), str(b)) for a, b in self.leq)
-        object.__setattr__(self, "leq", rel)
+        rel = frozenset((str(a), str(b)) for a, b in leq)
         if len(set(elems)) != len(elems):
             raise ValueError("duplicate poset elements")
         up = _relation_rows(elems, rel)
@@ -89,6 +85,8 @@ class FinitePoset:
             if missing:
                 c = elems[(missing & -missing).bit_length() - 1]
                 raise ValueError(f"transitivity fails on {a!r}, {b!r}, {c!r}")
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "leq", rel)
 
     @staticmethod
     def from_covers(elements, covers) -> "FinitePoset":
@@ -167,17 +165,21 @@ def poset_diamond() -> FinitePoset:
     )
 
 
-@dataclass(frozen=True)
-class SpecFunction:
+class SpecFunction(Value, compare=("poset", "values")):
     """A function from poset points to noncrossing partitions.
 
     values[i] is an index into lattice.elements, aligned with
-    poset.elements; the lattice itself is compared by identity.
+    poset.elements; equality and the hash leave the lattice out.
     """
 
-    poset: FinitePoset
-    lattice: NcLattice = field(compare=False)
-    values: tuple[int, ...] = ()
+    __slots__ = ("poset", "lattice", "values")
+
+    def __init__(
+        self, poset: FinitePoset, lattice: NcLattice, values: tuple[int, ...] = ()
+    ):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "values", values)
 
     def value_index(self, point: str) -> int:
         return self.values[self.poset.elements.index(point)]
@@ -202,15 +204,23 @@ def is_specialization_closed(fn: SpecFunction) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FunctionLattice:
+class FunctionLattice(Value, compare=("poset", "members", "covers")):
     """A set of functions under the pointwise order, with cover pairs
     (lower index, higher index)."""
 
-    poset: FinitePoset
-    lattice: NcLattice = field(compare=False)
-    members: tuple[SpecFunction, ...] = ()
-    covers: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("poset", "lattice", "members", "covers")
+
+    def __init__(
+        self,
+        poset: FinitePoset,
+        lattice: NcLattice,
+        members: tuple[SpecFunction, ...] = (),
+        covers: tuple[tuple[int, int], ...] = (),
+    ):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "covers", covers)
 
     def leq_members(self, i: int, j: int) -> bool:
         return all(

@@ -32,7 +32,6 @@ dimension vectors as its moved roots.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import int_identity, int_mat_mul
@@ -55,16 +54,19 @@ from .root_system import (
     reflection_length,
     reflection_mats,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class WideSubcategory:
+class WideSubcategory(Value):
     """A wide subcategory, as the set of its indecomposables' dimension
     vectors."""
 
-    quiver: Quiver
-    field: object
-    dims: frozenset
+    __slots__ = ("quiver", "field", "dims")
+
+    def __init__(self, quiver: Quiver, field, dims: frozenset):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dims", dims)
 
     def sorted_dims(self) -> tuple[DimVector, ...]:
         return tuple(sorted(self.dims))
@@ -73,15 +75,29 @@ class WideSubcategory:
         return self.dims <= other.dims
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    quiver: Quiver
-    field_char: int
-    thick_count: int
-    nc_count: int
-    is_bijective: bool
-    is_order_isomorphism: bool
-    failures: tuple[str, ...]
+class BijectionReport(Value):
+    __slots__ = (
+        "quiver", "field_char", "thick_count", "nc_count",
+        "is_bijective", "is_order_isomorphism", "failures",
+    )
+
+    def __init__(
+        self,
+        quiver: Quiver,
+        field_char: int,
+        thick_count: int,
+        nc_count: int,
+        is_bijective: bool,
+        is_order_isomorphism: bool,
+        failures: tuple[str, ...],
+    ):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "field_char", field_char)
+        object.__setattr__(self, "thick_count", thick_count)
+        object.__setattr__(self, "nc_count", nc_count)
+        object.__setattr__(self, "is_bijective", is_bijective)
+        object.__setattr__(self, "is_order_isomorphism", is_order_isomorphism)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

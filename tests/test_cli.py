@@ -888,6 +888,22 @@ def test_koszul_refuses_multinomial_powers_quickly():
     )
 
 
+def test_koszul_refuses_generators_past_the_term_bound_quickly():
+    # 64 generators of 6435 terms each: the first two pass MAX_TERMS
+    variables = ",".join(f"x{i}" for i in range(1, 9))
+    gens = ",".join(["(x1+x2+x3+x4+x5+x6+x7+x8)^8"] * 64)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["koszul", "--vars", variables, "--gens", gens, "--at", ",".join("0" * 8)]
+    )
+    assert time.perf_counter() - start < 3
+    assert code == 1 and out == ""
+    assert err == (
+        "thicklat: error: the first 2 generators have 12870 terms, "
+        f"beyond the bound of {MAX_TERMS} terms\n"
+    )
+
+
 @pytest.mark.parametrize(
     "noun, args",
     [
