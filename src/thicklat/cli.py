@@ -200,12 +200,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
             raise ExponentBoundError(
                 f"product may expand beyond the bound of {MAX_TERMS} terms", star
             )
-        if exponent == 1:
-            return base
-        out = Poly.const(ring, 1)
-        for _ in range(exponent):
-            out = out * base
-        return out
+        return base ** exponent
 
     def parse_base() -> Poly:
         kind, value, column = advance()

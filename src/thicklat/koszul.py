@@ -20,7 +20,8 @@ are the tests' oracle, in tests/koszul_oracle.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
+from operator import add
 
 from .value import Value
 
@@ -108,6 +109,34 @@ class Poly(Value):
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, Fraction(0)) + c1 * c2
         return Poly(self.ring, tuple(acc.items()))
+
+    def __pow__(self, n: int) -> "Poly":
+        """self^n in one pass: each monomial of the expansion is a
+        multiset of n terms, weighted by its multinomial coefficient, on
+        the terms' integer numerators over their common denominator."""
+        if n == 1:
+            return self
+        terms = self.terms
+        den = lcm(*(c.denominator for _, c in terms))
+        nums = [c.numerator * (den // c.denominator) for _, c in terms]
+        ways = factorial(n)
+        acc: dict = {}
+
+        def pick(start, left, exps, coeff, run, repeats):
+            # terms[start] was picked last, run times so far; repeats is
+            # the product of the factorials of the counts of each term, so
+            # ways // repeats is the multinomial coefficient at a leaf
+            if not left:
+                acc[exps] = acc.get(exps, 0) + ways // repeats * coeff
+                return
+            for j in range(start, len(terms)):
+                r = run + 1 if j == start else 1
+                pick(j, left - 1, tuple(map(add, exps, terms[j][0])),
+                     coeff * nums[j], r, repeats * r)
+
+        pick(0, n, (0,) * self.ring.nvars, 1, 0, 1)
+        scale = den ** n
+        return Poly(self.ring, tuple((e, Fraction(c, scale)) for e, c in acc.items()))
 
     def scale(self, value) -> "Poly":
         v = Fraction(value)

@@ -4,8 +4,8 @@ Matrices are tuples (or lists) of rows.  Rational entries are ints or
 fractions.Fraction; prime-field entries are ints reduced mod p.  Nothing
 here ever touches a float.
 
-Every elimination (nullspace, left_nullspace, solve and rank) runs
-through one kernel, rref, on rows of plain ints:
+Every elimination that returns vectors (nullspace, left_nullspace and
+solve) runs through one kernel, rref, on rows of plain ints:
 
 - over GF(p) every update is reduced mod p on the spot, and touches only
   the rows with a nonzero in the pivot column and, in them, only the
@@ -19,9 +19,13 @@ through one kernel, rref, on rows of plain ints:
   row by its pivot.
 
 Both paths compute the unique reduced row echelon form, so nothing is
-approximated.  int_rank is Bareiss elimination itself.  Every matrix
-product runs through int_mat_mul on plain ints: mat_mul reduces it mod p,
-or over QQ divides it by the factors' common denominators.
+approximated.  rank, which needs no vectors, runs the same two integer
+paths on sparse {column: entry} rows: it reduces each row as it arrives
+against one pivot row per leading column and keeps only the pivot rows.
+dim Hom is such a rank (quiver_rep.hom_dim).  int_rank is Bareiss
+elimination itself.  Every matrix product runs through int_mat_mul on
+plain ints: mat_mul reduces it mod p, or over QQ divides it by the
+factors' common denominators.
 """
 from __future__ import annotations
 
@@ -274,7 +278,49 @@ def _integer_row(row):
 
 
 def rank(field, rows) -> int:
-    return len(rref(field, rows)[1])
+    """Rank of a matrix given row by row, each row a sparse {column:
+    entry} dict or a dense sequence.
+
+    Each row is reduced as it arrives against the pivot rows kept so far,
+    one per leading column, on the integer paths of rref: a row with f
+    in a pivot column becomes a*row - b*top, reduced mod p over GF(p)
+    (where pivots are 1) and divided by its content over QQ.  A row left
+    nonzero becomes the pivot row of its leading column.
+    """
+    p = field.char
+    pivots = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        if p:
+            row = {c: x % p for c, x in items if x % p}
+        else:
+            row = {c: x for c, x in items if x}
+            row = dict(zip(row, _integer_row(list(row.values()))))
+        while row:
+            col = min(row)
+            top = pivots.get(col)
+            if top is None:
+                if p and row[col] != 1:
+                    inv = pow(row[col], p - 2, p)
+                    row = {c: x * inv % p for c, x in row.items()}
+                pivots[col] = row
+                break
+            g = gcd(top[col], row[col])
+            a, b = top[col] // g, row[col] // g
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
+            for c, x in top.items():
+                x = row.get(c, 0) - b * x
+                if p:
+                    x %= p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = 1 if p else gcd(*row.values())
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+    return len(pivots)
 
 
 def nullspace(field, rows, ncols=None):

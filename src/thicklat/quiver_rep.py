@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from math import lcm
 
 from . import linalg
-from .linalg import QQ, mat_mul, nullspace, rref, solve
+from .linalg import QQ, mat_mul, nullspace, rank, rref, solve
 from . import root_system
 from .root_system import DynkinType, build_root_system
 from .value import Value
@@ -196,58 +196,65 @@ def _as_unit_int(x) -> int:
 # ---------------------------------------------------------------------------
 # Hom and Ext over a field
 
-def _vertex_offsets(dims_m, dims_n):
-    offsets = []
-    total = 0
-    for dm, dn in zip(dims_m, dims_n):
+def _hom_equations(m: FieldRep, n: FieldRep):
+    """The intertwining equations f_t M_a = N_a f_s of Hom(m, n), with
+    the number of unknowns.  There is one sparse {unknown: int} row per
+    arrow a: s -> t and entry (i, j) of f_t M_a, zero rows included, in
+    arrow order and then row-major, so row r is coordinate r of the
+    per-arrow correction space of ext_cocycle_basis.  The unknown
+    f_v[i][k] is column offsets[v] + i * m.dim[v] + k.  Over QQ each
+    arrow's pair of matrices is scaled to ints by the lcm of its
+    denominators."""
+    if m.quiver != n.quiver or m.field != n.field:
+        raise ValueError("representations live over different data")
+    offsets, total = [], 0
+    for dm, dn in zip(m.dim, n.dim):
         offsets.append(total)
         total += dm * dn
-    return offsets, total
+    rows = []
+    for (s, t), ma, na in zip(m.quiver.arrows, m.maps, n.maps):
+        if not m.field.char:
+            den = lcm(*(x.denominator for mat in (ma, na) for row in mat for x in row))
+            ma, na = (
+                [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+                for mat in (ma, na)
+            )
+        ds, dt, es = m.dim[s - 1], m.dim[t - 1], n.dim[s - 1]
+        at_t, at_s = offsets[t - 1], offsets[s - 1]
+        for i, nrow in enumerate(na):
+            for j in range(ds):
+                row = {at_t + i * dt + k: ma[k][j] for k in range(dt) if ma[k][j]}
+                for l in range(es):
+                    if nrow[l]:
+                        row[at_s + l * ds + j] = -nrow[l]
+                rows.append(row)
+    return total, rows
 
 
 def hom_basis(m: FieldRep, n: FieldRep):
     """Basis of Hom(m, n) as tuples of per-vertex matrices."""
-    if m.quiver != n.quiver or m.field != n.field:
-        raise ValueError("representations live over different data")
-    field = m.field
-    offsets, total = _vertex_offsets(m.dim, n.dim)
+    total, equations = _hom_equations(m, n)
     rows = []
-    for ai, (s, t) in enumerate(m.quiver.arrows):
-        ma, na = m.maps[ai], n.maps[ai]
-        ds, dt = m.dim[s - 1], m.dim[t - 1]
-        es, et = n.dim[s - 1], n.dim[t - 1]
-        for i in range(et):
-            for j in range(ds):
-                row = [field.zero] * total
-                for k in range(dt):
-                    row[offsets[t - 1] + i * m.dim[t - 1] + k] = field.add(
-                        row[offsets[t - 1] + i * m.dim[t - 1] + k], ma[k][j]
-                    )
-                for l in range(es):
-                    row[offsets[s - 1] + l * m.dim[s - 1] + j] = field.sub(
-                        row[offsets[s - 1] + l * m.dim[s - 1] + j], na[i][l]
-                    )
-                rows.append(row)
-    basis = nullspace(field, rows, ncols=total)
+    for equation in equations:
+        row = [0] * total
+        for c, x in equation.items():
+            row[c] = x
+        rows.append(row)
     out = []
-    for vec in basis:
-        per_vertex = []
-        for v in range(m.quiver.rank):
-            dm, dn = m.dim[v], n.dim[v]
-            off = offsets[v]
-            per_vertex.append(
-                tuple(
-                    tuple(vec[off + i * dm + j] for j in range(dm))
-                    for i in range(dn)
-                )
-            )
+    for vec in nullspace(m.field, rows, ncols=total):
+        per_vertex, off = [], 0
+        for dm, dn in zip(m.dim, n.dim):
+            per_vertex.append(tuple(vec[off + i * dm:off + (i + 1) * dm] for i in range(dn)))
+            off += dm * dn
         out.append(tuple(per_vertex))
     return out
 
 
 def hom_dim(m: FieldRep, n: FieldRep) -> int:
-    """dim Hom(m, n), the nullity of the intertwining system."""
-    return len(hom_basis(m, n))
+    """dim Hom(m, n): the unknowns of the intertwining equations less
+    their rank."""
+    total, rows = _hom_equations(m, n)
+    return total - rank(m.field, rows)
 
 
 def ext_dim(m: FieldRep, n: FieldRep) -> int:
@@ -349,72 +356,35 @@ def _sub_rep_on_bases(m: FieldRep, bases) -> FieldRep:
 
 
 def ext_cocycle_basis(m: FieldRep, n: FieldRep):
-    """Cocycles spanning Ext1(m, n): a complement of the coboundaries
-    inside the per-arrow correction space.
+    """Cocycles spanning Ext1(m, n): unit vectors at the coordinates of
+    the per-arrow correction space that complement the coboundaries.
 
-    Returns a list of tuples of per-arrow matrices psi_a of shape
-    n_dim[t] x m_dim[s].
+    The coboundary of the vertex maps f is f_t M_a - N_a f_s, so the
+    intertwining equations of Hom(m, n) are the rows of its matrix, one
+    per coordinate.  Returns a list of tuples of per-arrow matrices psi_a
+    of shape n_dim[t] x m_dim[s].
     """
-    if m.quiver != n.quiver or m.field != n.field:
-        raise ValueError("representations live over different data")
-    field = m.field
-    quiver = m.quiver
-    arrow_offsets = []
-    total = 0
-    for s, t in quiver.arrows:
-        arrow_offsets.append(total)
-        total += n.dim[t - 1] * m.dim[s - 1]
-    phi_offsets, phi_total = _vertex_offsets(m.dim, n.dim)
-    coboundary_cols = []
-    for col in range(phi_total):
-        vert = max(v for v in range(quiver.rank) if phi_offsets[v] <= col)
-        local = col - phi_offsets[vert]
-        dm = m.dim[vert]
-        i, j = divmod(local, dm)
-        out = [field.zero] * total
-        for ai, (s, t) in enumerate(quiver.arrows):
-            ma, na = m.maps[ai], n.maps[ai]
-            base = arrow_offsets[ai]
-            if t - 1 == vert:
-                for jj in range(m.dim[s - 1]):
-                    out[base + i * m.dim[s - 1] + jj] = field.add(
-                        out[base + i * m.dim[s - 1] + jj], ma[j][jj]
-                    )
-            if s - 1 == vert:
-                for ii in range(n.dim[t - 1]):
-                    out[base + ii * m.dim[s - 1] + j] = field.sub(
-                        out[base + ii * m.dim[s - 1] + j], na[ii][i]
-                    )
-        coboundary_cols.append(out)
-    if coboundary_cols:
-        _, pivot_coords = rref(field, [list(v) for v in coboundary_cols])
-    else:
-        pivot_coords = []
-    # unit vectors at non-pivot coordinates complement the coboundary image
-    pivot_set = set(pivot_coords)
-    chosen = [c for c in range(total) if c not in pivot_set]
-    expected = total - len(pivot_coords)
+    unknowns, rows = _hom_equations(m, n)
+    coboundaries = [[0] * len(rows) for _ in range(unknowns)]
+    for coord, row in enumerate(rows):
+        for c, x in row.items():
+            coboundaries[c][coord] = x
+    pivots = set(rref(m.field, coboundaries)[1])
+    one, zero = m.field.one, m.field.zero
     basis = []
-    for coord in chosen:
+    for coord in range(len(rows)):
+        if coord in pivots:
+            continue
         per_arrow = []
-        for ai, (s, t) in enumerate(quiver.arrows):
-            rows = n.dim[t - 1]
+        base = 0
+        for s, t in m.quiver.arrows:
             cols = m.dim[s - 1]
-            base = arrow_offsets[ai]
-            per_arrow.append(
-                tuple(
-                    tuple(
-                        field.one
-                        if base + i * cols + j == coord
-                        else field.zero
-                        for j in range(cols)
-                    )
-                    for i in range(rows)
-                )
-            )
+            per_arrow.append(tuple(
+                tuple(one if base + i * cols + j == coord else zero for j in range(cols))
+                for i in range(n.dim[t - 1])
+            ))
+            base += n.dim[t - 1] * cols
         basis.append(tuple(per_arrow))
-    if len(basis) != expected:
-        raise RuntimeError("failed to span a complement of the coboundaries")
     return basis
 
 
@@ -442,109 +412,71 @@ def extension_middle(m: FieldRep, n: FieldRep, cocycle) -> FieldRep:
 
 
 # ---------------------------------------------------------------------------
-# Krull-Schmidt decomposition
+# the Hom table between indecomposables, and Krull-Schmidt by it
 
-def _mat_power(field, mat, size, exponent):
-    result = tuple(
-        tuple(field.one if i == j else field.zero for j in range(size))
-        for i in range(size)
-    )
-    base = mat
-    e = exponent
-    while e:
-        if e & 1:
-            result = mat_mul(field, result, base)
-        base = mat_mul(field, base, base)
-        e >>= 1
-    return result
+class HomTable:
+    """dim Hom between the indecomposables of one quiver over one field.
 
-
-def _column_space_basis(field, mat, size):
-    cols = list(zip(*mat)) if mat else []
-    if not cols:
-        return []
-    _, pivots = rref(field, mat)
-    # pivots of the row-reduced matrix mark independent columns
-    return [tuple(mat[r][c] for r in range(size)) for c in pivots]
-
-
-def _fitting_split(rep: FieldRep, phi):
-    """Try to split rep along the stable kernel/image of phi.
-
-    Returns (kernel_rep, image_rep) or None when phi is nilpotent or
-    invertible.
+    roots are the positive roots in indecomposable_dims order, reps their
+    tree modules over the field, and hom[i][j] = dim Hom(reps[i], reps[j])
+    by hom_dim.  order lists the root indices so that every j != i with
+    Hom(M_i, M_j) != 0 comes before i: in it the table is unitriangular,
+    since tree modules are bricks and Hom between Dynkin indecomposables
+    has no cycles (the path algebra of a Dynkin quiver is
+    representation-directed).
     """
-    field = rep.field
-    ker_bases = []
-    im_bases = []
-    ker_total = 0
-    im_total = 0
-    for v in range(rep.quiver.rank):
-        size = rep.dim[v]
-        if size == 0:
-            ker_bases.append([])
-            im_bases.append([])
-            continue
-        # by Fitting's lemma on the vertex space, phi_v^size has the
-        # stable kernel and image of phi_v
-        power = _mat_power(field, phi[v], size, size)
-        kb = nullspace(field, power, ncols=size)
-        ib = _column_space_basis(field, power, size)
-        if len(kb) + len(ib) != size:
-            raise RuntimeError("stable kernel and image do not fill the space")
-        ker_bases.append(kb)
-        im_bases.append(ib)
-        ker_total += len(kb)
-        im_total += len(ib)
-    if ker_total == 0 or im_total == 0:
-        return None
-    return (
-        _sub_rep_on_bases(rep, ker_bases),
-        _sub_rep_on_bases(rep, im_bases),
-    )
+
+    __slots__ = ("roots", "reps", "hom", "order")
+
+    def __init__(self, quiver: Quiver, field):
+        self.roots = indecomposable_dims(quiver)
+        self.reps = tuple(base_change(tree_module(quiver, d), field) for d in self.roots)
+        self.hom = hom = tuple(tuple(hom_dim(m, x) for x in self.reps) for m in self.reps)
+        n = len(self.roots)
+        waiting = [sum(1 for j in range(n) if j != i and hom[i][j]) for i in range(n)]
+        ready = [i for i in range(n) if not waiting[i]]
+        order = []
+        while ready:
+            j = ready.pop()
+            order.append(j)
+            for i in range(n):
+                if i != j and hom[i][j]:
+                    waiting[i] -= 1
+                    if not waiting[i]:
+                        ready.append(i)
+        self.order = tuple(order)
+        if len(order) != n or any(hom[i][i] != 1 for i in range(n)):
+            raise RuntimeError("the Hom table of the indecomposables is not unitriangular")
 
 
-def _splitter_candidates(field, basis_size):
-    """Deterministic stream of coefficient vectors to probe for a
-    Fitting splitter: basis elements first, then everything."""
-    for i in range(basis_size):
-        vec = [field.zero] * basis_size
-        vec[i] = field.one
-        yield tuple(vec)
-    if field.char:
-        for combo in product(field.elements(), repeat=basis_size):
-            yield tuple(combo)
-    else:
-        height = 1
-        while height <= 64:
-            values = [Fraction(k) for k in range(-height, height + 1)]
-            for combo in product(values, repeat=basis_size):
-                if max((abs(x) for x in combo), default=Fraction(0)) == height:
-                    yield tuple(combo)
-            height += 1
+@lru_cache(maxsize=None)
+def hom_table(quiver: Quiver, field) -> HomTable:
+    return HomTable(quiver, field)
 
 
 def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
     """Dimension vectors of the indecomposable summands, sorted, with
     multiplicity.
 
-    Splits along Fitting decompositions of endomorphisms until every
-    piece has a one dimensional endomorphism ring.
+    Every indecomposable is a tree module M_beta (Gabriel 1972), and a
+    module X is determined by the numbers h(beta) = dim Hom(M_beta, X)
+    (Auslander 1982).  If X is the sum of m_gamma copies of M_gamma, then
+    h(beta) is the sum of m_gamma dim Hom(M_beta, M_gamma), a system that
+    is unitriangular in the Hom table's order, so the multiplicities come
+    by back-substitution.  Only the roots beta <= dim X can be summands,
+    and only they are solved for.
     """
-    if rep.total_dim == 0:
-        return ()
-    basis = hom_basis(rep, rep)
-    if len(basis) == 1:
-        return (rep.dim,)
-    field = rep.field
-    for coeffs in _splitter_candidates(field, len(basis)):
-        if all(c == field.zero for c in coeffs):
-            continue
-        phi = morphism_from_coeffs(field, basis, coeffs)
-        split = _fitting_split(rep, phi)
-        if split is not None:
-            left, right = split
-            return tuple(
-                sorted(decompose_dims(left) + decompose_dims(right))
-            )
-    raise RuntimeError("no Fitting splitter found for a decomposable module")
+    table = hom_table(rep.quiver, rep.field)
+    mult = {}
+    for i in table.order:
+        if all(x <= y for x, y in zip(table.roots[i], rep.dim)):
+            hom = table.hom[i]
+            k = hom_dim(table.reps[i], rep) - sum(hom[j] * c for j, c in mult.items())
+            if k < 0:
+                raise RuntimeError("negative multiplicity; the Hom vector is inconsistent")
+            if k:
+                mult[i] = k
+    summands = tuple(sorted(table.roots[i] for i, k in mult.items() for _ in range(k)))
+    if tuple(sum(d[v] for d in summands) for v in range(len(rep.dim))) != tuple(rep.dim):
+        raise RuntimeError("the summands do not add up to the dimension vector")
+    return summands

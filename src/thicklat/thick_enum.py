@@ -22,29 +22,21 @@ Each enumerated subcategory keeps its seed, which is the set of its
 simples, and is sent to the element of NC(W, c) whose moved roots are
 its dimension vectors (Ingalls-Thomas), found in the lattice by that
 mask.  Three sides are computed independently of each other: NC(W, c)
-from the quiver's Euler form (root_system), the subcategories from Hom
-spaces over the field (hom_basis), and the check of the bijection from
-Weyl matrices.  verify_bijection multiplies the reflections of each
-subcategory's simples, in an order with no backward morphisms or
-extensions, and checks that the product w has the number of simples as
-its reflection length, lies below c, and has the subcategory's
-dimension vectors as its moved roots.
+from the quiver's Euler form (root_system), the subcategories from the
+dimensions of Hom spaces over the field (quiver_rep.hom_table, each one
+a rank), and the check of the bijection from Weyl matrices.
+verify_bijection multiplies the reflections of each subcategory's
+simples, in an order with no backward morphisms or extensions, and
+checks that the product w has the number of simples as its reflection
+length, lies below c, and has the subcategory's dimension vectors as its
+moved roots.
 """
 from __future__ import annotations
 
 from functools import cached_property
 
 from .linalg import int_identity, int_mat_mul
-from .quiver_rep import (
-    DimVector,
-    Quiver,
-    _root_system_for,
-    base_change,
-    euler_form,
-    hom_basis,
-    indecomposable_dims,
-    tree_module,
-)
+from .quiver_rep import DimVector, Quiver, _root_system_for, euler_form, hom_table
 from .root_system import (
     NcLattice,
     WeylElement,
@@ -105,8 +97,9 @@ class BijectionReport(Value):
 
 
 class _RepContext:
-    """Memoized morphism data for all indecomposables of one quiver over
-    one finite field, and the wide subcategories once enumerated."""
+    """The Hom table of one quiver over one finite field, the
+    perpendicular masks read off it, and the wide subcategories once
+    enumerated."""
 
     def __init__(self, quiver: Quiver, field):
         if field.char == 0:
@@ -115,10 +108,9 @@ class _RepContext:
             )
         self.quiver = quiver
         self.field = field
-        self.roots = indecomposable_dims(quiver)
+        self.table = hom_table(quiver, field)
+        self.roots = self.table.roots
         self.index = {d: i for i, d in enumerate(self.roots)}
-        self.reps = [base_change(tree_module(quiver, d), field) for d in self.roots]
-        self._hom: dict[tuple[int, int], int] = {}
         self.wides = None
         self.seeds = None
 
@@ -131,10 +123,7 @@ class _RepContext:
         return NcLattice(rs, self.quiver)
 
     def hom(self, i: int, j: int) -> int:
-        key = (i, j)
-        if key not in self._hom:
-            self._hom[key] = len(hom_basis(self.reps[i], self.reps[j]))
-        return self._hom[key]
+        return self.table.hom[i][j]
 
     def ext(self, i: int, j: int) -> int:
         """dim Ext1(root i, root j) = dim Hom - <i, j> (hereditary)."""

@@ -209,7 +209,7 @@ def embeds(ctx, i: int, j: int) -> bool:
     one morphism per line of Hom, as a unit multiple has the same
     kernel."""
     field = ctx.field
-    m, n = ctx.reps[i], ctx.reps[j]
+    m, n = ctx.table.reps[i], ctx.table.reps[j]
     if not all(a <= b for a, b in zip(m.dim, n.dim)) or not ctx.hom(i, j):
         return False
     basis = hom_basis(m, n)

@@ -818,6 +818,27 @@ def test_parse_polynomial_bounds_nested_powers():
         assert err.value.column == column
 
 
+@pytest.mark.parametrize(
+    "base",
+    ["1/2*x - 3*y + 2/3", "x + x^2", "-x^2*y + 3/5*x*y^2 - 7/4", "x - y", "0"],
+)
+def test_parse_polynomial_powers_match_repeated_products(base):
+    """A power is expanded in one pass by multinomial coefficients; it
+    must equal the product of its factors, terms in the same order."""
+    factor = parse_polynomial(RING, base)
+    expected = Poly.const(RING, 1)
+    for exponent in range(7):
+        found = parse_polynomial(RING, f"({base})^{exponent}")
+        assert found == expected and found.terms == expected.terms, exponent
+        expected = expected * factor
+    ring8 = PolyRing(tuple(f"x{i}" for i in range(1, 9)))
+    text = "1/2*x1+x2-3*x3+x4+x5+x6+x7+2/3*x8"
+    product = Poly.const(ring8, 1)
+    for _ in range(4):
+        product = product * parse_polynomial(ring8, text)
+    assert parse_polynomial(ring8, f"({text})^4").terms == product.terms
+
+
 def test_koszul_refuses_nested_powers_quickly():
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -896,7 +917,7 @@ def test_koszul_refuses_generators_past_the_term_bound_quickly():
     code, out, err = run_cli(
         ["koszul", "--vars", variables, "--gens", gens, "--at", ",".join("0" * 8)]
     )
-    assert time.perf_counter() - start < 3
+    assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == (
         "thicklat: error: the first 2 generators have 12870 terms, "

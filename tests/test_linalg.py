@@ -427,6 +427,26 @@ def test_rref_matches_oracle_on_rank_deficient_and_sparse_systems(field):
         assert_matches_oracle(field, [list(col) for col in zip(*mat)])
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_sparse_rank_matches_rref_pivots(field):
+    """rank reduces each row as it arrives against the pivot rows so far;
+    on dense rows and on the same rows as {column: entry} dicts, in either
+    order, it counts rref's pivots."""
+    rng = random.Random(f"rank:{field!r}")
+    cases = [random_matrix(rng, field, rng.randint(1, 9), rng.randint(1, 9), rng.random())
+             for _ in range(200)]
+    for _ in range(40):
+        nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+        cases.append(rank_deficient(rng, field, nrows, ncols, rng.randint(1, min(nrows, ncols))))
+    cases += [hom_shaped(rng, field, rng.randint(20, 40), rng.randint(30, 60)) for _ in range(6)]
+    for mat in cases:
+        expected = len(rref(field, mat)[1])
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
+        assert rank(field, mat) == expected
+        assert rank(field, sparse) == expected
+        assert rank(field, sparse[::-1]) == expected
+
+
 def test_rref_over_rationals_matches_sympy():
     sympy = pytest.importorskip("sympy")
 

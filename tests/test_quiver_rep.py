@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thicklat.linalg import GF, QQ, rank, solve
 from thicklat.quiver_rep import (
@@ -19,12 +20,15 @@ from thicklat.quiver_rep import (
     extension_middle,
     hom_basis,
     hom_dim,
+    hom_table,
     indecomposable_dims,
     kernel_rep,
     morphism_from_coeffs,
     tree_module,
 )
 from thicklat.root_system import DynkinType, build_root_system
+
+from decompose_oracle import decompose_dims as fitting_decompose_dims
 
 FIELDS = [GF(2), GF(3), GF(5), QQ]
 
@@ -67,6 +71,15 @@ def random_invertible(field, n, rng):
         ]
         if rank(field, mat) == n:
             return mat
+
+
+def fractional_invertible(n, rng):
+    """An invertible matrix over QQ with fractional entries: an integer
+    one with each row divided by an integer of its own."""
+    return [
+        [x / d for x in row]
+        for row, d in zip(random_invertible(QQ, n, rng), [rng.randint(2, 5) for _ in range(n)])
+    ]
 
 
 def conjugate(rep: FieldRep, changes) -> FieldRep:
@@ -301,6 +314,46 @@ def test_euler_form_symmetrization_is_cartan_pairing():
             assert euler_form(quiver, d, e) + euler_form(quiver, e, d) == bilinear
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f"char{f.char}")
+def test_hom_dim_is_the_size_of_hom_basis(name, field):
+    """The rank of the intertwining equations against the nullspace that
+    hom_basis solves, on every ordered pair of indecomposables of every
+    orientation."""
+    for quiver in orientations(name):
+        reps = [
+            base_change(tree_module(quiver, d), field)
+            for d in indecomposable_dims(quiver)
+        ]
+        for m, n in itertools.product(reps, repeat=2):
+            assert hom_dim(m, n) == len(hom_basis(m, n)), (quiver.arrows, m.dim, n.dim)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_hom_dim_over_the_rationals_with_fractions_and_empty_vertices(name):
+    """Disguised sums over QQ, with fractional entries and, in half of
+    them, nothing at the first vertex: Hom is additive, so its dimension
+    is the sum of the Hom table over pairs of summands."""
+    quiver = quiver_of(name)
+    table = hom_table(quiver, QQ)
+    rng = random.Random(f"hom-qq:{name}")
+    roots = list(range(len(table.roots)))
+    empty_first = [i for i in roots if table.roots[i][0] == 0]
+    sums = []
+    for k in range(12):
+        chosen = [rng.choice(empty_first if k % 2 else roots) for _ in range(rng.randint(1, 3))]
+        summed = direct_sum(QQ, [table.reps[i] for i in chosen])
+        changes = [fractional_invertible(summed.dim[v], rng) for v in range(quiver.rank)]
+        sums.append((chosen, conjugate(summed, changes)))
+    assert any(
+        x.denominator > 1 for _, rep in sums for mat in rep.maps for row in mat for x in row
+    )
+    assert any(rep.dim[0] == 0 for _, rep in sums)
+    for (left, m), (right, n) in itertools.product(sums, repeat=2):
+        expected = sum(table.hom[i][j] for i in left for j in right)
+        assert hom_dim(m, n) == len(hom_basis(m, n)) == expected
+
+
 def test_hom_basis_elements_are_morphisms():
     field = GF(5)
     quiver = quiver_of("A3")
@@ -446,6 +499,34 @@ def test_decompose_recovers_shuffled_direct_sums(name, p, seed):
         ]
         disguised = conjugate(summed, changes)
         assert decompose_dims(disguised) == tuple(sorted(chosen))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f"char{f.char}")
+@pytest.mark.parametrize("name,flips", [
+    ("A3", 0), ("A3", 1), ("A4", 0), ("A4", 1), ("D4", 0), ("D4", 1),
+])
+def test_decompose_matches_the_fitting_oracle(name, flips, field):
+    """Disguised sums of one to four tree modules, decomposed by the Hom
+    vector and by the Fitting search it replaced; over QQ the base
+    changes have fractional entries.  flips 1 reverses the last edge of
+    the default orientation."""
+    quiver = list(orientations(name))[flips]
+    roots = indecomposable_dims(quiver)
+
+    @settings(database=None, max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(roots), min_size=1, max_size=4), st.integers(0, 2**32))
+    def check(chosen, seed):
+        rng = random.Random(seed)
+        summed = direct_sum(field, [base_change(tree_module(quiver, d), field) for d in chosen])
+        changes = [
+            fractional_invertible(n, rng) if field == QQ else random_invertible(field, n, rng)
+            for n in summed.dim
+        ]
+        disguised = conjugate(summed, changes)
+        expected = tuple(sorted(chosen))
+        assert decompose_dims(disguised) == fitting_decompose_dims(disguised) == expected
+
+    check()
 
 
 def test_decompose_identifies_indecomposables():

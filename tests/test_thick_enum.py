@@ -263,7 +263,7 @@ def pair_mask(ctx, i, j):
     key = (ctx.quiver, ctx.field, i, j)
     if key not in _PAIR_MASKS:
         field = ctx.field
-        m, n = ctx.reps[i], ctx.reps[j]
+        m, n = ctx.table.reps[i], ctx.table.reps[j]
         dims = {m.dim, n.dim}
         basis = hom_basis(m, n)
         for coeffs in lines(field, len(basis)):
@@ -367,8 +367,8 @@ def test_lines_give_one_vector_per_line(p):
 def test_pair_mask_and_embeds_match_brute_force(name, p):
     field = GF(p)
     ctx = _context(quiver_of(name), field)
-    for i, m in enumerate(ctx.reps):
-        for j, n in enumerate(ctx.reps):
+    for i, m in enumerate(ctx.table.reps):
+        for j, n in enumerate(ctx.table.reps):
             assert pair_mask(ctx, i, j) == ctx.mask_of_dims(
                 _brute_pair_dims(field, m, n)
             ), (m.dim, n.dim)
@@ -385,7 +385,7 @@ def test_euler_form_precedence_matches_ext_cocycles(p):
         ctx = _context(quiver_of(name), GF(p))
         for a, b in itertools.product(range(len(ctx.roots)), repeat=2):
             assert ctx.ext(a, b) == len(
-                ext_cocycle_basis(ctx.reps[a], ctx.reps[b])
+                ext_cocycle_basis(ctx.table.reps[a], ctx.table.reps[b])
             ), (name, ctx.roots[a], ctx.roots[b])
 
 
