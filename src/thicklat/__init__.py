@@ -12,7 +12,7 @@ from .figures import (
     FIGURE1_COVERS,
     FIGURE1_NODES,
     FIGURE2_COVERS,
-    FIGURE2_NODE_COUNT,
+    FIGURE2_NODES,
 )
 from .koszul import Poly, PolyRing, RationalPoint, koszul_homology
 from .linalg import GF, QQ
@@ -35,7 +35,6 @@ from .spec_model import (
     FinitePoset,
     SizeGuardError,
     all_functions,
-    lattice_iso,
     monotone_functions,
     poset_antichain,
     poset_chain,
@@ -52,7 +51,7 @@ __all__ = [
     "FIGURE1_COVERS",
     "FIGURE1_NODES",
     "FIGURE2_COVERS",
-    "FIGURE2_NODE_COUNT",
+    "FIGURE2_NODES",
     "FieldRep",
     "FinitePoset",
     "GF",
@@ -71,7 +70,6 @@ __all__ = [
     "default_orientation",
     "enumerate_thick",
     "koszul_homology",
-    "lattice_iso",
     "monotone_functions",
     "nc_to_set_partition",
     "poset_antichain",

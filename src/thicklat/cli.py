@@ -23,7 +23,7 @@ from .figures import (
     FIGURE1_COVERS,
     FIGURE1_NODES,
     FIGURE2_COVERS,
-    FIGURE2_NODE_COUNT,
+    FIGURE2_NODES,
 )
 from .koszul import MAX_KOSZUL_INPUTS, Poly, PolyRing, RationalPoint, koszul_homology
 from .linalg import GF
@@ -41,7 +41,6 @@ from .spec_model import (
     all_function_count,
     all_functions,
     check_size_guard,
-    lattice_iso,
     monotone_functions,
     poset_antichain,
     poset_chain,
@@ -619,8 +618,8 @@ def _function_ids(lattice, nc_ids) -> list[str]:
     ranked = sorted(range(len(names)), key=names.__getitem__)
     heads = [f"{names[k]}=" for k in ranked]
     return [
-        ";".join(head + nc_ids[fn.values[k]] for head, k in zip(heads, ranked))
-        for fn in lattice.members
+        ";".join(head + nc_ids[values[k]] for head, k in zip(heads, ranked))
+        for values in lattice.members
     ]
 
 
@@ -659,7 +658,7 @@ def cmd_specfn(args) -> int:
                 "id": ids[i],
                 "values": {
                     point: nc_ids[v]
-                    for point, v in zip(poset.elements, lattice.members[i].values)
+                    for point, v in zip(poset.elements, lattice.members[i])
                 },
             }
             for i in order
@@ -678,6 +677,16 @@ def cmd_specfn(args) -> int:
 
 # ---------------------------------------------------------------------------
 # figures
+
+def _figure2_matches(functions, partitions) -> bool:
+    """Whether the monotone functions, labeled by Figure 1 indices, have
+    exactly FIGURE2's labeled nodes and covers."""
+    label = [FIGURE1_NODES.index(p) for p in partitions]
+    nodes = [tuple(label[v] for v in values) for values in functions.members]
+    covers = {(nodes[i], nodes[j]) for i, j in functions.covers}
+    reference = {(FIGURE2_NODES[i], FIGURE2_NODES[j]) for i, j in FIGURE2_COVERS}
+    return set(nodes) == set(FIGURE2_NODES) and covers == reference
+
 
 def cmd_figures(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
@@ -707,11 +716,8 @@ def cmd_figures(args) -> int:
     fn_ids = _function_ids(functions, nc_ids)
     fn_order = sorted(range(len(fn_ids)), key=lambda i: fn_ids[i])
     fn_edges = sorted((fn_ids[i], fn_ids[j]) for i, j in functions.covers)
-    figure2_iso = (
-        len(functions.members) == FIGURE2_NODE_COUNT
-        and lattice_iso(functions, (FIGURE2_NODE_COUNT, FIGURE2_COVERS))
-        is not None
-    )
+    # the labels index FIGURE1_NODES, so they are read only when it matches
+    figure2_iso = figure1_nodes_match and _figure2_matches(functions, partitions)
     figure2_doc = _document(
         "figures",
         {"figure": 2},

@@ -3,8 +3,9 @@
 FIGURE1 is the five element lattice of noncrossing partitions of
 {1, 2, 3} with its six cover relations, labeled by partitions.  FIGURE2
 is the twelve element lattice of monotone functions from a two point
-chain into that lattice, kept as an unlabeled cover digraph and matched
-against computed lattices only up to isomorphism.
+chain p0 < p1 into that lattice.  Each of its nodes is labeled by the
+pair (value at p0, value at p1) of indices into FIGURE1_NODES, so a
+computed lattice is compared with it as labeled node and cover sets.
 """
 from __future__ import annotations
 
@@ -25,9 +26,24 @@ FIGURE1_COVERS: tuple = (
     (((1,), (2, 3)), ((1, 2, 3),)),
 )
 
-# nodes indexed 0..11; edges are (lower, higher) cover pairs
-FIGURE2_NODE_COUNT = 12
+# node i is the function p0 -> FIGURE1_NODES[a], p1 -> FIGURE1_NODES[b]
+# for (a, b) = FIGURE2_NODES[i]
+FIGURE2_NODES: tuple = (
+    (4, 4),
+    (3, 4),
+    (3, 3),
+    (0, 3),
+    (1, 4),
+    (1, 1),
+    (0, 1),
+    (2, 4),
+    (2, 2),
+    (0, 2),
+    (0, 0),
+    (0, 4),
+)
 
+# edges are (lower, higher) cover pairs of node indices
 FIGURE2_COVERS: tuple = (
     (1, 0),
     (4, 0),

@@ -142,9 +142,6 @@ class Poly(Value):
         v = Fraction(value)
         return Poly(self.ring, tuple((e, c * v) for e, c in self.terms))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

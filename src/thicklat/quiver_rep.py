@@ -97,9 +97,6 @@ class TreeModule(Value):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "maps", maps)
 
-    def map_for(self, arrow) -> IntMatrix:
-        return self.maps[self.quiver.arrows.index(tuple(arrow))]
-
 
 class FieldRep(Value):
     """A representation over an explicit field.

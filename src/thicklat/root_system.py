@@ -137,9 +137,6 @@ class WeylElement:
     def apply(self, vector):
         return tuple(sum(x * y for x, y in zip(row, vector)) for row in self.mat)
 
-    def is_identity(self) -> bool:
-        return self.mat == int_identity(len(self.mat))
-
     def __eq__(self, other):
         return isinstance(other, WeylElement) and other.mat == self.mat
 
@@ -184,24 +181,6 @@ class RootSystem(Value):
     @property
     def rank(self) -> int:
         return self.dynkin.rank
-
-    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(1 if i == j else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
-    def root_index(self, root) -> int:
-        try:
-            return self.positive_roots.index(tuple(root))
-        except ValueError:
-            raise ValueError(f"{root!r} is not a positive root") from None
-
-    def is_root_permutation(self, w: WeylElement) -> bool:
-        """Whether w permutes the set of roots (positive and negative)."""
-        roots = set(self.positive_roots)
-        roots.update(tuple(-x for x in r) for r in self.positive_roots)
-        return all(w.apply(r) in roots for r in roots)
 
 
 def build_root_system(dynkin: DynkinType) -> RootSystem:
@@ -407,25 +386,6 @@ def nc_to_set_partition(rs: RootSystem, moved: int) -> tuple[tuple[int, ...], ..
     for point in range(1, rs.rank + 2):
         blocks.setdefault(block[point], []).append(point)
     return tuple(sorted(tuple(b) for b in blocks.values()))
-
-
-def _blocks_cross(first, second) -> bool:
-    return any(
-        a1 < b1 < a2 < b2
-        for a1 in first
-        for a2 in first
-        for b1 in second
-        for b2 in second
-    )
-
-
-def is_noncrossing_partition(blocks) -> bool:
-    """Whether no two blocks interleave as a < b < a' < b'."""
-    for i, blk in enumerate(blocks):
-        for other in blocks[i + 1 :]:
-            if _blocks_cross(blk, other) or _blocks_cross(other, blk):
-                return False
-    return True
 
 
 class NcLattice:

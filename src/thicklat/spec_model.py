@@ -114,14 +114,6 @@ class FinitePoset(Value):
         """Strictly below: a is a proper specialization source of b."""
         return a != b and (a, b) in self.leq
 
-    def lower_covers(self, x: str) -> tuple[str, ...]:
-        below = [a for a in self.elements if a != x and (a, x) in self.leq]
-        return tuple(
-            a
-            for a in below
-            if not any(b != a and (a, b) in self.leq for b in below)
-        )
-
     def topological(self) -> tuple[str, ...]:
         """Elements ordered so that lower ones come first."""
         remaining = list(self.elements)
@@ -165,68 +157,25 @@ def poset_diamond() -> FinitePoset:
     )
 
 
-class SpecFunction(Value, compare=("poset", "values")):
-    """A function from poset points to noncrossing partitions.
+class FunctionLattice(Value):
+    """A set of functions under the pointwise order, with cover pairs
+    (lower index, higher index).
 
-    values[i] is an index into lattice.elements, aligned with
-    poset.elements; equality and the hash leave the lattice out.
+    Each member is its value tuple: members[i][k] is the index into the
+    noncrossing partition lattice of the value at poset.elements[k].
     """
 
-    __slots__ = ("poset", "lattice", "values")
-
-    def __init__(
-        self, poset: FinitePoset, lattice: NcLattice, values: tuple[int, ...] = ()
-    ):
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "values", values)
-
-    def value_index(self, point: str) -> int:
-        return self.values[self.poset.elements.index(point)]
-
-    def value_of(self, point: str):
-        return self.lattice.elements[self.value_index(point)]
-
-    def as_dict(self) -> dict:
-        return {
-            p: self.lattice.elements[v]
-            for p, v in zip(self.poset.elements, self.values)
-        }
-
-
-def is_specialization_closed(fn: SpecFunction) -> bool:
-    """Whether the assigned partitions grow along the poset order."""
-    pos = {p: i for i, p in enumerate(fn.poset.elements)}
-    return all(
-        fn.lattice.leq(fn.values[pos[a]], fn.values[pos[b]])
-        for a, b in fn.poset.leq
-        if a != b
-    )
-
-
-class FunctionLattice(Value, compare=("poset", "members", "covers")):
-    """A set of functions under the pointwise order, with cover pairs
-    (lower index, higher index)."""
-
-    __slots__ = ("poset", "lattice", "members", "covers")
+    __slots__ = ("poset", "members", "covers")
 
     def __init__(
         self,
         poset: FinitePoset,
-        lattice: NcLattice,
-        members: tuple[SpecFunction, ...] = (),
+        members: tuple[tuple[int, ...], ...] = (),
         covers: tuple[tuple[int, int], ...] = (),
     ):
         object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "covers", covers)
-
-    def leq_members(self, i: int, j: int) -> bool:
-        return all(
-            self.lattice.leq(a, b)
-            for a, b in zip(self.members[i].values, self.members[j].values)
-        )
 
 
 def check_size_guard(count: int, noun: str, guard: int | None = None) -> None:
@@ -258,24 +207,21 @@ def all_functions(
     """
     npts = len(poset.elements)
     all_function_count(poset, nc, guard)
-    members = [
-        SpecFunction(poset, nc, values)
-        for values in product(range(len(nc)), repeat=npts)
-    ]
-    index = {fn.values: i for i, fn in enumerate(members)}
+    members = tuple(product(range(len(nc)), repeat=npts))
+    index = {values: i for i, values in enumerate(members)}
     nc_covers = nc.covers()
     cover_up: dict[int, list[int]] = {}
     for lo, hi in nc_covers:
         cover_up.setdefault(lo, []).append(hi)
     covers = []
-    for i, fn in enumerate(members):
+    for i, values in enumerate(members):
         for pos in range(npts):
-            for hi in cover_up.get(fn.values[pos], ()):
-                nxt = list(fn.values)
+            for hi in cover_up.get(values[pos], ()):
+                nxt = list(values)
                 nxt[pos] = hi
                 covers.append((i, index[tuple(nxt)]))
     covers.sort()
-    return FunctionLattice(poset, nc, tuple(members), tuple(covers))
+    return FunctionLattice(poset, members, tuple(covers))
 
 
 def _monotone_value_tuples(poset: FinitePoset, nc: NcLattice, limit: int):
@@ -335,8 +281,7 @@ def monotone_functions(
     q > p.
     """
     limit = size_guard_limit() if guard is None else guard
-    tuples = sorted(_monotone_value_tuples(poset, nc, limit))
-    members = [SpecFunction(poset, nc, v) for v in tuples]
+    tuples = tuple(sorted(_monotone_value_tuples(poset, nc, limit)))
     index = {v: i for i, v in enumerate(tuples)}
     _, down = nc._masks()
     cover_up_mask = [0] * len(nc)
@@ -359,112 +304,10 @@ def monotone_functions(
                 covers.append((i, index[head + (low.bit_length() - 1,) + tail]))
                 allowed ^= low
     covers.sort()
-    return FunctionLattice(poset, nc, tuple(members), tuple(covers))
+    return FunctionLattice(poset, tuples, tuple(covers))
 
 
 def smashing_count(poset: FinitePoset, nc: NcLattice, guard: int | None = None) -> int:
     """Number of monotone functions, without building cover data."""
     limit = size_guard_limit() if guard is None else guard
     return sum(1 for _ in _monotone_value_tuples(poset, nc, limit))
-
-
-# ---------------------------------------------------------------------------
-# lattice isomorphism on cover digraphs
-
-def _as_cover_digraph(obj):
-    if isinstance(obj, FunctionLattice):
-        return len(obj.members), tuple(obj.covers)
-    if isinstance(obj, NcLattice):
-        return len(obj), obj.covers()
-    n, covers = obj
-    return int(n), tuple((int(a), int(b)) for a, b in covers)
-
-
-def lattice_iso(a, b):
-    """An isomorphism between two lattices given by their cover
-    digraphs, or None.
-
-    Accepts FunctionLattice, NcLattice, or a plain (node_count, covers)
-    pair.  Returns a list mapping a-indices to b-indices.
-    """
-    na, ea = _as_cover_digraph(a)
-    nb, eb = _as_cover_digraph(b)
-    if na != nb or len(ea) != len(eb):
-        return None
-
-    def neighbor_data(n, edges):
-        ups = [set() for _ in range(n)]
-        downs = [set() for _ in range(n)]
-        for lo, hi in edges:
-            ups[lo].add(hi)
-            downs[hi].add(lo)
-        return ups, downs
-
-    ups_a, downs_a = neighbor_data(na, ea)
-    ups_b, downs_b = neighbor_data(nb, eb)
-
-    def refine(n, ups, downs):
-        color = [(len(ups[i]), len(downs[i])) for i in range(n)]
-        for _ in range(n):
-            fresh = [
-                (
-                    color[i],
-                    tuple(sorted(color[j] for j in ups[i])),
-                    tuple(sorted(color[j] for j in downs[i])),
-                )
-                for i in range(n)
-            ]
-            canon = {c: k for k, c in enumerate(sorted(set(fresh)))}
-            nxt = [canon[f] for f in fresh]
-            if nxt == color:
-                break
-            color = nxt
-        return color
-
-    col_a = refine(na, ups_a, downs_a)
-    col_b = refine(nb, ups_b, downs_b)
-    if sorted(col_a) != sorted(col_b):
-        return None
-    mapping = [-1] * na
-    used = [False] * nb
-    order = sorted(range(na), key=lambda i: col_a.count(col_a[i]))
-
-    def backtrack(k: int) -> bool:
-        if k == na:
-            return True
-        i = order[k]
-        for j in range(nb):
-            if used[j] or col_a[i] != col_b[j]:
-                continue
-            ok = True
-            for i2 in ups_a[i]:
-                if mapping[i2] != -1 and mapping[i2] not in ups_b[j]:
-                    ok = False
-                    break
-            if ok:
-                for i2 in downs_a[i]:
-                    if mapping[i2] != -1 and mapping[i2] not in downs_b[j]:
-                        ok = False
-                        break
-            if ok:
-                for i2 in range(na):
-                    if mapping[i2] == -1:
-                        continue
-                    if i2 in ups_a[i] or i2 in downs_a[i]:
-                        continue
-                    if mapping[i2] in ups_b[j] or mapping[i2] in downs_b[j]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[i] = j
-            used[j] = True
-            if backtrack(k + 1):
-                return True
-            mapping[i] = -1
-            used[j] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    return mapping

@@ -63,9 +63,6 @@ class WideSubcategory(Value):
     def sorted_dims(self) -> tuple[DimVector, ...]:
         return tuple(sorted(self.dims))
 
-    def __le__(self, other: "WideSubcategory") -> bool:
-        return self.dims <= other.dims
-
 
 class BijectionReport(Value):
     __slots__ = (
@@ -255,17 +252,6 @@ def simples_of(wide: WideSubcategory) -> tuple[DimVector, ...]:
     if seed is None:
         raise ValueError("not a wide subcategory")
     return tuple(sorted(ctx.roots[i] for i in _bits(seed)))
-
-
-def wide_to_nc(wide: WideSubcategory) -> int:
-    """The position in NC(W, c) of the noncrossing partition of a wide
-    subcategory: the element whose moved roots are the subcategory's
-    dimension vectors (Ingalls-Thomas), found by that mask."""
-    ctx = _context(wide.quiver, wide.field)
-    position = ctx.lattice.index.get(ctx.mask_of_dims(wide.dims))
-    if position is None:
-        raise ValueError("an image is not below the Coxeter element")
-    return position
 
 
 def nc_positions(quiver: Quiver, field) -> tuple[NcLattice, tuple]:

@@ -4,15 +4,14 @@ from operator import attrgetter
 
 
 class Value:
-    """Immutable; equal within one class, and hashed, by the fields that
-    the class keyword `compare` names (every slot by default).  A subclass
-    lists its fields in __slots__, in constructor order, and sets them in
-    __init__ with object.__setattr__."""
+    """Immutable; equal within one class, and hashed, by all its fields.
+    A subclass lists its fields in __slots__, in constructor order, and
+    sets them in __init__ with object.__setattr__."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, compare=None):
-        cls._compare = attrgetter(*(compare or cls.__slots__))
+    def __init_subclass__(cls):
+        cls._compare = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if self is other:

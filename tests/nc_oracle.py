@@ -6,7 +6,8 @@ products w*t with the root of t in R(w) (Carter's lemma), R(w) solved by
 one nullspace per element (moved_roots), the order as pairwise mask
 inclusion, covers as comparable pairs one length apart, labels by matrix
 lookup and type A blocks as the cycles of the permutation that the
-matrix induces.  column_masks builds up-sets and down-sets by root
+matrix induces.  is_noncrossing_partition checks type A blocks for
+interleaving.  column_masks builds up-sets and down-sets by root
 columns.  oracle_simples finds the simples of a wide subcategory
 by scanning for injective morphisms between its members.
 """
@@ -85,6 +86,25 @@ def cycle_partition(mat) -> tuple[tuple[int, ...], ...]:
         blocks.append(tuple(sorted(block)))
     blocks.sort(key=lambda b: b[0])
     return tuple(blocks)
+
+
+def _blocks_cross(first, second) -> bool:
+    return any(
+        a1 < b1 < a2 < b2
+        for a1 in first
+        for a2 in first
+        for b1 in second
+        for b2 in second
+    )
+
+
+def is_noncrossing_partition(blocks) -> bool:
+    """Whether no two blocks interleave as a < b < a' < b'."""
+    for i, blk in enumerate(blocks):
+        for other in blocks[i + 1 :]:
+            if _blocks_cross(blk, other) or _blocks_cross(other, blk):
+                return False
+    return True
 
 
 class NcOracle:

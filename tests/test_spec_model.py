@@ -1,22 +1,17 @@
-"""Posets, monotone function lattices, size guard, lattice isomorphism."""
+"""Posets, monotone function lattices, size guard."""
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from thicklat.figures import FIGURE2_COVERS, FIGURE2_NODE_COUNT
 from thicklat.quiver_rep import Quiver, default_orientation
 from thicklat.root_system import DynkinType, NcLattice, build_root_system
 from thicklat.spec_model import (
     MAX_POSET_POINTS,
     FinitePoset,
-    FunctionLattice,
     SizeGuardError,
-    SpecFunction,
     all_functions,
-    is_specialization_closed,
-    lattice_iso,
     monotone_functions,
     poset_antichain,
     poset_chain,
@@ -32,10 +27,23 @@ def nc_lattice(name: str) -> NcLattice:
     return NcLattice(build_root_system(dynkin), default_orientation(dynkin))
 
 
-def brute_covers(lattice):
+def is_specialization_closed(poset, nc, values) -> bool:
+    """Whether the values, aligned with poset.elements, grow along the
+    poset order."""
+    pos = {p: i for i, p in enumerate(poset.elements)}
+    return all(
+        nc.leq(values[pos[a]], values[pos[b]]) for a, b in poset.leq if a != b
+    )
+
+
+def brute_covers(lattice, nc):
     """Transitive reduction straight from the pairwise order."""
-    n = len(lattice.members)
-    leq = [[lattice.leq_members(i, j) for j in range(n)] for i in range(n)]
+    members = lattice.members
+    n = len(members)
+    leq = [
+        [all(nc.leq(a, b) for a, b in zip(members[i], members[j])) for j in range(n)]
+        for i in range(n)
+    ]
     out = set()
     for i in range(n):
         for j in range(n):
@@ -47,23 +55,22 @@ def brute_covers(lattice):
     return out
 
 
-def reduction_covers(lattice):
+def reduction_covers(lattice, nc):
     """Transitive reduction of the pointwise order on bitmasks.
 
     Each function is one one-hot integer (bit p*n + f(p)) and one up-set
     integer (the up-set of f(p) shifted to p*n), so f <= g iff the
     one-hot bits of g lie inside the up-set bits of f.
     """
-    nc = lattice.lattice
     n = len(nc)
     up = [sum(1 << j for j in range(n) if nc.leq(i, j)) for i in range(n)]
     onehot = [
-        sum(1 << (p * n + v) for p, v in enumerate(fn.values))
-        for fn in lattice.members
+        sum(1 << (p * n + v) for p, v in enumerate(values))
+        for values in lattice.members
     ]
     upset = [
-        sum(up[v] << (p * n) for p, v in enumerate(fn.values))
-        for fn in lattice.members
+        sum(up[v] << (p * n) for p, v in enumerate(values))
+        for values in lattice.members
     ]
     m = len(lattice.members)
     above = [
@@ -102,7 +109,6 @@ def test_builtin_poset_shapes():
 def test_from_covers_takes_transitive_closure():
     poset = FinitePoset.from_covers(("a", "b", "c"), (("a", "b"), ("b", "c")))
     assert poset.less("a", "c")
-    assert poset.lower_covers("c") == ("b",)
     order = poset.topological()
     assert order.index("a") < order.index("b") < order.index("c")
 
@@ -199,11 +205,9 @@ def test_function_counts(lattice_name, poset, expect_all, expect_monotone):
     assert len(monotone.members) == expect_monotone
     assert smashing_count(poset, nc) == expect_monotone
     # monotone members are exactly the specialization closed ones
-    closed = [fn for fn in everything.members if is_specialization_closed(fn)]
+    closed = [v for v in everything.members if is_specialization_closed(poset, nc, v)]
     assert len(closed) == expect_monotone
-    assert set(fn.values for fn in closed) == set(
-        fn.values for fn in monotone.members
-    )
+    assert set(closed) == set(monotone.members)
 
 
 def fuss_catalan(dynkin: DynkinType, k: int) -> int:
@@ -249,8 +253,9 @@ def test_monotone_equals_all_on_antichains():
     ],
 )
 def test_monotone_covers_match_brute_reduction(lattice_name, poset):
-    lattice = monotone_functions(poset, nc_lattice(lattice_name))
-    assert set(lattice.covers) == brute_covers(lattice)
+    nc = nc_lattice(lattice_name)
+    lattice = monotone_functions(poset, nc)
+    assert set(lattice.covers) == brute_covers(lattice, nc)
 
 
 POSET_V = FinitePoset.from_covers(("a", "b", "c"), (("a", "b"), ("a", "c")))
@@ -269,8 +274,9 @@ POSET_LAMBDA = FinitePoset.from_covers(("a", "b", "c"), (("a", "c"), ("b", "c"))
     ids=["A2-diamond", "A3-diamond", "D4-chain2", "A3-V", "A3-Lambda"],
 )
 def test_monotone_covers_match_bitmask_reduction(lattice_name, poset):
-    lattice = monotone_functions(poset, nc_lattice(lattice_name))
-    assert lattice.covers == tuple(sorted(reduction_covers(lattice)))
+    nc = nc_lattice(lattice_name)
+    lattice = monotone_functions(poset, nc)
+    assert lattice.covers == tuple(sorted(reduction_covers(lattice, nc)))
 
 
 def test_monotone_covers_match_bitmask_reduction_on_random_posets():
@@ -295,7 +301,7 @@ def test_monotone_covers_match_bitmask_reduction_on_random_posets():
         # the quadratic oracle stays fast only on small function lattices
         hypothesis.assume(smashing_count(poset, nc) <= 800)
         lattice = monotone_functions(poset, nc)
-        assert lattice.covers == tuple(sorted(reduction_covers(lattice)))
+        assert lattice.covers == tuple(sorted(reduction_covers(lattice, nc)))
 
     check()
 
@@ -305,8 +311,9 @@ def test_monotone_covers_match_bitmask_reduction_on_random_posets():
     [("A2", poset_chain(2)), ("A1", poset_diamond())],
 )
 def test_all_function_covers_match_brute_reduction(lattice_name, poset):
-    lattice = all_functions(poset, nc_lattice(lattice_name))
-    assert set(lattice.covers) == brute_covers(lattice)
+    nc = nc_lattice(lattice_name)
+    lattice = all_functions(poset, nc)
+    assert set(lattice.covers) == brute_covers(lattice, nc)
 
 
 def test_monotone_functions_form_a_sublattice():
@@ -314,10 +321,10 @@ def test_monotone_functions_form_a_sublattice():
     nc = nc_lattice("A2")
     poset = poset_chain(2)
     lattice = monotone_functions(poset, nc)
-    values = {fn.values for fn in lattice.members}
+    values = set(lattice.members)
     for f, g in itertools.product(lattice.members, repeat=2):
-        join = tuple(nc.join(a, b) for a, b in zip(f.values, g.values))
-        meet = tuple(nc.meet(a, b) for a, b in zip(f.values, g.values))
+        join = tuple(nc.join(a, b) for a, b in zip(f, g))
+        meet = tuple(nc.meet(a, b) for a, b in zip(f, g))
         assert join in values
         assert meet in values
 
@@ -328,9 +335,9 @@ def test_is_specialization_closed_examples():
     top = nc.top()
     bottom = nc.bottom()
     # closed point above the generic point: value must not drop upward
-    assert is_specialization_closed(SpecFunction(poset, nc, (bottom, top)))
-    assert not is_specialization_closed(SpecFunction(poset, nc, (top, bottom)))
-    assert is_specialization_closed(SpecFunction(poset, nc, (top, top)))
+    assert is_specialization_closed(poset, nc, (bottom, top))
+    assert not is_specialization_closed(poset, nc, (top, bottom))
+    assert is_specialization_closed(poset, nc, (top, top))
 
 
 # ---------------------------------------------------------------------------
@@ -358,34 +365,7 @@ def test_size_guard_parameter_override():
 
 
 # ---------------------------------------------------------------------------
-# lattice isomorphism
-
-
-def test_lattice_iso_finds_map_and_rejects_non_isomorphic():
-    nc = nc_lattice("A2")
-    chain = poset_chain(2)
-    a = monotone_functions(chain, nc)
-    b = monotone_functions(chain, nc)
-    mapping = lattice_iso(a, b)
-    assert mapping is not None
-    covers_a = set(a.covers)
-    covers_b = set(b.covers)
-    assert {(mapping[i], mapping[j]) for i, j in covers_a} == covers_b
-    # a 4-chain and a 4-antichain are not isomorphic as digraphs
-    assert lattice_iso((4, ((0, 1), (1, 2), (2, 3))), (4, ())) is None
-    # same size and edge count, different shape
-    fork = (4, ((0, 1), (0, 2), (0, 3)))
-    path = (4, ((0, 1), (1, 2), (1, 3)))
-    assert lattice_iso(fork, path) is None
-
-
-def test_lattice_iso_on_nc_lattices():
-    a = nc_lattice("A2")
-    rs = build_root_system(DynkinType.parse("A2"))
-    from thicklat.quiver_rep import Quiver
-
-    b = NcLattice(rs, Quiver(DynkinType.parse("A2"), ((2, 1),)))
-    assert lattice_iso(a, b) is not None
+# orientation
 
 
 def reversed_nc_lattice(name: str) -> NcLattice:
@@ -396,30 +376,21 @@ def reversed_nc_lattice(name: str) -> NcLattice:
     return NcLattice(rs, quiver)
 
 
-def test_lattice_iso_agrees_with_networkx():
+def test_nc_lattices_of_opposite_orientations_are_isomorphic():
+    """NC(W, c) does not depend on c up to isomorphism (all Coxeter
+    elements are conjugate), checked on the cover digraphs by networkx."""
     nx = pytest.importorskip("networkx")
 
-    def digraph(obj):
-        if isinstance(obj, NcLattice):
-            n, covers = len(obj), obj.covers()
-        elif isinstance(obj, FunctionLattice):
-            n, covers = len(obj.members), obj.covers
-        else:
-            n, covers = obj
+    def digraph(lattice: NcLattice):
         graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(covers)
+        graph.add_nodes_from(range(len(lattice)))
+        graph.add_edges_from(lattice.covers())
         return graph
 
-    figure2 = (FIGURE2_NODE_COUNT, FIGURE2_COVERS)
-    tampered = (FIGURE2_NODE_COUNT, FIGURE2_COVERS[:-1] + ((0, 9),))
-    functions = monotone_functions(poset_chain(2), nc_lattice("A2"))
-    pairs = [
-        (nc_lattice("A3"), reversed_nc_lattice("A3"), True),
-        (nc_lattice("D4"), reversed_nc_lattice("D4"), True),
-        (functions, figure2, True),
-        (functions, tampered, False),
-    ]
-    for a, b, isomorphic in pairs:
-        assert nx.is_isomorphic(digraph(a), digraph(b)) is isomorphic
-        assert (lattice_iso(a, b) is not None) is isomorphic
+    for name in ("A2", "A3", "D4"):
+        a, b = nc_lattice(name), reversed_nc_lattice(name)
+        assert nx.is_isomorphic(digraph(a), digraph(b))
+    # a negative control: NC(A3) is not the chain of its size
+    a3 = nc_lattice("A3")
+    chain = nx.DiGraph([(i, i + 1) for i in range(len(a3) - 1)])
+    assert not nx.is_isomorphic(digraph(a3), chain)

@@ -39,7 +39,6 @@ from thicklat.thick_enum import (
     simples_of,
     verify_bijection,
     wide_closure,
-    wide_to_nc,
 )
 
 from nc_oracle import NcOracle, embeds, int_mat_inverse, lines, oracle_simples
@@ -195,7 +194,7 @@ def test_wide_to_nc_lengths_and_order():
         lattice = NcLattice(rs, quiver)
         oracle = NcOracle(rs, quiver)
         wides = enumerate_thick(quiver, field)
-        images = [wide_to_nc(w) for w in wides]
+        images = list(nc_positions(quiver, field)[1])
         assert verify_bijection(quiver, field).ok
         # bijective onto the lattice
         assert len(set(images)) == len(lattice) == len(wides)
@@ -566,10 +565,10 @@ def test_bijection_report_flags_products_outside_the_lattice(monkeypatch):
     monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
     quiver, field = quiver_of("A2"), GF(2)
     ctx = _context(quiver, field)
-    atom = next(w for w in enumerate_thick(quiver, field) if len(w.dims) == 1)
+    wides = enumerate_thick(quiver, field)
+    k, atom = next((k, w) for k, w in enumerate(wides) if len(w.dims) == 1)
     del ctx.lattice.index[ctx.mask_of_dims(atom.dims)]
-    with pytest.raises(ValueError, match="not below the Coxeter element"):
-        wide_to_nc(atom)
+    assert nc_positions(quiver, field)[1][k] is None
     report = verify_bijection(quiver, field)
     assert not report.ok
     assert not report.is_bijective and not report.is_order_isomorphism

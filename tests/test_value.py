@@ -14,8 +14,8 @@ import pytest
 from thicklat.koszul import Poly, PolyRing, RationalPoint
 from thicklat.linalg import GF, QQ
 from thicklat.quiver_rep import FieldRep, Quiver, TreeModule, default_orientation
-from thicklat.root_system import DynkinType, NcLattice, build_root_system
-from thicklat.spec_model import FinitePoset, FunctionLattice, SpecFunction
+from thicklat.root_system import DynkinType, build_root_system
+from thicklat.spec_model import FinitePoset, FunctionLattice
 from thicklat.thick_enum import BijectionReport, WideSubcategory
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,10 +31,6 @@ REPORT = dict(
 
 def fields(value) -> tuple:
     return tuple(inspect.signature(type(value)).parameters)
-
-
-def a2_lattice() -> NcLattice:
-    return NcLattice(build_root_system(A2), A2_QUIVER)
 
 
 # Each case builds one value from fresh arguments, so two calls give equal
@@ -78,14 +74,9 @@ VALUES = {
         lambda: FinitePoset(["a", "b"], {("a", "a"), ("b", "b"), ("a", "b")}),
         lambda: FinitePoset(["a", "b"], {("a", "a"), ("b", "b")}),
     ),
-    # the lattice is left out of equality: each call builds a new one
-    "SpecFunction": (
-        lambda: SpecFunction(POINT, a2_lattice(), (1,)),
-        lambda: SpecFunction(POINT, a2_lattice(), (2,)),
-    ),
     "FunctionLattice": (
-        lambda: FunctionLattice(POINT, a2_lattice(), covers=((0, 1),)),
-        lambda: FunctionLattice(POINT, a2_lattice()),
+        lambda: FunctionLattice(POINT, ((0,), (1,)), ((0, 1),)),
+        lambda: FunctionLattice(POINT, ((0,), (1,))),
     ),
 }
 
@@ -114,29 +105,17 @@ def test_fields_cannot_be_set_or_deleted(name):
     assert value == VALUES[name][0]()
 
 
-def test_lattice_is_left_out_of_equality():
-    first, second = a2_lattice(), a2_lattice()
-    assert first is not second
-    f, g = SpecFunction(POINT, first, (3,)), SpecFunction(POINT, second, (3,))
-    assert f == g and hash(f) == hash(g)
-    members = (f,)
-    assert FunctionLattice(POINT, first, members) == FunctionLattice(
-        POINT, second, members
-    )
-
-
 def test_constructors_and_repr():
     assert BijectionReport(**REPORT) == BijectionReport(*REPORT.values())
-    assert SpecFunction(POINT, None).values == ()
-    lattice = FunctionLattice(poset=POINT, lattice=None)
+    lattice = FunctionLattice(poset=POINT)
     assert lattice.members == () and lattice.covers == ()
     assert repr(DynkinType("A", 2)) == "DynkinType(letter='A', rank=2)"
     assert repr(Quiver(dynkin=A2, arrows=[(2, 1)])) == (
         "Quiver(dynkin=DynkinType(letter='A', rank=2), arrows=((2, 1),))"
     )
-    assert repr(SpecFunction(POINT, None, (1,))) == (
-        "SpecFunction(poset=FinitePoset(elements=('p',), "
-        "leq=frozenset({('p', 'p')})), lattice=None, values=(1,))"
+    assert repr(FunctionLattice(POINT, ((1,),))) == (
+        "FunctionLattice(poset=FinitePoset(elements=('p',), "
+        "leq=frozenset({('p', 'p')})), members=((1,),), covers=())"
     )
     with pytest.raises(TypeError):
         DynkinType("A")
