@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .figures import (
@@ -313,6 +314,18 @@ _SCALARS = {
 # chunks are joined into one piece and written this often, so that
 # neither the chunk list nor the piece holds much of the text
 _CHUNKS_PER_PIECE = 8192
+# the items of an _EncodedList are joined and written this many at a time
+_ITEMS_PER_BATCH = 256
+
+
+class _EncodedList:
+    """A JSON list for _write_json, given as an iterable of its items'
+    JSON texts, each encoded at indentation 0."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
 
 
 def _write_if_full(chunks: list, write) -> None:
@@ -333,7 +346,9 @@ def _write_json(document, write) -> None:
     separator, key and scalar as one chunk.  A subtree that is not a
     plain tree of str-keyed dicts, lists, tuples, strs, ints, bools and
     None goes to json.dumps itself, re-indented to its depth: exact, as
-    JSON text holds no raw newline inside a string.
+    JSON text holds no raw newline inside a string.  An _EncodedList's
+    items are re-indented the same way, _ITEMS_PER_BATCH at a time, and
+    each batch is written at once.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -377,6 +392,21 @@ def _write_json(document, write) -> None:
                     append(sep + convert(item))
                 sep = "," + inner
             append(pad + "]")
+        elif kind is _EncodedList:
+            items = iter(value.items)
+            batch = list(islice(items, _ITEMS_PER_BATCH))
+            if not batch:
+                append(lead + "[]")
+                return
+            inner = pad + "  "
+            sep = lead + "[" + inner
+            while batch:
+                append(sep + ",\n".join(batch).replace("\n", inner))
+                write("".join(chunks))
+                chunks.clear()
+                sep = "," + inner
+                batch = list(islice(items, _ITEMS_PER_BATCH))
+            append(pad + "]")
         else:
             text = json.dumps(value, indent=2, sort_keys=True)
             append(lead + text.replace("\n", pad))
@@ -392,13 +422,14 @@ def _dot_quote(name: str) -> str:
 
 
 def _write_dot(node_ids, edges, write) -> None:
-    """Write the DOT digraph of the nodes and sorted edges through
-    write(piece), in pieces as _write_json does."""
+    """Write the DOT digraph of the nodes and the edges, in the order
+    given (the callers sort them), through write(piece), in pieces as
+    _write_json does."""
     lines = ["digraph thicklat {\n  rankdir=BT;\n"]
     for node in node_ids:
         lines.append(f"  {_dot_quote(node)};\n")
         _write_if_full(lines, write)
-    for lo, hi in sorted(edges):
+    for lo, hi in edges:
         lines.append(f"  {_dot_quote(lo)} -> {_dot_quote(hi)};\n")
         _write_if_full(lines, write)
     lines.append("}\n")
@@ -612,15 +643,27 @@ def _parse_poset(spec: str) -> FinitePoset:
     )
 
 
-def _function_ids(lattice, nc_ids) -> list[str]:
-    """Node identifiers of the members: point=value pairs by point name."""
+def _function_ranks(lattice, nc_ids):
+    """The members' node identifiers, point=value pairs by point name,
+    in sorted order; the member at each rank; and the covers as sorted
+    keys rank[lower] * n + rank[higher].  The ids are unique, so the
+    keys sort as the pairs of ids do."""
     names = lattice.poset.elements
     ranked = sorted(range(len(names)), key=names.__getitem__)
-    heads = [f"{names[k]}=" for k in ranked]
-    return [
-        ";".join(head + nc_ids[values[k]] for head, k in zip(heads, ranked))
+    heads = [names[k] + "=" for k in ranked]
+    ids = [
+        ";".join([head + nc_ids[values[k]] for head, k in zip(heads, ranked)])
         for values in lattice.members
     ]
+    n = len(ids)
+    if len(set(ids)) != n:
+        raise RuntimeError("node identifiers collide")
+    order = sorted(range(n), key=ids.__getitem__)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    covers = sorted([rank[i] * n + rank[j] for i, j in lattice.covers])
+    return [ids[i] for i in order], order, covers
 
 
 def cmd_specfn(args) -> int:
@@ -637,11 +680,31 @@ def cmd_specfn(args) -> int:
     nc_ids = _nc_ids(nc)
     build = monotone_functions if args.mode == "monotone" else all_functions
     lattice = build(poset, nc)
-    ids = _function_ids(lattice, nc_ids)
-    if len(set(ids)) != len(ids):
-        raise RuntimeError("node identifiers collide")
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    edges = sorted((ids[i], ids[j]) for i, j in lattice.covers)
+    ids, order, covers = _function_ranks(lattice, nc_ids)
+    n = len(ids)
+    if fmt == "dot":
+        edges = ((ids[key // n], ids[key % n]) for key in covers)
+        _emit(args.out, lambda write: _write_dot(ids, edges, write))
+        return 0
+    # each id, point name and value label is escaped once; the members
+    # and covers go to the writer as the texts of their items
+    quoted = [_escape(x) for x in ids]
+    names = poset.elements
+    ranked = sorted(range(len(names)), key=names.__getitem__)
+    cells = [
+        ["\n    " + _escape(names[k]) + ": " + _escape(label) for label in nc_ids]
+        for k in ranked
+    ]
+    members = lattice.members
+
+    def member(r: int) -> str:
+        values = members[order[r]]
+        return (
+            '{\n  "id": ' + quoted[r] + ',\n  "values": {'
+            + ",".join([cell[values[k]] for cell, k in zip(cells, ranked)])
+            + "\n  }\n}"
+        )
+
     arguments = {
         "type": str(dynkin),
         "orientation": _orientation_echo(quiver),
@@ -649,29 +712,18 @@ def cmd_specfn(args) -> int:
         "mode": args.mode,
         "format": fmt,
     }
-    if fmt == "dot":
-        nodes = [ids[i] for i in order]
-        _emit(args.out, lambda write: _write_dot(nodes, edges, write))
-    else:
-        members = [
-            {
-                "id": ids[i],
-                "values": {
-                    point: nc_ids[v]
-                    for point, v in zip(poset.elements, lattice.members[i])
-                },
-            }
-            for i in order
-        ]
-        payload = {
-            "member_count": len(lattice.members),
-            "cover_count": len(edges),
-            "points": list(poset.elements),
-            "members": members,
-            "covers": edges,
-        }
-        document = _document("specfn", arguments, payload)
-        _emit(args.out, lambda write: _write_json(document, write))
+    payload = {
+        "member_count": n,
+        "cover_count": len(covers),
+        "points": list(names),
+        "members": _EncodedList(map(member, range(n))),
+        "covers": _EncodedList(
+            "[\n  " + quoted[key // n] + ",\n  " + quoted[key % n] + "\n]"
+            for key in covers
+        ),
+    }
+    document = _document("specfn", arguments, payload)
+    _emit(args.out, lambda write: _write_json(document, write))
     return 0
 
 
@@ -713,9 +765,9 @@ def cmd_figures(args) -> int:
 
     nc_ids = _nc_ids(lattice)
     functions = monotone_functions(poset_chain(2), lattice)
-    fn_ids = _function_ids(functions, nc_ids)
-    fn_order = sorted(range(len(fn_ids)), key=lambda i: fn_ids[i])
-    fn_edges = sorted((fn_ids[i], fn_ids[j]) for i, j in functions.covers)
+    fn_ids, _, fn_covers = _function_ranks(functions, nc_ids)
+    n = len(fn_ids)
+    fn_edges = [(fn_ids[key // n], fn_ids[key % n]) for key in fn_covers]
     # the labels index FIGURE1_NODES, so they are read only when it matches
     figure2_iso = figure1_nodes_match and _figure2_matches(functions, partitions)
     figure2_doc = _document(
@@ -724,16 +776,15 @@ def cmd_figures(args) -> int:
         {
             "member_count": len(functions.members),
             "cover_count": len(fn_edges),
-            "members": [fn_ids[i] for i in fn_order],
+            "members": fn_ids,
             "covers": [list(e) for e in fn_edges],
         },
     )
 
-    fn_nodes = [fn_ids[i] for i in fn_order]
     outputs = {
         "figure1.dot": lambda write: _write_dot(ordered_ids, edges, write),
         "figure1.json": lambda write: _write_json(figure1_doc, write),
-        "figure2.dot": lambda write: _write_dot(fn_nodes, fn_edges, write),
+        "figure2.dot": lambda write: _write_dot(fn_ids, fn_edges, write),
         "figure2.json": lambda write: _write_json(figure2_doc, write),
     }
     for name in sorted(outputs):

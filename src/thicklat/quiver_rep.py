@@ -113,10 +113,6 @@ class FieldRep(Value):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "maps", maps)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dim)
-
 
 def base_change(module: TreeModule, field) -> FieldRep:
     """Reinterpret the 0/1 matrices of a tree module over a field."""
@@ -193,7 +189,24 @@ def _as_unit_int(x) -> int:
 # ---------------------------------------------------------------------------
 # Hom and Ext over a field
 
-def _hom_equations(m: FieldRep, n: FieldRep):
+def _int_maps(rep: FieldRep):
+    """Over QQ, each arrow's matrix of rep as (den, rows of ints): den is
+    the lcm of the matrix's denominators and the rows are den times the
+    matrix.  None over GF(p), whose entries are ints already."""
+    if rep.field.char:
+        return None
+    scaled = []
+    for mat in rep.maps:
+        den = lcm(*(x.denominator for row in mat for x in row))
+        scaled.append((den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]))
+    return scaled
+
+
+def _times(mat, k: int):
+    return mat if k == 1 else [[x * k for x in row] for row in mat]
+
+
+def _hom_equations(m: FieldRep, n: FieldRep, n_ints=None):
     """The intertwining equations f_t M_a = N_a f_s of Hom(m, n), with
     the number of unknowns.  There is one sparse {unknown: int} row per
     arrow a: s -> t and entry (i, j) of f_t M_a, zero rows included, in
@@ -201,21 +214,23 @@ def _hom_equations(m: FieldRep, n: FieldRep):
     per-arrow correction space of ext_cocycle_basis.  The unknown
     f_v[i][k] is column offsets[v] + i * m.dim[v] + k.  Over QQ each
     arrow's pair of matrices is scaled to ints by the lcm of its
-    denominators."""
+    denominators; n_ints, if given, is _int_maps(n), for a caller that
+    takes Hom into the same n many times."""
     if m.quiver != n.quiver or m.field != n.field:
         raise ValueError("representations live over different data")
     offsets, total = [], 0
     for dm, dn in zip(m.dim, n.dim):
         offsets.append(total)
         total += dm * dn
+    if m.field.char:
+        pairs = zip(m.maps, n.maps)
+    else:
+        pairs = []
+        for (m_den, ma), (n_den, na) in zip(_int_maps(m), n_ints or _int_maps(n)):
+            den = lcm(m_den, n_den)
+            pairs.append((_times(ma, den // m_den), _times(na, den // n_den)))
     rows = []
-    for (s, t), ma, na in zip(m.quiver.arrows, m.maps, n.maps):
-        if not m.field.char:
-            den = lcm(*(x.denominator for mat in (ma, na) for row in mat for x in row))
-            ma, na = (
-                [[x.numerator * (den // x.denominator) for x in row] for row in mat]
-                for mat in (ma, na)
-            )
+    for (s, t), (ma, na) in zip(m.quiver.arrows, pairs):
         ds, dt, es = m.dim[s - 1], m.dim[t - 1], n.dim[s - 1]
         at_t, at_s = offsets[t - 1], offsets[s - 1]
         for i, nrow in enumerate(na):
@@ -247,10 +262,10 @@ def hom_basis(m: FieldRep, n: FieldRep):
     return out
 
 
-def hom_dim(m: FieldRep, n: FieldRep) -> int:
+def hom_dim(m: FieldRep, n: FieldRep, n_ints=None) -> int:
     """dim Hom(m, n): the unknowns of the intertwining equations less
-    their rank."""
-    total, rows = _hom_equations(m, n)
+    their rank.  n_ints is as in _hom_equations."""
+    total, rows = _hom_equations(m, n, n_ints)
     return total - rank(m.field, rows)
 
 
@@ -464,11 +479,12 @@ def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
     and only they are solved for.
     """
     table = hom_table(rep.quiver, rep.field)
+    ints = _int_maps(rep)
     mult = {}
     for i in table.order:
         if all(x <= y for x, y in zip(table.roots[i], rep.dim)):
             hom = table.hom[i]
-            k = hom_dim(table.reps[i], rep) - sum(hom[j] * c for j, c in mult.items())
+            k = hom_dim(table.reps[i], rep, ints) - sum(hom[j] * c for j, c in mult.items())
             if k < 0:
                 raise RuntimeError("negative multiplicity; the Hom vector is inconsistent")
             if k:

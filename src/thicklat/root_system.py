@@ -134,9 +134,6 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(int_mat_mul(self.mat, other.mat))
 
-    def apply(self, vector):
-        return tuple(sum(x * y for x, y in zip(row, vector)) for row in self.mat)
-
     def __eq__(self, other):
         return isinstance(other, WeylElement) and other.mat == self.mat
 
@@ -445,9 +442,6 @@ class NcLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return self.elements[i] & ~self.elements[j] == 0
-
-    def bottom(self) -> int:
-        return self.index[0]
 
     def top(self) -> int:
         return self.index[(1 << len(self.rs.positive_roots)) - 1]

@@ -112,7 +112,7 @@ def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
     Splits along Fitting decompositions of endomorphisms until every
     piece has a one dimensional endomorphism ring.
     """
-    if rep.total_dim == 0:
+    if sum(rep.dim) == 0:
         return ()
     basis = hom_basis(rep, rep)
     if len(basis) == 1:

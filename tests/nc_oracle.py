@@ -234,7 +234,7 @@ def embeds(ctx, i: int, j: int) -> bool:
         return False
     basis = hom_basis(m, n)
     return any(
-        kernel_rep(morphism_from_coeffs(field, basis, c), m).total_dim == 0
+        sum(kernel_rep(morphism_from_coeffs(field, basis, c), m).dim) == 0
         for c in lines(field, len(basis))
     )
 

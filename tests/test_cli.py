@@ -13,6 +13,8 @@ from thicklat.cli import (
     ExponentBoundError,
     PolynomialSyntaxError,
     _CHUNKS_PER_PIECE,
+    _ITEMS_PER_BATCH,
+    _EncodedList,
     _wide_id,
     _write_json,
     main,
@@ -26,6 +28,7 @@ from thicklat.spec_model import MAX_POSET_POINTS
 from thicklat import thick_enum
 from thicklat.thick_enum import enumerate_thick
 
+from specfn_oracle import specfn_texts
 from test_quiver_rep import orientations
 
 
@@ -273,6 +276,40 @@ def test_json_writer_spans_pieces_byte_for_byte():
     assert "".join(pieces) == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def encoded(items) -> _EncodedList:
+    """The items as an _EncodedList of their texts at indentation 0,
+    handed over as a one-pass iterator."""
+    return _EncodedList(
+        iter([json.dumps(item, indent=2, sort_keys=True) for item in items])
+    )
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [],
+        [{"id": "a", "values": {"p": "e"}}],
+        [[f"m{i}", {"k": [i, None, "\u00e9\\\"x"]}] for i in range(2 * _ITEMS_PER_BATCH + 1)],
+    ],
+    ids=["empty", "one", "three-batches"],
+)
+def test_json_writer_renders_encoded_lists(items):
+    """An _EncodedList writes as the list of its items would, at the top
+    level and nested under a dict."""
+    assert json_text(encoded(items)) == json.dumps(items, indent=2) + "\n"
+    document = {"count": len(items), "rows": {"inner": encoded(items)}, "z": []}
+    expected = {"count": len(items), "rows": {"inner": items}, "z": []}
+    assert json_text(document) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_writes_encoded_lists_a_batch_at_a_time():
+    items = [f"item {i}" for i in range(3 * _ITEMS_PER_BATCH)]
+    pieces = []
+    _write_json({"items": encoded(items)}, pieces.append)
+    assert len(pieces) == 4
+    assert "".join(pieces) == json.dumps({"items": items}, indent=2) + "\n"
+
+
 def test_specfn_streams_stdout_in_small_pieces():
     """The D4 diamond lattice, about 7 MB of JSON, reaches stdout in many
     writes of under 1 MiB each, not as one string."""
@@ -454,6 +491,43 @@ def test_specfn_json_and_dot():
     )
     assert code == 0
     assert out.count("->") == payload["cover_count"] == 18
+
+
+TYPE_SIZES = {"A1": 2, "A2": 5, "A3": 14, "A4": 42, "D4": 50}
+POSET_POINTS = {"point": 1, "chain2": 2, "chain3": 3, "antichain2": 2, "diamond": 4}
+# every monotone case, and the cases of all functions up to this many
+ALL_FUNCTIONS_CAP = 3000
+SPECFN_ORACLE_CASES = [
+    (name, poset, mode)
+    for name, size in TYPE_SIZES.items()
+    for poset, points in POSET_POINTS.items()
+    for mode in ("monotone", "all")
+    if mode == "monotone" or size**points <= ALL_FUNCTIONS_CAP
+]
+
+
+def assert_specfn_matches_oracle(name: str, poset: str, mode: str) -> None:
+    expected_json, expected_dot = specfn_texts(name, poset, mode)
+    base = ["specfn", "--type", name, "--poset", poset, "--mode", mode]
+    code, out, err = run_cli(base)
+    assert (code, err) == (0, "") and out == expected_json
+    code, out, err = run_cli(base + ["--format", "dot"])
+    assert (code, err) == (0, "") and out == expected_dot
+
+
+@pytest.mark.parametrize("name,poset,mode", SPECFN_ORACLE_CASES)
+def test_specfn_output_matches_the_direct_rendering(name, poset, mode):
+    assert_specfn_matches_oracle(name, poset, mode)
+
+
+@pytest.mark.parametrize("mode", ["monotone", "all"])
+def test_specfn_output_escapes_odd_point_names(tmp_path, mode):
+    """Point names with %, a quote, a backslash and a non-ASCII letter
+    are escaped in the ids, the values' keys and the DOT names."""
+    poset_file = tmp_path / "odd.txt"
+    poset_file.write_text('a%b<q"x\nq"x<back\\slash\npoint \u00e9\n', encoding="utf-8")
+    for name in ("A1", "A2"):
+        assert_specfn_matches_oracle(name, f"@{poset_file}", mode)
 
 
 def test_specfn_poset_file(tmp_path):

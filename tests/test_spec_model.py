@@ -333,7 +333,7 @@ def test_is_specialization_closed_examples():
     nc = nc_lattice("A2")
     poset = poset_chain(2)
     top = nc.top()
-    bottom = nc.bottom()
+    bottom = nc.index[0]
     # closed point above the generic point: value must not drop upward
     assert is_specialization_closed(poset, nc, (bottom, top))
     assert not is_specialization_closed(poset, nc, (top, bottom))

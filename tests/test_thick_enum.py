@@ -335,9 +335,11 @@ def _brute_pair_dims(field, m, n):
 def _brute_embeds(field, m, n):
     basis = hom_basis(m, n)
     return any(
-        kernel_rep(
-            _combination(field, basis, coeffs, _zero_morphism(field, m, n)), m
-        ).total_dim
+        sum(
+            kernel_rep(
+                _combination(field, basis, coeffs, _zero_morphism(field, m, n)), m
+            ).dim
+        )
         == 0
         for coeffs in itertools.product(field.elements(), repeat=len(basis))
     )
