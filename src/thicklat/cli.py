@@ -49,7 +49,7 @@ from .spec_model import (
     poset_point,
     smashing_count,
 )
-from .thick_enum import enumerate_thick, nc_positions, verify_bijection
+from .thick_enum import enumerate_thick, nc_positions, thick_masks, verify_bijection
 
 SCHEMA_VERSION = "1"
 
@@ -526,7 +526,6 @@ def _wide_id(wide) -> str:
 def cmd_thick(args) -> int:
     dynkin, quiver = _lattice_args(args)
     field = GF(args.field)
-    wides = enumerate_thick(quiver, field)
     fmt = _chosen_format(args)
     arguments = {
         "type": str(dynkin),
@@ -542,8 +541,11 @@ def cmd_thick(args) -> int:
         if not report.ok:
             exit_code = 1
     if fmt == "count":
-        _emit(args.out, lambda write: write(f"{len(wides)}\n"))
+        # the number of closed masks needs no subcategory objects
+        count = len(thick_masks(quiver, field))
+        _emit(args.out, lambda write: write(f"{count}\n"))
         return exit_code
+    wides = enumerate_thick(quiver, field)
     ids = [_wide_id(w) for w in wides]
     order = sorted(range(len(ids)), key=lambda i: (len(wides[i].dims), ids[i]))
     lattice, positions = nc_positions(quiver, field)
@@ -645,9 +647,8 @@ def _parse_poset(spec: str) -> FinitePoset:
 
 def _function_ranks(lattice, nc_ids):
     """The members' node identifiers, point=value pairs by point name,
-    in sorted order; the member at each rank; and the covers as sorted
-    keys rank[lower] * n + rank[higher].  The ids are unique, so the
-    keys sort as the pairs of ids do."""
+    in sorted order; the member at each rank; and the rank of each
+    member."""
     names = lattice.poset.elements
     ranked = sorted(range(len(names)), key=names.__getitem__)
     heads = [names[k] + "=" for k in ranked]
@@ -662,8 +663,17 @@ def _function_ranks(lattice, nc_ids):
     rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
-    covers = sorted([rank[i] * n + rank[j] for i, j in lattice.covers])
-    return [ids[i] for i in order], order, covers
+    return [ids[i] for i in order], order, rank
+
+
+def _ranked_covers(lattice, order, rank):
+    """The covers as (rank of lower, rank of higher) pairs, in sorted
+    order, read off the members' upper cover rows in rank order.  The
+    ids are unique, so the ranks sort as the pairs of ids do."""
+    upper = lattice.upper
+    for r, i in enumerate(order):
+        for s in sorted([rank[j] for j in upper[i]]):
+            yield r, s
 
 
 def cmd_specfn(args) -> int:
@@ -680,10 +690,10 @@ def cmd_specfn(args) -> int:
     nc_ids = _nc_ids(nc)
     build = monotone_functions if args.mode == "monotone" else all_functions
     lattice = build(poset, nc)
-    ids, order, covers = _function_ranks(lattice, nc_ids)
-    n = len(ids)
+    ids, order, rank = _function_ranks(lattice, nc_ids)
+    covers = _ranked_covers(lattice, order, rank)
     if fmt == "dot":
-        edges = ((ids[key // n], ids[key % n]) for key in covers)
+        edges = ((ids[r], ids[s]) for r, s in covers)
         _emit(args.out, lambda write: _write_dot(ids, edges, write))
         return 0
     # each id, point name and value label is escaped once; the members
@@ -713,13 +723,12 @@ def cmd_specfn(args) -> int:
         "format": fmt,
     }
     payload = {
-        "member_count": n,
-        "cover_count": len(covers),
+        "member_count": len(ids),
+        "cover_count": sum(map(len, lattice.upper)),
         "points": list(names),
-        "members": _EncodedList(map(member, range(n))),
+        "members": _EncodedList(map(member, range(len(ids)))),
         "covers": _EncodedList(
-            "[\n  " + quoted[key // n] + ",\n  " + quoted[key % n] + "\n]"
-            for key in covers
+            "[\n  " + quoted[r] + ",\n  " + quoted[s] + "\n]" for r, s in covers
         ),
     }
     document = _document("specfn", arguments, payload)
@@ -735,7 +744,9 @@ def _figure2_matches(functions, partitions) -> bool:
     exactly FIGURE2's labeled nodes and covers."""
     label = [FIGURE1_NODES.index(p) for p in partitions]
     nodes = [tuple(label[v] for v in values) for values in functions.members]
-    covers = {(nodes[i], nodes[j]) for i, j in functions.covers}
+    covers = {
+        (nodes[i], nodes[j]) for i, row in enumerate(functions.upper) for j in row
+    }
     reference = {(FIGURE2_NODES[i], FIGURE2_NODES[j]) for i, j in FIGURE2_COVERS}
     return set(nodes) == set(FIGURE2_NODES) and covers == reference
 
@@ -765,9 +776,10 @@ def cmd_figures(args) -> int:
 
     nc_ids = _nc_ids(lattice)
     functions = monotone_functions(poset_chain(2), lattice)
-    fn_ids, _, fn_covers = _function_ranks(functions, nc_ids)
-    n = len(fn_ids)
-    fn_edges = [(fn_ids[key // n], fn_ids[key % n]) for key in fn_covers]
+    fn_ids, fn_order, fn_rank = _function_ranks(functions, nc_ids)
+    fn_edges = [
+        (fn_ids[r], fn_ids[s]) for r, s in _ranked_covers(functions, fn_order, fn_rank)
+    ]
     # the labels index FIGURE1_NODES, so they are read only when it matches
     figure2_iso = figure1_nodes_match and _figure2_matches(functions, partitions)
     figure2_doc = _document(

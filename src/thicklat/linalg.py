@@ -56,10 +56,11 @@ class GF:
     one = 1
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"field order {p} is not prime")
+        # the bound comes first: trial division of a huge p would not end
         if p > 97:
             raise ValueError(f"field order {p} exceeds the supported bound 97")
+        if not _is_prime(p):
+            raise ValueError(f"field order {p} is not prime")
         self.p = p
 
     @property

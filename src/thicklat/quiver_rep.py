@@ -161,13 +161,16 @@ def tree_module(quiver: Quiver, dim: DimVector) -> TreeModule:
         gamma = tuple(x - y for x, y in zip(dim, beta))
         if gamma not in roots:
             continue
-        sub = base_change(tree_module(quiver, beta), QQ)
-        quot = base_change(tree_module(quiver, gamma), QQ)
-        if hom_dim(sub, quot) or hom_dim(quot, sub):
+        sub, sub_ints = _tree_rep(quiver, beta, QQ)
+        quot, quot_ints = _tree_rep(quiver, gamma, QQ)
+        if hom_dim(sub, quot, sub_ints, quot_ints) or hom_dim(
+            quot, sub, quot_ints, sub_ints
+        ):
             continue
-        if ext_dim(sub, quot) or ext_dim(quot, sub) != 1:
+        # with no Hom either way, dim Ext1 is minus the Euler form
+        if euler_form(quiver, beta, gamma) or euler_form(quiver, gamma, beta) != -1:
             continue
-        cocycle = ext_cocycle_basis(quot, sub)[0]
+        cocycle = ext_cocycle_basis(quot, sub, quot_ints, sub_ints)[0]
         middle = extension_middle(quot, sub, cocycle)
         maps = tuple(
             tuple(tuple(_as_unit_int(x) for x in row) for row in mat)
@@ -177,6 +180,14 @@ def tree_module(quiver: Quiver, dim: DimVector) -> TreeModule:
     raise TreeModuleError(
         f"no gluing pair of roots found for {dim!r} over {quiver.dynkin}"
     )
+
+
+def _tree_rep(quiver: Quiver, dim: DimVector, field):
+    """The tree module M_dim over the field, with its _int_maps: over QQ
+    its 0/1 matrices are their own integer maps, at denominator 1."""
+    module = tree_module(quiver, dim)
+    ints = None if field.char else tuple((1, mat) for mat in module.maps)
+    return base_change(module, field), ints
 
 
 def _as_unit_int(x) -> int:
@@ -206,7 +217,7 @@ def _times(mat, k: int):
     return mat if k == 1 else [[x * k for x in row] for row in mat]
 
 
-def _hom_equations(m: FieldRep, n: FieldRep, n_ints=None):
+def _hom_equations(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None):
     """The intertwining equations f_t M_a = N_a f_s of Hom(m, n), with
     the number of unknowns.  There is one sparse {unknown: int} row per
     arrow a: s -> t and entry (i, j) of f_t M_a, zero rows included, in
@@ -214,8 +225,9 @@ def _hom_equations(m: FieldRep, n: FieldRep, n_ints=None):
     per-arrow correction space of ext_cocycle_basis.  The unknown
     f_v[i][k] is column offsets[v] + i * m.dim[v] + k.  Over QQ each
     arrow's pair of matrices is scaled to ints by the lcm of its
-    denominators; n_ints, if given, is _int_maps(n), for a caller that
-    takes Hom into the same n many times."""
+    denominators, from m_ints and n_ints, the _int_maps of m and n,
+    which a caller that meets the same representation many times passes
+    in, and which are made here when not given."""
     if m.quiver != n.quiver or m.field != n.field:
         raise ValueError("representations live over different data")
     offsets, total = [], 0
@@ -226,7 +238,8 @@ def _hom_equations(m: FieldRep, n: FieldRep, n_ints=None):
         pairs = zip(m.maps, n.maps)
     else:
         pairs = []
-        for (m_den, ma), (n_den, na) in zip(_int_maps(m), n_ints or _int_maps(n)):
+        m_ints = m_ints or _int_maps(m)
+        for (m_den, ma), (n_den, na) in zip(m_ints, n_ints or _int_maps(n)):
             den = lcm(m_den, n_den)
             pairs.append((_times(ma, den // m_den), _times(na, den // n_den)))
     rows = []
@@ -262,10 +275,10 @@ def hom_basis(m: FieldRep, n: FieldRep):
     return out
 
 
-def hom_dim(m: FieldRep, n: FieldRep, n_ints=None) -> int:
+def hom_dim(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None) -> int:
     """dim Hom(m, n): the unknowns of the intertwining equations less
-    their rank.  n_ints is as in _hom_equations."""
-    total, rows = _hom_equations(m, n, n_ints)
+    their rank.  m_ints and n_ints are as in _hom_equations."""
+    total, rows = _hom_equations(m, n, m_ints, n_ints)
     return total - rank(m.field, rows)
 
 
@@ -367,16 +380,17 @@ def _sub_rep_on_bases(m: FieldRep, bases) -> FieldRep:
     return FieldRep(field, m.quiver, new_dim, tuple(maps))
 
 
-def ext_cocycle_basis(m: FieldRep, n: FieldRep):
+def ext_cocycle_basis(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None):
     """Cocycles spanning Ext1(m, n): unit vectors at the coordinates of
     the per-arrow correction space that complement the coboundaries.
 
     The coboundary of the vertex maps f is f_t M_a - N_a f_s, so the
     intertwining equations of Hom(m, n) are the rows of its matrix, one
     per coordinate.  Returns a list of tuples of per-arrow matrices psi_a
-    of shape n_dim[t] x m_dim[s].
+    of shape n_dim[t] x m_dim[s].  m_ints and n_ints are as in
+    _hom_equations.
     """
-    unknowns, rows = _hom_equations(m, n)
+    unknowns, rows = _hom_equations(m, n, m_ints, n_ints)
     coboundaries = [[0] * len(rows) for _ in range(unknowns)]
     for coord, row in enumerate(rows):
         for c, x in row.items():
@@ -430,20 +444,25 @@ class HomTable:
     """dim Hom between the indecomposables of one quiver over one field.
 
     roots are the positive roots in indecomposable_dims order, reps their
-    tree modules over the field, and hom[i][j] = dim Hom(reps[i], reps[j])
-    by hom_dim.  order lists the root indices so that every j != i with
+    tree modules over the field, ints the reps' _int_maps (None over
+    GF(p)), and hom[i][j] = dim Hom(reps[i], reps[j]) by hom_dim.
+    order lists the root indices so that every j != i with
     Hom(M_i, M_j) != 0 comes before i: in it the table is unitriangular,
     since tree modules are bricks and Hom between Dynkin indecomposables
     has no cycles (the path algebra of a Dynkin quiver is
     representation-directed).
     """
 
-    __slots__ = ("roots", "reps", "hom", "order")
+    __slots__ = ("roots", "reps", "ints", "hom", "order")
 
     def __init__(self, quiver: Quiver, field):
         self.roots = indecomposable_dims(quiver)
-        self.reps = tuple(base_change(tree_module(quiver, d), field) for d in self.roots)
-        self.hom = hom = tuple(tuple(hom_dim(m, x) for x in self.reps) for m in self.reps)
+        self.reps, self.ints = zip(*(_tree_rep(quiver, d, field) for d in self.roots))
+        pairs = tuple(zip(self.reps, self.ints))
+        self.hom = hom = tuple(
+            tuple(hom_dim(m, x, m_ints, x_ints) for x, x_ints in pairs)
+            for m, m_ints in pairs
+        )
         n = len(self.roots)
         waiting = [sum(1 for j in range(n) if j != i and hom[i][j]) for i in range(n)]
         ready = [i for i in range(n) if not waiting[i]]
@@ -484,7 +503,9 @@ def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
     for i in table.order:
         if all(x <= y for x, y in zip(table.roots[i], rep.dim)):
             hom = table.hom[i]
-            k = hom_dim(table.reps[i], rep, ints) - sum(hom[j] * c for j, c in mult.items())
+            k = hom_dim(table.reps[i], rep, table.ints[i], ints) - sum(
+                hom[j] * c for j, c in mult.items()
+            )
             if k < 0:
                 raise RuntimeError("negative multiplicity; the Hom vector is inconsistent")
             if k:

@@ -158,24 +158,25 @@ def poset_diamond() -> FinitePoset:
 
 
 class FunctionLattice(Value):
-    """A set of functions under the pointwise order, with cover pairs
-    (lower index, higher index).
+    """A set of functions under the pointwise order.
 
     Each member is its value tuple: members[i][k] is the index into the
     noncrossing partition lattice of the value at poset.elements[k].
+    upper[i] is the ascending tuple of the indices of the members that
+    cover member i.
     """
 
-    __slots__ = ("poset", "members", "covers")
+    __slots__ = ("poset", "members", "upper")
 
     def __init__(
         self,
         poset: FinitePoset,
         members: tuple[tuple[int, ...], ...] = (),
-        covers: tuple[tuple[int, int], ...] = (),
+        upper: tuple[tuple[int, ...], ...] = (),
     ):
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "upper", upper)
 
 
 def check_size_guard(count: int, noun: str, guard: int | None = None) -> None:
@@ -202,26 +203,14 @@ def all_functions(
 ) -> FunctionLattice:
     """Every function from the poset into the lattice, pointwise order.
 
-    Covers in a product of lattices change exactly one coordinate by a
-    lattice cover, so they are read off the factor's cover list.
+    Its covers follow the rule of monotone_functions with no point above
+    another: they change one value to an upper cover of it.
     """
     npts = len(poset.elements)
     all_function_count(poset, nc, guard)
     members = tuple(product(range(len(nc)), repeat=npts))
-    index = {values: i for i, values in enumerate(members)}
-    nc_covers = nc.covers()
-    cover_up: dict[int, list[int]] = {}
-    for lo, hi in nc_covers:
-        cover_up.setdefault(lo, []).append(hi)
-    covers = []
-    for i, values in enumerate(members):
-        for pos in range(npts):
-            for hi in cover_up.get(values[pos], ()):
-                nxt = list(values)
-                nxt[pos] = hi
-                covers.append((i, index[tuple(nxt)]))
-    covers.sort()
-    return FunctionLattice(poset, members, tuple(covers))
+    upper = _upper_covers(members, nc, [()] * npts)
+    return FunctionLattice(poset, members, upper)
 
 
 def _monotone_value_tuples(poset: FinitePoset, nc: NcLattice, limit: int):
@@ -281,30 +270,39 @@ def monotone_functions(
     q > p.
     """
     limit = size_guard_limit() if guard is None else guard
-    tuples = tuple(sorted(_monotone_value_tuples(poset, nc, limit)))
-    index = {v: i for i, v in enumerate(tuples)}
-    _, down = nc._masks()
-    cover_up_mask = [0] * len(nc)
-    for lo, hi in nc.covers():
-        cover_up_mask[lo] |= 1 << hi
-    points = range(len(poset.elements))
+    members = tuple(sorted(_monotone_value_tuples(poset, nc, limit)))
     above = [
         [q for q, b in enumerate(poset.elements) if poset.less(a, b)]
         for a in poset.elements
     ]
-    covers = []
-    for i, vals in enumerate(tuples):
+    return FunctionLattice(poset, members, _upper_covers(members, nc, above))
+
+
+def _upper_covers(members, nc: NcLattice, above) -> tuple[tuple[int, ...], ...]:
+    """The ascending upper cover row of each member: the members
+    f[p -> hi], for each point p and each upper cover hi of f(p) in the
+    lattice with hi <= f(q) at every point q in above[p]."""
+    index = {values: i for i, values in enumerate(members)}
+    _, down = nc._masks()
+    cover_up_mask = [0] * len(nc)
+    for lo, hi in nc.covers():
+        cover_up_mask[lo] |= 1 << hi
+    points = range(len(above))
+    upper = []
+    for values in members:
+        row = []
         for p in points:
-            allowed = cover_up_mask[vals[p]]
+            allowed = cover_up_mask[values[p]]
             for q in above[p]:
-                allowed &= down[vals[q]]
-            head, tail = vals[:p], vals[p + 1:]
+                allowed &= down[values[q]]
+            head, tail = values[:p], values[p + 1:]
             while allowed:
                 low = allowed & -allowed
-                covers.append((i, index[head + (low.bit_length() - 1,) + tail]))
+                row.append(index[head + (low.bit_length() - 1,) + tail])
                 allowed ^= low
-    covers.sort()
-    return FunctionLattice(poset, tuples, tuple(covers))
+        row.sort()
+        upper.append(tuple(row))
+    return tuple(upper)
 
 
 def smashing_count(poset: FinitePoset, nc: NcLattice, guard: int | None = None) -> int:

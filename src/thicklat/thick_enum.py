@@ -215,8 +215,9 @@ def _orthogonal_seed_masks(ctx: _RepContext):
     return out
 
 
-def enumerate_thick(quiver: Quiver, field) -> tuple[WideSubcategory, ...]:
-    """All wide subcategories, canonically ordered.
+def thick_masks(quiver: Quiver, field) -> dict[int, int]:
+    """The wide subcategories as masks over the indecomposables, each
+    mapped to the mask of its simples.
 
     Only sets of indecomposables with no morphisms between distinct
     members are seeded: this reaches every subcategory, since each one
@@ -225,21 +226,28 @@ def enumerate_thick(quiver: Quiver, field) -> tuple[WideSubcategory, ...]:
     subcategory has one seed, which is kept as its simples.
     """
     ctx = _context(quiver, field)
-    if ctx.wides is not None:
-        return ctx.wides
-    seeds = {}
-    for seed in _orthogonal_seed_masks(ctx):
-        closed = _close_mask(ctx, seed)
-        if closed in seeds:
-            raise RuntimeError("two Hom-orthogonal seeds close to one subcategory")
-        seeds[closed] = seed
-    wides = [
-        WideSubcategory(quiver, field, frozenset(ctx.roots[i] for i in _bits(mask)))
-        for mask in seeds
-    ]
-    wides.sort(key=lambda w: (len(w.dims), w.sorted_dims()))
-    ctx.seeds = seeds
-    ctx.wides = tuple(wides)
+    if ctx.seeds is None:
+        seeds = {}
+        for seed in _orthogonal_seed_masks(ctx):
+            closed = _close_mask(ctx, seed)
+            if closed in seeds:
+                raise RuntimeError("two Hom-orthogonal seeds close to one subcategory")
+            seeds[closed] = seed
+        ctx.seeds = seeds
+    return ctx.seeds
+
+
+def enumerate_thick(quiver: Quiver, field) -> tuple[WideSubcategory, ...]:
+    """All wide subcategories, canonically ordered: the thick_masks as
+    sets of dimension vectors."""
+    ctx = _context(quiver, field)
+    if ctx.wides is None:
+        wides = [
+            WideSubcategory(quiver, field, frozenset(ctx.roots[i] for i in _bits(mask)))
+            for mask in thick_masks(quiver, field)
+        ]
+        wides.sort(key=lambda w: (len(w.dims), w.sorted_dims()))
+        ctx.wides = tuple(wides)
     return ctx.wides
 
 
@@ -247,8 +255,7 @@ def simples_of(wide: WideSubcategory) -> tuple[DimVector, ...]:
     """The simples of a wide subcategory, sorted: the Hom-orthogonal
     seed that the enumeration closed to it."""
     ctx = _context(wide.quiver, wide.field)
-    enumerate_thick(wide.quiver, wide.field)
-    seed = ctx.seeds.get(ctx.mask_of_dims(wide.dims))
+    seed = thick_masks(wide.quiver, wide.field).get(ctx.mask_of_dims(wide.dims))
     if seed is None:
         raise ValueError("not a wide subcategory")
     return tuple(sorted(ctx.roots[i] for i in _bits(seed)))

@@ -10,6 +10,12 @@ from thicklat.root_system import DynkinType, NcLattice, build_root_system
 from thicklat.spec_model import all_functions, monotone_functions
 
 
+def cover_pairs(lattice) -> tuple[tuple[int, int], ...]:
+    """The covers of a FunctionLattice as (lower, higher) index pairs,
+    read off its upper cover rows; sorted when every row ascends."""
+    return tuple((i, j) for i, row in enumerate(lattice.upper) for j in row)
+
+
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -32,7 +38,7 @@ def specfn_texts(type_name: str, poset_spec: str, mode: str) -> tuple[str, str]:
     ]
     assert len(set(ids)) == len(ids)
     order = sorted(range(len(ids)), key=lambda i: ids[i])
-    edges = sorted((ids[i], ids[j]) for i, j in lattice.covers)
+    edges = sorted((ids[i], ids[j]) for i, j in cover_pairs(lattice))
 
     dot = ["digraph thicklat {\n  rankdir=BT;\n"]
     dot += [f"  {_dot_quote(ids[i])};\n" for i in order]

@@ -2,9 +2,12 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,8 @@ from thicklat.thick_enum import enumerate_thick
 
 from specfn_oracle import specfn_texts
 from test_quiver_rep import orientations
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -398,6 +403,21 @@ def test_thick_counts_and_verify():
         assert "nc_image" in sub
 
 
+@pytest.mark.parametrize("name,expected", [("A3", 14), ("D4", 50), ("E6", 833)])
+def test_thick_count_builds_no_subcategory_objects(monkeypatch, name, expected):
+    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("thick --count built a WideSubcategory")
+
+    monkeypatch.setattr(thick_enum, "WideSubcategory", refuse)
+    code, out, _ = run_cli(["thick", "--type", name, "--field", "2", "--count"])
+    assert code == 0 and out == f"{expected}\n"
+    monkeypatch.undo()
+    quiver, field = default_orientation(DynkinType.parse(name)), GF(2)
+    assert len(enumerate_thick(quiver, field)) == expected
+
+
 def test_thick_and_koszul_with_a_sink_at_the_e6_branch_vertex():
     """The simple module at the branch sink of this orientation is built
     like every other root, so both commands succeed."""
@@ -457,6 +477,25 @@ def test_thick_dot_covers_match_inclusion_oracle(name, p):
 def test_thick_rejects_bad_field():
     code, _, err = run_cli(["thick", "--type", "A2", "--field", "6", "--count"])
     assert code == 2 and "prime" in err
+
+
+def test_thick_refuses_a_huge_prime_field_at_once():
+    # 2^61 - 1 is prime; its trial division alone would run for minutes
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("PYTHON", "THICKLAT_"))}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "thicklat.cli",
+         "thick", "--type", "A2", "--field", str(2**61 - 1)],
+        env=env, capture_output=True, text=True, timeout=1,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == (
+        f"thicklat: error: field order {2**61 - 1} exceeds the supported bound 97\n"
+    )
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

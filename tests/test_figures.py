@@ -18,6 +18,7 @@ from thicklat.root_system import (
 from thicklat.spec_model import monotone_functions, poset_chain
 
 from nc_oracle import is_noncrossing_partition
+from specfn_oracle import cover_pairs
 
 
 def nc_a2() -> NcLattice:
@@ -43,7 +44,7 @@ def labeled_monotone_lattice():
     ]
     functions = monotone_functions(poset_chain(2), lattice)
     nodes = [tuple(label[v] for v in values) for values in functions.members]
-    return nodes, {(nodes[i], nodes[j]) for i, j in functions.covers}
+    return nodes, {(nodes[i], nodes[j]) for i, j in cover_pairs(functions)}
 
 
 def test_figure1_nodes_are_the_noncrossing_partitions():

@@ -187,6 +187,12 @@ def test_gf_requires_prime():
     for bad in (0, 1, 4, 6, 9, 100):
         with pytest.raises(ValueError):
             GF(bad)
+    for bad in (0, 1, 4):
+        with pytest.raises(ValueError, match="is not prime"):
+            GF(bad)
+    for big in (98, 101, 1000000007):
+        with pytest.raises(ValueError, match="exceeds the supported bound 97"):
+            GF(big)
 
 
 def test_rational_field_ops():

@@ -1,6 +1,7 @@
 """Quiver representations: tree modules, Hom/Ext, decomposition."""
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from thicklat.quiver_rep import (
     tree_module,
 )
 from thicklat.root_system import DynkinType, build_root_system
+from thicklat import quiver_rep
 
 from decompose_oracle import decompose_dims as fitting_decompose_dims
 
@@ -543,3 +545,32 @@ def test_decompose_over_the_rationals():
     n = base_change(tree_module(quiver, (0, 1, 0)), QQ)
     summed = direct_sum(QQ, [m, n])
     assert decompose_dims(summed) == ((0, 1, 0), (1, 1, 1))
+
+
+def test_decompose_over_the_rationals_scales_only_its_inputs(monkeypatch):
+    """Over QQ the tree modules' 0/1 matrices are their own integer maps,
+    in the gluing and in the Hom table, so building both from scratch and
+    decomposing k inputs scales k representations, each input once."""
+    scaled = []
+    int_maps = quiver_rep._int_maps
+
+    def counted(rep):
+        scaled.append(rep)
+        return int_maps(rep)
+
+    monkeypatch.setattr(quiver_rep, "_int_maps", counted)
+    fresh_tree_module = lru_cache(maxsize=None)(quiver_rep.tree_module.__wrapped__)
+    monkeypatch.setattr(quiver_rep, "tree_module", fresh_tree_module)
+    monkeypatch.setattr(quiver_rep, "hom_table", lru_cache(maxsize=None)(quiver_rep.HomTable))
+    quiver = quiver_of("D5")
+    roots = indecomposable_dims(quiver)
+    rng = random.Random("decompose-scaling")
+    inputs, expected = [], []
+    for _ in range(3):
+        chosen = [rng.choice(roots) for _ in range(3)]
+        summed = direct_sum(QQ, [base_change(tree_module(quiver, d), QQ) for d in chosen])
+        changes = [fractional_invertible(summed.dim[v], rng) for v in range(quiver.rank)]
+        inputs.append(conjugate(summed, changes))
+        expected.append(tuple(sorted(chosen)))
+    assert [decompose_dims(rep) for rep in inputs] == expected
+    assert scaled == inputs

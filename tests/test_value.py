@@ -75,7 +75,7 @@ VALUES = {
         lambda: FinitePoset(["a", "b"], {("a", "a"), ("b", "b")}),
     ),
     "FunctionLattice": (
-        lambda: FunctionLattice(POINT, ((0,), (1,)), ((0, 1),)),
+        lambda: FunctionLattice(POINT, ((0,), (1,)), ((1,), ())),
         lambda: FunctionLattice(POINT, ((0,), (1,))),
     ),
 }
@@ -108,14 +108,14 @@ def test_fields_cannot_be_set_or_deleted(name):
 def test_constructors_and_repr():
     assert BijectionReport(**REPORT) == BijectionReport(*REPORT.values())
     lattice = FunctionLattice(poset=POINT)
-    assert lattice.members == () and lattice.covers == ()
+    assert lattice.members == () and lattice.upper == ()
     assert repr(DynkinType("A", 2)) == "DynkinType(letter='A', rank=2)"
     assert repr(Quiver(dynkin=A2, arrows=[(2, 1)])) == (
         "Quiver(dynkin=DynkinType(letter='A', rank=2), arrows=((2, 1),))"
     )
     assert repr(FunctionLattice(POINT, ((1,),))) == (
         "FunctionLattice(poset=FinitePoset(elements=('p',), "
-        "leq=frozenset({('p', 'p')})), members=((1,),), covers=())"
+        "leq=frozenset({('p', 'p')})), members=((1,),), upper=())"
     )
     with pytest.raises(TypeError):
         DynkinType("A")
