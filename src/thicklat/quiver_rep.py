@@ -134,10 +134,15 @@ def tree_module(quiver: Quiver, dim: DimVector) -> TreeModule:
     dim must be a positive root of the quiver's type.  A simple root
     gives the module with zero arrow matrices.  Any other root is glued
     from smaller ones: the first beta in positive_roots order such that
-    gamma = dim - beta is a root, M_beta and M_gamma are Hom-orthogonal,
-    Ext1(M_beta, M_gamma) = 0 and dim Ext1(M_gamma, M_beta) = 1.  The
-    module is the middle term of the extension of M_gamma by M_beta whose
-    cocycle is a single unit entry, so every entry stays in {0, 1}.
+    gamma = dim - beta is a root and <gamma, beta> = -1.  The Euler form
+    symmetrizes to the Cartan form, under which beta, gamma and dim all
+    have length 2, so <beta, gamma> + <gamma, beta> = -1 and then
+    <beta, gamma> = 0.  Hom and Ext1 between indecomposables of a Dynkin
+    quiver are never both nonzero, so M_beta and M_gamma are
+    Hom-orthogonal, Ext1(M_beta, M_gamma) = 0 and dim Ext1(M_gamma,
+    M_beta) = 1.  The module is the middle term of the extension of
+    M_gamma by M_beta whose cocycle is a single unit entry, so every
+    entry stays in {0, 1}.
 
     A nonsplit extension of two Hom-orthogonal bricks with a one
     dimensional Ext1 is again a brick (Ringel, Representations of
@@ -159,17 +164,10 @@ def tree_module(quiver: Quiver, dim: DimVector) -> TreeModule:
         return TreeModule(quiver, dim, maps)
     for beta in rs.positive_roots:
         gamma = tuple(x - y for x, y in zip(dim, beta))
-        if gamma not in roots:
+        if gamma not in roots or euler_form(quiver, gamma, beta) != -1:
             continue
         sub, sub_ints = _tree_rep(quiver, beta, QQ)
         quot, quot_ints = _tree_rep(quiver, gamma, QQ)
-        if hom_dim(sub, quot, sub_ints, quot_ints) or hom_dim(
-            quot, sub, quot_ints, sub_ints
-        ):
-            continue
-        # with no Hom either way, dim Ext1 is minus the Euler form
-        if euler_form(quiver, beta, gamma) or euler_form(quiver, gamma, beta) != -1:
-            continue
         cocycle = ext_cocycle_basis(quot, sub, quot_ints, sub_ints)[0]
         middle = extension_middle(quot, sub, cocycle)
         maps = tuple(
@@ -280,37 +278,6 @@ def hom_dim(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None) -> int:
     their rank.  m_ints and n_ints are as in _hom_equations."""
     total, rows = _hom_equations(m, n, m_ints, n_ints)
     return total - rank(m.field, rows)
-
-
-def ext_dim(m: FieldRep, n: FieldRep) -> int:
-    """dim Ext1(m, n) = dim Hom(m, n) - <dim m, dim n>."""
-    value = hom_dim(m, n) - euler_form(m.quiver, m.dim, n.dim)
-    if value < 0:
-        raise RuntimeError("negative Ext dimension; hereditary identity broken")
-    return value
-
-
-def morphism_from_coeffs(field, basis, coeffs):
-    """Linear combination of basis elements that are tuples of matrices:
-    hom_basis elements (one matrix per vertex) or ext_cocycle_basis
-    elements (one per arrow)."""
-    if not basis:
-        raise ValueError("empty basis")
-    nverts = len(basis[0])
-    out = []
-    for v in range(nverts):
-        rows = len(basis[0][v])
-        cols = len(basis[0][v][0]) if rows else 0
-        mat = [[field.zero] * cols for _ in range(rows)]
-        for c, elem in zip(coeffs, basis):
-            if c == field.zero:
-                continue
-            bm = elem[v]
-            for i in range(rows):
-                for j in range(cols):
-                    mat[i][j] = field.add(mat[i][j], field.mul(c, bm[i][j]))
-        out.append(tuple(tuple(r) for r in mat))
-    return tuple(out)
 
 
 def kernel_rep(phi, m: FieldRep) -> FieldRep:

@@ -337,6 +337,21 @@ def euler_perps(rs: RootSystem, arrows) -> tuple[tuple[int, ...], tuple[int, ...
     return left, right
 
 
+def perp_closure(left, right, mask: int) -> int:
+    """The wide subcategory generated by a mask of indecomposables: the
+    right perpendicular of its left perpendicular (Geigle-Lenzing;
+    Ingalls-Thomas), read off the rows left[s] = {x : Hom(x, s) = 0 =
+    Ext1(x, s)} and right[y] = {z : Hom(y, z) = 0 = Ext1(y, z)}."""
+    full = (1 << len(left)) - 1
+    perp = full
+    for s in _bits(mask):
+        perp &= left[s]
+    closed = full
+    for y in _bits(perp):
+        closed &= right[y]
+    return closed
+
+
 def enumerate_nc(rs: RootSystem, arrows) -> dict[int, int]:
     """The elements of NC(W, c), for c the Coxeter element of the
     orientation, as {R(w): reflection length of w}.
@@ -391,10 +406,11 @@ class NcLattice:
 
     elements holds the masks in ascending order, lengths their
     reflection lengths, and index finds an element by its mask.  The
-    order is inclusion of masks (Brady-Watt).  Up-sets and down-sets are
-    built on first use, as bitmasks over the elements; in a lattice
-    up(i) & up(j) = up(i v j) and down(i) & down(j) = down(i ^ j), so
-    joins and meets are lookups of those masks.
+    order is inclusion of masks (Brady-Watt).  The masks are the
+    dimension vectors of wide subcategories, so a join is the index of
+    the perp_closure of the union of two masks under the Euler-form rows
+    left and right, and a meet the index of their intersection.  Up-sets
+    and down-sets are built on first use, as bitmasks over the elements.
     """
 
     def __init__(self, rs: RootSystem, arrows):
@@ -408,8 +424,6 @@ class NcLattice:
         self._covers: tuple[tuple[int, int], ...] | None = None
         self._up: list[int] | None = None
         self._down: list[int] | None = None
-        self._by_up: dict[int, int] = {}
-        self._by_down: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -436,8 +450,6 @@ class NcLattice:
                     mask |= down[k]
                 down[j] = mask
             self._up, self._down = up, down
-            self._by_up = {mask: i for i, mask in enumerate(up)}
-            self._by_down = {mask: i for i, mask in enumerate(down)}
         return self._up, self._down
 
     def leq(self, i: int, j: int) -> bool:
@@ -461,15 +473,14 @@ class NcLattice:
         return self._covers
 
     def join(self, i: int, j: int) -> int:
-        up, _ = self._masks()
-        k = self._by_up.get(up[i] & up[j])
+        union = self.elements[i] | self.elements[j]
+        k = self.index.get(perp_closure(self.left, self.right, union))
         if k is None:
             raise RuntimeError("join does not exist; lattice property violated")
         return k
 
     def meet(self, i: int, j: int) -> int:
-        _, down = self._masks()
-        k = self._by_down.get(down[i] & down[j])
+        k = self.index.get(self.elements[i] & self.elements[j])
         if k is None:
             raise RuntimeError("meet does not exist; lattice property violated")
         return k

@@ -179,9 +179,9 @@ class FunctionLattice(Value):
         object.__setattr__(self, "upper", upper)
 
 
-def check_size_guard(count: int, noun: str, guard: int | None = None) -> None:
+def check_size_guard(count: int, noun: str) -> None:
     """Refuse count items, named by noun, above the size guard."""
-    limit = size_guard_limit() if guard is None else guard
+    limit = size_guard_limit()
     if count > limit:
         raise SizeGuardError(
             f"{count} {noun} exceed the size guard {limit}; "
@@ -189,25 +189,21 @@ def check_size_guard(count: int, noun: str, guard: int | None = None) -> None:
         )
 
 
-def all_function_count(
-    poset: FinitePoset, nc: NcLattice, guard: int | None = None
-) -> int:
+def all_function_count(poset: FinitePoset, nc: NcLattice) -> int:
     """Number of all functions, len(nc) ** points, under the size guard."""
     count = len(nc) ** len(poset.elements)
-    check_size_guard(count, "functions", guard)
+    check_size_guard(count, "functions")
     return count
 
 
-def all_functions(
-    poset: FinitePoset, nc: NcLattice, guard: int | None = None
-) -> FunctionLattice:
+def all_functions(poset: FinitePoset, nc: NcLattice) -> FunctionLattice:
     """Every function from the poset into the lattice, pointwise order.
 
     Its covers follow the rule of monotone_functions with no point above
     another: they change one value to an upper cover of it.
     """
     npts = len(poset.elements)
-    all_function_count(poset, nc, guard)
+    all_function_count(poset, nc)
     members = tuple(product(range(len(nc)), repeat=npts))
     upper = _upper_covers(members, nc, [()] * npts)
     return FunctionLattice(poset, members, upper)
@@ -250,9 +246,7 @@ def _monotone_value_tuples(poset: FinitePoset, nc: NcLattice, limit: int):
     yield from rec(0)
 
 
-def monotone_functions(
-    poset: FinitePoset, nc: NcLattice, guard: int | None = None
-) -> FunctionLattice:
+def monotone_functions(poset: FinitePoset, nc: NcLattice) -> FunctionLattice:
     """The lattice of monotone (specialization-closed) functions.
 
     g covers f exactly when g = f[p -> hi] for one point p, with hi an
@@ -269,8 +263,7 @@ def monotone_functions(
     upper covers of f(p), intersected with the lower sets of f(q) for
     q > p.
     """
-    limit = size_guard_limit() if guard is None else guard
-    members = tuple(sorted(_monotone_value_tuples(poset, nc, limit)))
+    members = tuple(sorted(_monotone_value_tuples(poset, nc, size_guard_limit())))
     above = [
         [q for q, b in enumerate(poset.elements) if poset.less(a, b)]
         for a in poset.elements
@@ -305,7 +298,6 @@ def _upper_covers(members, nc: NcLattice, above) -> tuple[tuple[int, ...], ...]:
     return tuple(upper)
 
 
-def smashing_count(poset: FinitePoset, nc: NcLattice, guard: int | None = None) -> int:
+def smashing_count(poset: FinitePoset, nc: NcLattice) -> int:
     """Number of monotone functions, without building cover data."""
-    limit = size_guard_limit() if guard is None else guard
-    return sum(1 for _ in _monotone_value_tuples(poset, nc, limit))
+    return sum(1 for _ in _monotone_value_tuples(poset, nc, size_guard_limit()))

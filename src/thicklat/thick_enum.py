@@ -43,6 +43,7 @@ from .root_system import (
     _bits,
     coxeter_element,
     moved_roots,
+    perp_closure,
     reflection_length,
     reflection_mats,
 )
@@ -162,19 +163,10 @@ def _context(quiver: Quiver, field) -> _RepContext:
 
 
 def _close_mask(ctx: _RepContext, mask: int) -> int:
-    """The wide subcategory generated by a mask of indecomposables, as the
-    right perpendicular of its left perpendicular: the indecomposables z
-    with Hom(x, z) = 0 = Ext1(x, z) for every x that has no Hom or Ext1
-    into any member."""
+    """The wide subcategory generated by a mask of indecomposables, by
+    perp_closure on the perpendicular masks of the Hom table."""
     left, right, _ = ctx.perp
-    full = (1 << len(ctx.roots)) - 1
-    perp = full
-    for s in _bits(mask):
-        perp &= left[s]
-    closed = full
-    for y in _bits(perp):
-        closed &= right[y]
-    return closed
+    return perp_closure(left, right, mask)
 
 
 def wide_closure(quiver: Quiver, field, seed) -> WideSubcategory:
@@ -282,17 +274,13 @@ def _admissible_word(wide: WideSubcategory) -> list[int]:
     simples = simples_of(wide)
     idx = [ctx.index[d] for d in simples]
     # simples[a] must come before simples[b] when a morphism or an
-    # extension points from b to a; as dim Ext1(M_b, M_a) = hom(b, a) -
-    # <b, a>, that is when hom(b, a) or the Euler form <b, a> is nonzero
+    # extension points from b to a; as Hom and Ext1 between
+    # indecomposables are never both nonzero, that is when <b, a> != 0
     preceded_by = [
         {
             a
             for a in range(len(idx))
-            if a != b
-            and (
-                ctx.hom(idx[b], idx[a]) != 0
-                or euler_form(wide.quiver, simples[b], simples[a]) != 0
-            )
+            if a != b and euler_form(wide.quiver, simples[b], simples[a])
         }
         for b in range(len(idx))
     ]

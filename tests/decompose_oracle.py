@@ -8,7 +8,8 @@ the search it replaced, so the tests can compare the two: it solves
 End(X), probes a deterministic stream of endomorphisms, splits X along
 the stable kernel and image of the first one that is neither nilpotent
 nor invertible, and recurses until every piece has a one dimensional
-endomorphism ring.
+endomorphism ring.  It also keeps two helpers that only the tests use:
+ext_dim, and morphism_from_coeffs, which combines basis morphisms.
 """
 from __future__ import annotations
 
@@ -20,9 +21,41 @@ from thicklat.quiver_rep import (
     DimVector,
     FieldRep,
     _sub_rep_on_bases,
+    euler_form,
     hom_basis,
-    morphism_from_coeffs,
+    hom_dim,
 )
+
+
+def ext_dim(m: FieldRep, n: FieldRep) -> int:
+    """dim Ext1(m, n) = dim Hom(m, n) - <dim m, dim n>."""
+    value = hom_dim(m, n) - euler_form(m.quiver, m.dim, n.dim)
+    if value < 0:
+        raise RuntimeError("negative Ext dimension; hereditary identity broken")
+    return value
+
+
+def morphism_from_coeffs(field, basis, coeffs):
+    """Linear combination of basis elements that are tuples of matrices:
+    hom_basis elements (one matrix per vertex) or ext_cocycle_basis
+    elements (one per arrow)."""
+    if not basis:
+        raise ValueError("empty basis")
+    nverts = len(basis[0])
+    out = []
+    for v in range(nverts):
+        rows = len(basis[0][v])
+        cols = len(basis[0][v][0]) if rows else 0
+        mat = [[field.zero] * cols for _ in range(rows)]
+        for c, elem in zip(coeffs, basis):
+            if c == field.zero:
+                continue
+            bm = elem[v]
+            for i in range(rows):
+                for j in range(cols):
+                    mat[i][j] = field.add(mat[i][j], field.mul(c, bm[i][j]))
+        out.append(tuple(tuple(r) for r in mat))
+    return tuple(out)
 
 
 def _mat_power(field, mat, size, exponent):

@@ -14,7 +14,7 @@ by scanning for injective morphisms between its members.
 from itertools import product
 
 from thicklat.linalg import QQ, int_mat_mul, rref
-from thicklat.quiver_rep import hom_basis, kernel_rep, morphism_from_coeffs
+from thicklat.quiver_rep import hom_basis, kernel_rep
 from thicklat.root_system import (
     WeylElement,
     _bits,
@@ -25,6 +25,8 @@ from thicklat.root_system import (
     reflection_mats,
 )
 from thicklat.thick_enum import _context
+
+from decompose_oracle import morphism_from_coeffs
 
 
 def int_mat_inverse(mat):

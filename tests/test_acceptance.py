@@ -23,7 +23,6 @@ from thicklat.quiver_rep import (
     base_change,
     decompose_dims,
     default_orientation,
-    ext_dim,
     hom_dim,
     indecomposable_dims,
     tree_module,
@@ -45,6 +44,7 @@ from thicklat.spec_model import (
 from thicklat import quiver_rep, thick_enum
 from thicklat.thick_enum import enumerate_thick, verify_bijection, wide_closure
 
+from decompose_oracle import ext_dim
 from koszul_oracle import evaluate, homology_dims, koszul_complex, koszul_tensor_module
 from specfn_oracle import cover_pairs
 

@@ -1,4 +1,5 @@
 """Heavier cross-checks, enabled with THICKLAT_LONG_TESTS=1."""
+import itertools
 import os
 import random
 
@@ -21,7 +22,11 @@ from test_root_system import (
     assert_order_matches_rank_oracle,
     nc_lattice,
 )
-from test_quiver_rep import assert_tree_modules_are_rigid_bricks, orientations
+from test_quiver_rep import (
+    assert_tree_modules_are_rigid_bricks,
+    orientations,
+    tree_module_digest,
+)
 from test_thick_enum import assert_all_orders_agree, assert_closure_matches_fixed_point
 
 long_tests = pytest.mark.skipif(
@@ -70,6 +75,22 @@ def test_exceptional_tree_modules(name):
         assert module.dim == d
         for mat in module.maps:
             assert all(x in (0, 1) for row in mat for x in row)
+
+
+@long_tests
+@pytest.mark.parametrize(
+    "name,step,digest",
+    [
+        ("E6", 1, "564692287519c819619db9be321f1d212208b8b09f564dccd329563dab4cb770"),
+        ("E7", 9, "c8d2b66e4e0026d3fe827ba9a07b9d4386883b4752ddc9234217ae4c11f67459"),
+        ("E8", 9, "5de47152e5498c5da1d4fc5a5a38a01941275b57a01c12254cc6c7f690620f02"),
+    ],
+)
+def test_exceptional_tree_modules_match_pinned_digests(name, step, digest):
+    """Every orientation of E6 and every 9th of E7 and E8, as in
+    test_quiver_rep.test_tree_modules_match_pinned_digests."""
+    quivers = itertools.islice(orientations(name), 0, None, step)
+    assert tree_module_digest(quivers) == digest
 
 
 @long_tests

@@ -1,4 +1,5 @@
 """Quiver representations: tree modules, Hom/Ext, decomposition."""
+import hashlib
 import itertools
 import random
 from functools import lru_cache
@@ -17,20 +18,22 @@ from thicklat.quiver_rep import (
     default_orientation,
     euler_form,
     ext_cocycle_basis,
-    ext_dim,
     extension_middle,
     hom_basis,
     hom_dim,
     hom_table,
     indecomposable_dims,
     kernel_rep,
-    morphism_from_coeffs,
     tree_module,
 )
 from thicklat.root_system import DynkinType, build_root_system
 from thicklat import quiver_rep
 
-from decompose_oracle import decompose_dims as fitting_decompose_dims
+from decompose_oracle import (
+    decompose_dims as fitting_decompose_dims,
+    ext_dim,
+    morphism_from_coeffs,
+)
 
 FIELDS = [GF(2), GF(3), GF(5), QQ]
 
@@ -188,6 +191,37 @@ def test_tree_modules_are_rigid_bricks(name, field):
 def test_every_orientation_builds_rigid_bricks(name):
     for quiver in orientations(name):
         assert_tree_modules_are_rigid_bricks(quiver, GF(2))
+
+
+def tree_module_digest(quivers) -> str:
+    """SHA-256 of the arrows and the matrices of every tree module of
+    each quiver, in indecomposable_dims order."""
+    digest = hashlib.sha256()
+    for quiver in quivers:
+        for d in indecomposable_dims(quiver):
+            digest.update(repr((quiver.arrows, tree_module(quiver, d).maps)).encode())
+    return digest.hexdigest()
+
+
+# Every orientation's tree modules as glued when each pair was chosen by
+# dim Hom and dim Ext1 over QQ, the independent way to pick it; E6, E7
+# and E8 are in test_long.py.
+TREE_MODULE_DIGESTS = {
+    "A1": "56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88",
+    "A2": "c7ba1f656b08694d94e1b93bd5f7539041b2a06c2d25e6270dd98a4722669bd2",
+    "A3": "ef7de06756d753c136d28ff734733bb592610e4df1eb8579636fa01be9fbfc82",
+    "A4": "a915b68f4b4da8436265595a46538d0bf2963c0cc0e29ab2ab8db52795dc3766",
+    "A5": "36ce4a0247d2ca9af08193d0b3836d17fb5d583bca9ee3c02c848ffabf555f43",
+    "D4": "94769d9836301e9bc5a958434fdfb9faf2489ef13a402f44b2b4a08e14275a1c",
+    "D5": "3bdf034750c3d1aac60282226b44729fd0542c9928d30757243eb1f69a2cb415",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_MODULE_DIGESTS))
+def test_tree_modules_match_pinned_digests(name):
+    """Gluing by the Euler form picks the same pairs, and so the same
+    matrices, as gluing by Hom and Ext1 over the field."""
+    assert tree_module_digest(orientations(name)) == TREE_MODULE_DIGESTS[name]
 
 
 def test_tree_module_rejects_non_roots():

@@ -29,6 +29,7 @@ from nc_oracle import (
     is_noncrossing_partition,
 )
 from test_quiver_rep import orientations
+from test_thick_enum import OTHER_ORIENTATIONS
 
 POSITIVE_ROOT_COUNTS = {
     "A1": 1,
@@ -311,9 +312,21 @@ def _scan_bound(masks, i, j):
     return None
 
 
-@pytest.mark.parametrize("name", ["A3", "D4", "D5"])
-def test_join_and_meet_match_linear_scan(name):
-    lattice = nc_lattice(name)
+@pytest.mark.parametrize(
+    "name,oriented",
+    [
+        pytest.param(name, oriented, id=f"{name}-oriented" if oriented else name)
+        for name in ("A3", "D4", "D5")
+        for oriented in (False, True)
+    ],
+)
+def test_join_and_meet_match_linear_scan(name, oriented):
+    """The joins, which close root masks under the orientation's Euler
+    perpendiculars, and the meets against the up-sets and down-sets that
+    the covers build."""
+    dynkin = DynkinType.parse(name)
+    arrows = OTHER_ORIENTATIONS[name] if oriented else dynkin.diagram_edges()
+    lattice = NcLattice(build_root_system(dynkin), arrows)
     up, down = lattice._masks()
     for i, j in itertools.product(range(len(lattice)), repeat=2):
         assert lattice.join(i, j) == _scan_bound(up, i, j)
@@ -321,16 +334,15 @@ def test_join_and_meet_match_linear_scan(name):
 
 
 def test_join_and_meet_raise_outside_a_lattice():
-    """A join or meet whose bound set matches no element raises: here the
-    lookups lose the join of two atoms, then the bottom."""
+    """A join or meet whose root mask indexes no element raises: here the
+    index loses the join of two atoms, then the bottom."""
     lattice = nc_lattice("A3")
     a, b = [i for i in range(len(lattice)) if lattice.lengths[i] == 1][:2]
-    up, down = lattice._masks()
-    del lattice._by_up[up[lattice.join(a, b)]]
+    del lattice.index[lattice.elements[lattice.join(a, b)]]
     with pytest.raises(RuntimeError, match="join does not exist"):
         lattice.join(a, b)
     assert lattice.meet(a, b) == lattice.index[0]
-    del lattice._by_down[down[lattice.index[0]]]
+    del lattice.index[0]
     with pytest.raises(RuntimeError, match="meet does not exist"):
         lattice.meet(a, b)
     assert lattice.join(a, lattice.top()) == lattice.top()

@@ -372,13 +372,6 @@ def test_size_guard_env_override(monkeypatch):
     assert len(all_functions(poset_chain(3), nc).members) == 125
 
 
-def test_size_guard_parameter_override():
-    nc = nc_lattice("A2")
-    with pytest.raises(SizeGuardError):
-        all_functions(poset_chain(2), nc, guard=5)
-    assert len(all_functions(poset_chain(2), nc, guard=25).members) == 25
-
-
 # ---------------------------------------------------------------------------
 # orientation
 

@@ -18,7 +18,6 @@ from thicklat.quiver_rep import (
     hom_dim,
     indecomposable_dims,
     kernel_rep,
-    morphism_from_coeffs,
     tree_module,
 )
 from thicklat.linalg import int_identity, int_mat_mul
@@ -41,6 +40,7 @@ from thicklat.thick_enum import (
     wide_closure,
 )
 
+from decompose_oracle import morphism_from_coeffs
 from nc_oracle import NcOracle, embeds, int_mat_inverse, lines, oracle_simples
 
 THICK_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "D4": 50}
