@@ -42,7 +42,7 @@ from .spec_model import (
     poset_point,
     smashing_count,
 )
-from .thick_enum import enumerate_thick, verify_bijection
+from .thick_enum import thick_masks, verify_bijection
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "catalan_number",
     "decompose_dims",
     "default_orientation",
-    "enumerate_thick",
     "koszul_homology",
     "monotone_functions",
     "nc_to_set_partition",
@@ -77,6 +76,7 @@ __all__ = [
     "poset_diamond",
     "poset_point",
     "smashing_count",
+    "thick_masks",
     "tree_module",
     "verify_bijection",
 ]

@@ -49,7 +49,7 @@ from .spec_model import (
     poset_point,
     smashing_count,
 )
-from .thick_enum import enumerate_thick, nc_positions, thick_masks, verify_bijection
+from .thick_enum import quiver_lattice, sorted_dims, thick_masks, verify_bijection
 
 SCHEMA_VERSION = "1"
 
@@ -66,9 +66,9 @@ class PolynomialSyntaxError(ValueError):
 
 
 class ExponentBoundError(PolynomialSyntaxError):
-    """A power above MAX_EXPONENT, or a power or product above
-    MAX_TERMS.  A work guard rather than a syntax error, so the CLI
-    exits 1 on it."""
+    """A power above MAX_EXPONENT, a power or product above MAX_TERMS,
+    or a number above MAX_DIGITS.  A work guard rather than a syntax
+    error, so the CLI exits 1 on it."""
 
 
 # x^n is built by n multiplications, so an unbounded exponent lets one
@@ -82,8 +82,27 @@ MAX_EXPONENT = 64
 # exceeds this is refused before it is expanded.  `koszul` also refuses
 # generators whose terms add up past it, before parsing the next one.
 MAX_TERMS = 10_000
+# A number in a generator or a coordinate is refused on its text when its
+# numerator or denominator could pass this many digits (1e10000000 takes
+# seconds to build); under it, a power under MAX_EXPONENT still prints.
+MAX_DIGITS = 64
 
 _SYMBOLS = set("+-*/^()")
+
+
+def _check_digits(text: str, column: int) -> None:
+    """Refuse a number, at its column, whose digits before any decimal
+    exponent, plus that exponent, pass MAX_DIGITS."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
+    if exponent.isdecimal():
+        # one digit more than the bound has is past it, whatever follows
+        digits += int(exponent[: len(str(MAX_DIGITS)) + 1])
+    if digits > MAX_DIGITS:
+        raise ExponentBoundError(
+            f"number exceeds the bound of {MAX_DIGITS} digits", column
+        )
 
 
 def _tokenize_poly(text: str):
@@ -98,9 +117,9 @@ def _tokenize_poly(text: str):
             tokens.append((ch, ch, i + 1))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i + 1))
             i = j
@@ -205,10 +224,13 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
     def parse_base() -> Poly:
         kind, value, column = advance()
         if kind == "int":
+            _check_digits(value, column)
             numerator = int(value)
             if peek()[0] == "/":
                 advance()
                 dkind, dvalue, dcolumn = advance()
+                if dkind == "int":
+                    _check_digits(dvalue, dcolumn)
                 if dkind != "int" or int(dvalue) == 0:
                     raise PolynomialSyntaxError(
                         "denominator must be a nonzero integer", dcolumn
@@ -244,7 +266,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str, column: int) -> Fraction:
+    _check_digits(text, column)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -272,10 +295,17 @@ def _parse_orientation(dynkin: DynkinType, text: str | None) -> Quiver:
     return Quiver(dynkin, tuple(arrows))
 
 
+# NC(W, c) has at least 2^rank elements; past this rank its Catalan number
+# is not computed (at rank 200000 that takes half a minute) or printed.
+MAX_RANK = 1000
+
+
 def _lattice_args(args) -> tuple[DynkinType, Quiver]:
     """The type and orientation of nc, thick and specfn, refused before
     anything is enumerated when NC(W, c) is over the size guard."""
     dynkin = DynkinType.parse(args.type)
+    if dynkin.rank > MAX_RANK:
+        raise SizeGuardError(f"type {dynkin} exceeds the rank cap {MAX_RANK}")
     check_size_guard(catalan_number(dynkin), "elements")
     return dynkin, _parse_orientation(dynkin, args.orientation)
 
@@ -515,12 +545,8 @@ def cmd_nc(args) -> int:
 # ---------------------------------------------------------------------------
 # thick
 
-def _dim_label(dim) -> str:
-    return "(" + ",".join(str(x) for x in dim) + ")"
-
-
-def _wide_id(wide) -> str:
-    return "{" + ";".join(_dim_label(d) for d in wide.sorted_dims()) + "}"
+def _wide_id(dims) -> str:
+    return "{" + ";".join("(" + ",".join(map(str, d)) + ")" for d in dims) + "}"
 
 
 def cmd_thick(args) -> int:
@@ -540,39 +566,39 @@ def cmd_thick(args) -> int:
         report = verify_bijection(quiver, field)
         if not report.ok:
             exit_code = 1
+    masks = thick_masks(quiver, field)
     if fmt == "count":
-        # the number of closed masks needs no subcategory objects
-        count = len(thick_masks(quiver, field))
-        _emit(args.out, lambda write: write(f"{count}\n"))
+        _emit(args.out, lambda write: write(f"{len(masks)}\n"))
         return exit_code
-    wides = enumerate_thick(quiver, field)
-    ids = [_wide_id(w) for w in wides]
-    order = sorted(range(len(ids)), key=lambda i: (len(wides[i].dims), ids[i]))
-    lattice, positions = nc_positions(quiver, field)
-    if None in positions:
+    # a subcategory's mask is the moved roots of its image in NC(W, c)
+    lattice = quiver_lattice(quiver)
+    if any(mask not in lattice.index for mask in masks):
         raise ValueError("an image is not below the Coxeter element")
+    dims = {mask: sorted_dims(quiver, mask) for mask in masks}
+    ids = {mask: _wide_id(d) for mask, d in dims.items()}
+    order = sorted(masks, key=lambda mask: (mask.bit_count(), ids[mask]))
     if fmt == "dot":
         # inclusion corresponds to the order of NC(W, c), so the covers
-        # are the lattice's, carried back through the bijection
-        if sorted(positions) != list(range(len(lattice))):
+        # are the lattice's, read through its masks
+        if len(masks) != len(lattice):
             raise RuntimeError("subcategories do not map bijectively onto NC")
-        wide_at = {p: k for k, p in enumerate(positions)}
+        elements = lattice.elements
         edges = sorted(
-            (ids[wide_at[i]], ids[wide_at[j]]) for i, j in lattice.covers()
+            (ids[elements[i]], ids[elements[j]]) for i, j in lattice.covers()
         )
-        nodes = [ids[i] for i in order]
+        nodes = [ids[mask] for mask in order]
         _emit(args.out, lambda write: _write_dot(nodes, edges, write))
         return exit_code
     nc_ids = _nc_ids(lattice)
     subcats = [
         {
-            "id": ids[i],
-            "dimension_vectors": [list(d) for d in wides[i].sorted_dims()],
-            "nc_image": nc_ids[positions[i]],
+            "id": ids[mask],
+            "dimension_vectors": [list(d) for d in dims[mask]],
+            "nc_image": nc_ids[lattice.index[mask]],
         }
-        for i in order
+        for mask in order
     ]
-    payload = {"thick_count": len(wides), "subcategories": subcats}
+    payload = {"thick_count": len(masks), "subcategories": subcats}
     if report is not None:
         payload["verification"] = {
             "thick_count": report.thick_count,
@@ -635,7 +661,7 @@ def _parse_poset(spec: str) -> FinitePoset:
     if spec == "diamond":
         return poset_diamond()
     for prefix, builder in (("chain", poset_chain), ("antichain", poset_antichain)):
-        if spec.startswith(prefix) and spec[len(prefix):].isdigit():
+        if spec.startswith(prefix) and spec[len(prefix):].isdecimal():
             n = int(spec[len(prefix):])
             if n < 1:
                 raise ValueError(f"poset {spec!r} needs at least one point")
@@ -854,7 +880,10 @@ def cmd_koszul(args) -> int:
                 f"the first {len(gens)} generators have {terms} terms, "
                 f"beyond the bound of {MAX_TERMS} terms"
             )
-    coords = tuple(_parse_rational(x) for x in args.at.split(","))
+    coords, column = [], 1
+    for text in args.at.split(","):
+        coords.append(_parse_rational(text, column))
+        column += len(text) + 1
     homology = koszul_homology(ring, gens, RationalPoint(coords))
     arguments = {
         "vars": ",".join(variables),

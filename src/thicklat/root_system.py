@@ -29,9 +29,8 @@ subcategories: reflection lengths, Coxeter elements and moved roots.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .linalg import QQ, int_identity, int_mat_mul, int_rank, nullspace
@@ -64,7 +63,7 @@ class DynkinType(Value):
     @staticmethod
     def parse(text: str) -> "DynkinType":
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        if len(text) < 2 or not text[1:].isdecimal():
             raise ValueError(f"cannot parse Dynkin type {text!r}")
         return DynkinType(text[0].upper(), int(text[1:]))
 
@@ -107,12 +106,7 @@ class DynkinType(Value):
 def catalan_number(dynkin: DynkinType) -> int:
     """The Coxeter-Catalan number prod_i (h + d_i) / d_i."""
     h = dynkin.coxeter_number()
-    value = Fraction(1)
-    for d in dynkin.degrees():
-        value *= Fraction(h + d, d)
-    if value.denominator != 1:
-        raise RuntimeError("Catalan product did not come out integral")
-    return int(value)
+    return prod(h + d for d in dynkin.degrees()) // prod(dynkin.degrees())
 
 
 class WeylElement:

@@ -8,13 +8,21 @@ inclusion, covers as comparable pairs one length apart, labels by matrix
 lookup and type A blocks as the cycles of the permutation that the
 matrix induces.  is_noncrossing_partition checks type A blocks for
 interleaving.  column_masks builds up-sets and down-sets by root
-columns.  oracle_simples finds the simples of a wide subcategory
-by scanning for injective morphisms between its members.
+columns.  RepTable reads the Hom table of a quiver over a field by
+root index, and dims_of turns a mask over the indecomposables back into
+dimension vectors.  oracle_simples finds the simples of a wide
+subcategory by scanning for injective morphisms between its members.
 """
 from itertools import product
 
 from thicklat.linalg import QQ, int_mat_mul, rref
-from thicklat.quiver_rep import hom_basis, kernel_rep
+from thicklat.quiver_rep import (
+    euler_form,
+    hom_basis,
+    hom_table,
+    indecomposable_dims,
+    kernel_rep,
+)
 from thicklat.root_system import (
     WeylElement,
     _bits,
@@ -24,7 +32,6 @@ from thicklat.root_system import (
     reflection_length,
     reflection_mats,
 )
-from thicklat.thick_enum import _context
 
 from decompose_oracle import morphism_from_coeffs
 
@@ -226,6 +233,33 @@ def lines(field, n: int):
             yield (field.zero,) * lead + (field.one,) + tail
 
 
+def dims_of(quiver, mask: int) -> frozenset:
+    """The dimension vectors of the indecomposables in a mask."""
+    roots = indecomposable_dims(quiver)
+    return frozenset(roots[i] for i in _bits(mask))
+
+
+class RepTable:
+    """The Hom table of one quiver over one field, by root index, with
+    dim Ext1 = dim Hom - <d, e> and masks of sets of dimension vectors."""
+
+    def __init__(self, quiver, field):
+        self.quiver = quiver
+        self.field = field
+        self.table = hom_table(quiver, field)
+        self.roots = self.table.roots
+        self.index = {d: i for i, d in enumerate(self.roots)}
+
+    def hom(self, i: int, j: int) -> int:
+        return self.table.hom[i][j]
+
+    def ext(self, i: int, j: int) -> int:
+        return self.hom(i, j) - euler_form(self.quiver, self.roots[i], self.roots[j])
+
+    def mask_of_dims(self, dims) -> int:
+        return sum(1 << self.index[d] for d in set(dims))
+
+
 def embeds(ctx, i: int, j: int) -> bool:
     """Whether some injective morphism root i -> root j exists, trying
     one morphism per line of Hom, as a unit multiple has the same
@@ -241,13 +275,13 @@ def embeds(ctx, i: int, j: int) -> bool:
     )
 
 
-def oracle_simples(wide):
-    """Members with no proper nonzero subobject inside the subcategory,
-    found by scanning injective morphisms from the other members."""
-    ctx = _context(wide.quiver, wide.field)
-    members = wide.sorted_dims()
-    return tuple(
-        d
+def oracle_simples(ctx, mask: int) -> int:
+    """The mask of the members of a wide subcategory, given as a mask,
+    with no proper nonzero subobject inside it, found by scanning
+    injective morphisms from the other members."""
+    members = list(_bits(mask))
+    return sum(
+        1 << d
         for d in members
-        if not any(embeds(ctx, ctx.index[e], ctx.index[d]) for e in members if e != d)
+        if not any(embeds(ctx, e, d) for e in members if e != d)
     )

@@ -41,8 +41,8 @@ from thicklat.spec_model import (
     poset_diamond,
     poset_point,
 )
-from thicklat import quiver_rep, thick_enum
-from thicklat.thick_enum import enumerate_thick, verify_bijection, wide_closure
+from thicklat import quiver_rep
+from thicklat.thick_enum import _close_mask, _perp_rows, thick_masks, verify_bijection
 
 from decompose_oracle import ext_dim
 from koszul_oracle import evaluate, homology_dims, koszul_complex, koszul_tensor_module
@@ -140,7 +140,7 @@ def test_criterion_4_thick_counts_and_bijection():
     start = time.perf_counter()
     for name, count in expected.items():
         quiver = default_orientation(DynkinType.parse(name))
-        assert len(enumerate_thick(quiver, GF(2))) == count, name
+        assert len(thick_masks(quiver, GF(2))) == count, name
         rep = verify_bijection(quiver, GF(2))
         assert rep.ok and rep.thick_count == rep.nc_count == count, name
     elapsed = time.perf_counter() - start
@@ -152,34 +152,29 @@ def test_criterion_4_thick_counts_and_bijection():
     )
 
 
-def test_d4_thick_enumeration_over_gf5_within_budget(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_d4_thick_enumeration_over_gf5_within_budget(fresh_thick_caches):
     quiver_rep.hom_table.cache_clear()
     quiver = default_orientation(DynkinType.parse("D4"))
     start = time.perf_counter()
-    wides = enumerate_thick(quiver, GF(5))
+    masks = thick_masks(quiver, GF(5))
     elapsed = time.perf_counter() - start
-    assert len(wides) == 50
+    assert len(masks) == 50
     assert elapsed < 0.15
 
 
-def test_e6_thick_enumeration_over_gf31_within_budget(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_e6_thick_enumeration_over_gf31_within_budget(fresh_thick_caches):
     quiver_rep.hom_table.cache_clear()
     quiver = default_orientation(DynkinType.parse("E6"))
     start = time.perf_counter()
-    wides = enumerate_thick(quiver, GF(31))
+    masks = thick_masks(quiver, GF(31))
     elapsed = time.perf_counter() - start
-    assert len(wides) == 833
+    assert len(masks) == 833
     assert elapsed < 1.0
 
 
 def test_criterion_5_field_independence():
     quiver = default_orientation(DynkinType.parse("A3"))
-    families = {
-        p: frozenset(w.dims for w in enumerate_thick(quiver, GF(p)))
-        for p in (2, 3, 5)
-    }
+    families = {p: frozenset(thick_masks(quiver, GF(p))) for p in (2, 3, 5)}
     assert families[2] == families[3] == families[5]
     report(5, "A3 dimension vector families agree over GF(2), GF(3), GF(5)")
 
@@ -401,8 +396,7 @@ def disguised_sum(quiver, rng, summands, total):
     return FieldRep(QQ, quiver, tuple(size), tuple(maps)), sorted(dims)
 
 
-def test_rational_decomposition_within_budget(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_rational_decomposition_within_budget(fresh_thick_caches):
     quiver_rep.hom_table.cache_clear()
     quiver = default_orientation(DynkinType.parse("D5"))
     rep, summands = disguised_sum(quiver, random.Random("decompose-budget"), 4, 18)
@@ -440,13 +434,14 @@ def test_criterion_9_property_suites():
     # closure idempotence on random seeds
     for name, seed in (("A2", 1), ("A3", 2), ("D4", 3)):
         quiver = default_orientation(DynkinType.parse(name))
-        roots = list(indecomposable_dims(quiver))
+        rows = _perp_rows(quiver, GF(2))
+        n = len(indecomposable_dims(quiver))
         rng = random.Random(seed)
         for _ in range(200):
-            chosen = frozenset(rng.sample(roots, rng.randint(0, 3)))
-            closed = wide_closure(quiver, GF(2), chosen)
-            assert chosen <= closed.dims
-            assert wide_closure(quiver, GF(2), closed.dims).dims == closed.dims
+            chosen = sum(1 << i for i in rng.sample(range(n), rng.randint(0, 3)))
+            closed = _close_mask(rows, chosen)
+            assert chosen & ~closed == 0
+            assert _close_mask(rows, closed) == closed
     # deterministic command line output
     for args in (
         ["nc", "--type", "A3"],

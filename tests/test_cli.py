@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from thicklat.cli import (
+    MAX_DIGITS,
+    MAX_RANK,
     MAX_TERMS,
     ExponentBoundError,
     PolynomialSyntaxError,
@@ -28,9 +30,9 @@ from thicklat.linalg import GF
 from thicklat.quiver_rep import default_orientation
 from thicklat.root_system import DynkinType
 from thicklat.spec_model import MAX_POSET_POINTS
-from thicklat import thick_enum
-from thicklat.thick_enum import enumerate_thick
+from thicklat.thick_enum import quiver_lattice, thick_masks
 
+from nc_oracle import dims_of
 from specfn_oracle import specfn_texts
 from test_quiver_rep import orientations
 
@@ -202,8 +204,7 @@ def test_stdout_bytes_are_pinned(command):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_ORIENTATIONS))
-def test_every_orientation_is_pinned(name, monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_every_orientation_is_pinned(name, fresh_thick_caches):
     digest = hashlib.sha256()
     for quiver in orientations(name):
         arrows = ",".join(f"{s}>{t}" for s, t in quiver.arrows)
@@ -404,18 +405,22 @@ def test_thick_counts_and_verify():
 
 
 @pytest.mark.parametrize("name,expected", [("A3", 14), ("D4", 50), ("E6", 833)])
-def test_thick_count_builds_no_subcategory_objects(monkeypatch, name, expected):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("thick --count built a WideSubcategory")
-
-    monkeypatch.setattr(thick_enum, "WideSubcategory", refuse)
+def test_thick_count_builds_no_subcategory_objects(fresh_thick_caches, name, expected):
     code, out, _ = run_cli(["thick", "--type", name, "--field", "2", "--count"])
     assert code == 0 and out == f"{expected}\n"
-    monkeypatch.undo()
     quiver, field = default_orientation(DynkinType.parse(name)), GF(2)
-    assert len(enumerate_thick(quiver, field)) == expected
+    assert len(thick_masks(quiver, field)) == expected
+    # the closures are counted, and the lattice is never built
+    assert quiver_lattice.cache_info().currsize == 0
+
+
+def test_thick_refuses_a_subcategory_outside_the_lattice(fresh_thick_caches):
+    quiver = default_orientation(DynkinType.parse("A2"))
+    atom = next(m for m in thick_masks(quiver, GF(2)) if m.bit_count() == 1)
+    del quiver_lattice(quiver).index[atom]
+    code, out, err = run_cli(["thick", "--type", "A2", "--field", "2"])
+    assert (code, out) == (2, "")
+    assert err == "thicklat: error: an image is not below the Coxeter element\n"
 
 
 def test_thick_and_koszul_with_a_sink_at_the_e6_branch_vertex():
@@ -448,10 +453,9 @@ def test_thick_nc_images_are_distinct():
     assert len(set(images)) == len(images) == 14
 
 
-def inclusion_covers(wides):
+def inclusion_covers(sets):
     """Oracle: pairs of subcategories with nothing strictly between."""
-    sets = [frozenset(w.dims) for w in wides]
-    n = len(wides)
+    n = len(sets)
     return [
         (i, j)
         for i in range(n)
@@ -468,9 +472,10 @@ def test_thick_dot_covers_match_inclusion_oracle(name, p):
         ["thick", "--type", name, "--field", str(p), "--format", "dot"]
     )
     assert code == 0 and err == ""
-    wides = enumerate_thick(default_orientation(DynkinType.parse(name)), GF(p))
-    ids = [_wide_id(w) for w in wides]
-    expected = {f'  "{ids[i]}" -> "{ids[j]}";' for i, j in inclusion_covers(wides)}
+    quiver = default_orientation(DynkinType.parse(name))
+    sets = [dims_of(quiver, m) for m in thick_masks(quiver, GF(p))]
+    ids = [_wide_id(sorted(dims)) for dims in sets]
+    expected = {f'  "{ids[i]}" -> "{ids[j]}";' for i, j in inclusion_covers(sets)}
     assert {line for line in out.splitlines() if "->" in line} == expected
 
 
@@ -615,6 +620,9 @@ def test_specfn_unknown_poset():
         ["specfn", "--type", "A1", "--poset", "pentagon", "--count"]
     )
     assert code == 2 and "pentagon" in err
+    # a superscript is a digit to str.isdigit, but not a decimal
+    code, _, err = run_cli(["specfn", "--type", "A1", "--poset", "chain²", "--count"])
+    assert code == 2 and err.startswith("thicklat: error: unknown poset 'chain²'")
 
 
 def test_specfn_size_guard(monkeypatch):
@@ -635,14 +643,26 @@ def test_specfn_size_guard(monkeypatch):
     ],
 )
 def test_lattice_commands_refuse_types_over_the_size_guard_quickly(args):
-    start = time.perf_counter()
-    code, out, err = run_cli(args[:1] + ["--type", "A14"] + args[1:])
-    assert time.perf_counter() - start < 0.5
-    assert code == 1 and out == ""
-    assert err == (
-        "thicklat: error: 9694845 elements exceed the size guard 100000; "
-        "raise THICKLAT_SIZE_GUARD to proceed\n"
-    )
+    refusals = {
+        "A14": "9694845 elements exceed the size guard 100000; "
+        "raise THICKLAT_SIZE_GUARD to proceed",
+        # past the rank cap, the Catalan number is neither computed nor printed
+        **{
+            name: f"type {name} exceeds the rank cap {MAX_RANK}"
+            for name in ("A20000", "D20000", "A200000", "A2000000")
+        },
+    }
+    for name, message in refusals.items():
+        start = time.perf_counter()
+        code, out, err = run_cli(args[:1] + ["--type", name] + args[1:])
+        assert time.perf_counter() - start < 0.5, name
+        assert code == 1 and out == ""
+        assert err == f"thicklat: error: {message}\n"
+
+
+def test_rank_cap_admits_its_own_rank():
+    code, _, err = run_cli(["nc", "--type", f"A{MAX_RANK}", "--count"])
+    assert code == 1 and "elements exceed the size guard" in err
 
 
 def test_nc_size_guard_is_the_catalan_number(monkeypatch):
@@ -840,6 +860,36 @@ def test_koszul_error_paths():
     assert code == 2 and "unknown variable" in err
 
 
+def test_koszul_refuses_long_numbers_quickly():
+    long = "9" * 5000
+    cases = [
+        (["--gens", "x", "--at", "1e10000000"], 1),
+        (["--gens", "x", "--at", "1e5000"], 1),
+        (["--gens", "x", "--at", "0,1E-65"], 3),
+        (["--gens", "x", "--at", f" {'1' * (MAX_DIGITS + 1)}"], 1),
+        (["--gens", f"{long}*x", "--at", "1"], 1),
+        (["--gens", f"x-2/{long}", "--at", "1"], 5),
+        (["--gens", f"x,1+{'1' * (MAX_DIGITS + 1)}*x", "--at", "1"], 3),
+    ]
+    for args, column in cases:
+        start = time.perf_counter()
+        code, out, err = run_cli(["koszul", "--vars", "x"] + args)
+        assert time.perf_counter() - start < 0.5, args
+        assert (code, out) == (1, ""), args
+        assert err == (
+            f"thicklat: error: number exceeds the bound of {MAX_DIGITS} digits "
+            f"(column {column})\n"
+        ), args
+
+
+def test_koszul_accepts_numbers_at_the_digit_bound():
+    top = "9" * MAX_DIGITS
+    for gens, at in ((f"{top}*x-1/{top}", f"1e{MAX_DIGITS - 1}"), ("x", f"-{top}/{top[1:]}")):
+        code, out, err = run_cli(["koszul", "--vars", "x", "--gens", gens, f"--at={at}"])
+        assert code == 0 and err == "", (gens, at)
+        assert json.loads(out)["payload"]["homology"] == [[0, 0], [1, 0]]
+
+
 def test_koszul_refuses_huge_exponents_quickly():
     for exponent in ("9999999", "9" * 5000):
         start = time.perf_counter()
@@ -895,6 +945,10 @@ def test_parse_polynomial_error_positions():
     assert err.value.column == 3
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial(RING, "x $ y")
+    # a superscript is a digit to str.isdigit, but not a decimal
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(RING, "x^²")
+    assert err.value.column == 3 and "unexpected character" in str(err.value)
 
 
 def test_parse_polynomial_exponent_bound():

@@ -13,14 +13,17 @@ from thicklat.root_system import (
     build_root_system,
     catalan_number,
 )
-from thicklat.thick_enum import enumerate_thick, verify_bijection
+from thicklat.thick_enum import thick_masks, verify_bijection
 
 from nc_oracle import assert_mask_lattice_matches_oracle, assert_masks_match_columns
 from test_root_system import (
     assert_atoms_and_coatoms,
+    assert_closed_forms,
     assert_factorizations_match_moved_roots_oracle,
     assert_order_matches_rank_oracle,
+    lattice_mobius,
     nc_lattice,
+    rank_sizes,
 )
 from test_quiver_rep import (
     assert_tree_modules_are_rigid_bricks,
@@ -44,6 +47,14 @@ def test_e7_enumeration_count():
 
 
 @long_tests
+def test_e8_rank_sizes_and_mobius_number_match_closed_forms():
+    lattice = nc_lattice("E8")
+    assert rank_sizes(lattice) == [1, 120, 1540, 6120, 9518, 6120, 1540, 120, 1]
+    assert lattice_mobius(lattice) == 17342
+    assert_closed_forms(lattice)
+
+
+@long_tests
 def test_e6_order_matches_rank_oracle():
     assert_order_matches_rank_oracle(nc_lattice("E6"))
 
@@ -54,7 +65,7 @@ def test_e6_order_matches_rank_oracle():
 )
 def test_large_thick_counts(name, count):
     quiver = default_orientation(DynkinType.parse(name))
-    assert len(enumerate_thick(quiver, GF(2))) == count
+    assert len(thick_masks(quiver, GF(2))) == count
 
 
 @long_tests

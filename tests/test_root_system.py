@@ -1,5 +1,8 @@
 """Root systems, Weyl elements, and noncrossing partition lattices."""
 import itertools
+from collections import Counter
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -9,6 +12,7 @@ from thicklat.root_system import (
     DynkinType,
     NcLattice,
     WeylElement,
+    _bits,
     build_root_system,
     catalan_number,
     coxeter_element,
@@ -109,6 +113,9 @@ def test_dynkin_parsing_and_validation():
     for bad in ("Z3", "A0", "D3", "E5", "E9", "A", "7"):
         with pytest.raises(ValueError):
             DynkinType.parse(bad)
+    # a superscript is a digit to str.isdigit, but not a decimal
+    with pytest.raises(ValueError, match="cannot parse Dynkin type 'A²'"):
+        DynkinType.parse("A²")
 
 
 def test_diagram_edges_shapes():
@@ -226,6 +233,96 @@ def test_coxeter_element_sink_first_convention():
 def test_enumerate_nc_counts(name):
     lattice = nc_lattice(name)
     assert len(lattice) == CATALAN[name]
+
+
+# ---------------------------------------------------------------------------
+# closed forms for the shape of NC(W, c): the rank sizes are the Narayana
+# numbers, the h-vector of the generalized associahedron (Fomin-Reading,
+# Root systems and generalized associahedra, 2005; Armstrong, Generalized
+# noncrossing partitions and combinatorics of Coxeter groups, Mem. AMS
+# 2009), and mu(e, c) = (-1)^n prod_i (h + d_i - 2) / d_i
+
+
+def _binom(n: int, k: int) -> int:
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+# published rank sizes of the exceptional types, where no closed form is used
+EXCEPTIONAL_NARAYANA = {
+    "E6": [1, 36, 204, 351, 204, 36, 1],
+    "E8": [1, 120, 1540, 6120, 9518, 6120, 1540, 120, 1],
+}
+
+
+def narayana_numbers(dynkin: DynkinType) -> list | None:
+    """The number of elements of each reflection length 0..n, or None
+    where neither a closed form nor a table is at hand (E7)."""
+    n = dynkin.rank
+    if dynkin.letter == "A":
+        return [Fraction(comb(n + 1, k) * comb(n + 1, k + 1), n + 1) for k in range(n + 1)]
+    if dynkin.letter == "D":
+        return [
+            comb(n, k) ** 2 - Fraction(n, n - 1) * comb(n - 1, k) * _binom(n - 1, k - 1)
+            for k in range(n + 1)
+        ]
+    return EXCEPTIONAL_NARAYANA.get(str(dynkin))
+
+
+def rank_sizes(lattice: NcLattice) -> list[int]:
+    sizes = Counter(lattice.lengths)
+    return [sizes[k] for k in range(lattice.rs.rank + 1)]
+
+
+def mobius_number(dynkin: DynkinType) -> Fraction:
+    """mu(e, c) = (-1)^n prod_i (h + d_i - 2) / d_i."""
+    h = dynkin.coxeter_number()
+    return (-1) ** dynkin.rank * prod(Fraction(h + d - 2, d) for d in dynkin.degrees())
+
+
+def lattice_mobius(lattice: NcLattice) -> int:
+    """mu(e, c) by its recursion over the down-sets of the covers:
+    mu(e, e) = 1 and mu(e, x) = -sum of mu(e, y) over the y < x."""
+    _, down = lattice._masks()
+    mu = [0] * len(lattice)
+    for x in sorted(range(len(lattice)), key=lattice.lengths.__getitem__):
+        mu[x] = -sum(mu[y] for y in _bits(down[x] & ~(1 << x))) if lattice.lengths[x] else 1
+    return mu[lattice.top()]
+
+
+def assert_closed_forms(lattice: NcLattice):
+    dynkin = lattice.rs.dynkin
+    sizes = rank_sizes(lattice)
+    assert sizes == sizes[::-1]
+    assert sizes[1] == len(lattice.rs.positive_roots)
+    assert sum(sizes) == catalan_number(dynkin)
+    expected = narayana_numbers(dynkin)
+    if expected is not None:
+        assert sizes == expected
+    assert lattice_mobius(lattice) == mobius_number(dynkin)
+
+
+CLOSED_FORM_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7"]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_TYPES)
+def test_rank_sizes_and_mobius_number_match_closed_forms(name):
+    assert_closed_forms(nc_lattice(name))
+
+
+def test_closed_forms_hold_in_another_orientation():
+    for name, arrows in OTHER_ORIENTATIONS.items():
+        dynkin = DynkinType.parse(name)
+        assert_closed_forms(NcLattice(build_root_system(dynkin), arrows))
+
+
+def test_closed_forms_are_the_known_values():
+    """The formulas themselves, against values computed by hand."""
+    assert narayana_numbers(DynkinType.parse("A3")) == [1, 6, 6, 1]
+    assert narayana_numbers(DynkinType.parse("D4")) == [1, 12, 24, 12, 1]
+    assert [mobius_number(DynkinType.parse(n)) for n in ("A3", "D4", "E6", "E7", "E8")] == [
+        -5, 20, 418, -2431, 17342,
+    ]
+    assert sum(EXCEPTIONAL_NARAYANA["E8"]) == CATALAN["E8"]
 
 
 def test_enumerate_nc_is_deterministic():

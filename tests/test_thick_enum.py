@@ -31,17 +31,23 @@ from thicklat.root_system import (
 )
 from thicklat import thick_enum
 from thicklat.thick_enum import (
-    WideSubcategory,
-    _context,
-    enumerate_thick,
-    nc_positions,
-    simples_of,
+    _close_mask,
+    _perp_rows,
+    quiver_lattice,
+    thick_masks,
     verify_bijection,
-    wide_closure,
 )
 
 from decompose_oracle import morphism_from_coeffs
-from nc_oracle import NcOracle, embeds, int_mat_inverse, lines, oracle_simples
+from nc_oracle import (
+    NcOracle,
+    RepTable,
+    dims_of,
+    embeds,
+    int_mat_inverse,
+    lines,
+    oracle_simples,
+)
 
 THICK_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "D4": 50}
 
@@ -50,27 +56,44 @@ def quiver_of(name: str) -> Quiver:
     return default_orientation(DynkinType.parse(name))
 
 
+def sorted_dims(quiver, mask) -> tuple:
+    return tuple(sorted(dims_of(quiver, mask)))
+
+
+def walk(quiver, field) -> list[int]:
+    """The subcategories' masks by size, then by sorted dimension
+    vectors: the order that verify_bijection reports them in."""
+    return sorted(
+        thick_masks(quiver, field),
+        key=lambda m: (m.bit_count(), sorted_dims(quiver, m)),
+    )
+
+
+def random_mask(rng, n: int, most: int) -> int:
+    return sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(most, n))))
+
+
 @pytest.mark.parametrize("name,count", sorted(THICK_COUNTS.items()))
 def test_enumeration_counts_over_gf2(name, count):
-    wides = enumerate_thick(quiver_of(name), GF(2))
-    assert len(wides) == count
-    assert len({w.dims for w in wides}) == count
+    quiver = quiver_of(name)
+    masks = thick_masks(quiver, GF(2))
+    assert len(masks) == count
+    assert len({dims_of(quiver, m) for m in masks}) == count
 
 
-def test_enumeration_runs_once_per_quiver_and_field(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_enumeration_runs_once_per_quiver_and_field(monkeypatch, fresh_thick_caches):
     closed = []
     close = thick_enum._close_mask
 
-    def counted_close(ctx, mask):
+    def counted_close(rows, mask):
         closed.append(mask)
-        return close(ctx, mask)
+        return close(rows, mask)
 
     monkeypatch.setattr(thick_enum, "_close_mask", counted_close)
     quiver, field = quiver_of("A3"), GF(3)
-    wides = enumerate_thick(quiver, field)
+    masks = thick_masks(quiver, field)
     assert verify_bijection(quiver, field).ok
-    assert enumerate_thick(quiver, field) is wides
+    assert thick_masks(quiver, field) is masks
     # one closure per Hom-orthogonal seed, as many as subcategories
     assert len(closed) == 14
 
@@ -92,24 +115,22 @@ def test_bijection_over_other_fields_and_orientations():
 
 
 def test_field_independence_for_a3():
-    families = []
-    for p in (2, 3, 5):
-        wides = enumerate_thick(quiver_of("A3"), GF(p))
-        families.append(frozenset(w.dims for w in wides))
+    families = [set(thick_masks(quiver_of("A3"), GF(p))) for p in (2, 3, 5)]
     assert families[0] == families[1] == families[2]
 
 
 def test_enumeration_rejects_characteristic_zero():
-    with pytest.raises(ValueError):
-        enumerate_thick(quiver_of("A2"), QQ)
+    with pytest.raises(ValueError, match="needs a finite field"):
+        thick_masks(quiver_of("A2"), QQ)
+    with pytest.raises(ValueError, match="needs a finite field"):
+        verify_bijection(quiver_of("A2"), QQ)
 
 
 def test_empty_and_full_subcategories_present():
     quiver = quiver_of("A3")
-    wides = enumerate_thick(quiver, GF(2))
-    dims_sets = {w.dims for w in wides}
-    assert frozenset() in dims_sets
-    assert frozenset(indecomposable_dims(quiver)) in dims_sets
+    masks = thick_masks(quiver, GF(2))
+    assert 0 in masks
+    assert (1 << len(indecomposable_dims(quiver))) - 1 in masks
 
 
 @pytest.mark.parametrize(
@@ -117,46 +138,42 @@ def test_empty_and_full_subcategories_present():
 )
 def test_wide_closure_idempotent_on_random_seeds(name, seed):
     quiver = quiver_of(name)
-    field = GF(2)
-    roots = list(indecomposable_dims(quiver))
+    rows = _perp_rows(quiver, GF(2))
+    n = len(indecomposable_dims(quiver))
     rng = random.Random(seed)
     for _ in range(200):
-        k = rng.randint(0, min(3, len(roots)))
-        chosen = frozenset(rng.sample(roots, k))
-        closed = wide_closure(quiver, field, chosen)
-        assert chosen <= closed.dims
-        again = wide_closure(quiver, field, closed.dims)
-        assert again.dims == closed.dims
+        chosen = random_mask(rng, n, 3)
+        closed = _close_mask(rows, chosen)
+        assert chosen & ~closed == 0
+        assert _close_mask(rows, closed) == closed
 
 
 def test_wide_closure_lands_in_enumeration():
     quiver = quiver_of("A3")
     field = GF(2)
-    enumerated = {w.dims for w in enumerate_thick(quiver, field)}
-    roots = list(indecomposable_dims(quiver))
+    rows = _perp_rows(quiver, field)
+    enumerated = thick_masks(quiver, field)
     rng = random.Random(5)
     for _ in range(100):
-        chosen = frozenset(rng.sample(roots, rng.randint(0, 3)))
-        assert wide_closure(quiver, field, chosen).dims in enumerated
+        assert _close_mask(rows, random_mask(rng, 6, 3)) in enumerated
 
 
 def test_wides_are_closed_under_intersection():
     quiver = quiver_of("A3")
     field = GF(2)
-    wides = enumerate_thick(quiver, field)
-    dims_sets = {w.dims for w in wides}
-    for a, b in itertools.combinations(wides, 2):
-        common = a.dims & b.dims
-        assert wide_closure(quiver, field, common).dims == common
-        assert common in dims_sets
+    rows = _perp_rows(quiver, field)
+    masks = thick_masks(quiver, field)
+    for a, b in itertools.combinations(masks, 2):
+        common = a & b
+        assert _close_mask(rows, common) == common
+        assert common in masks
 
 
 def test_simples_are_hom_orthogonal_bricks():
     quiver = quiver_of("A3")
     field = GF(2)
-    for wide in enumerate_thick(quiver, field):
-        simples = simples_of(wide)
-        assert len(simples) == len(set(simples))
+    for seed in thick_masks(quiver, field).values():
+        simples = sorted_dims(quiver, seed)
         reps = [base_change(tree_module(quiver, d), field) for d in simples]
         for i, m in enumerate(reps):
             assert hom_dim(m, m) == 1
@@ -165,15 +182,15 @@ def test_simples_are_hom_orthogonal_bricks():
                     assert hom_dim(m, n) == 0
 
 
-def weyl_image(wide):
+def weyl_image(quiver, field, mask):
     """The product of the simples' reflections in the admissible order
     that verify_bijection multiplies them in: computed from the simples
     alone, with no look at the subcategory's other dimension vectors."""
-    rs = build_root_system(wide.quiver.dynkin)
-    roots = _context(wide.quiver, wide.field).roots
+    rs = build_root_system(quiver.dynkin)
+    simples = thick_masks(quiver, field)[mask]
     mat = int_identity(rs.rank)
-    for k in thick_enum._admissible_word(wide):
-        mat = int_mat_mul(mat, reflection(rs, roots[k]).mat)
+    for k in thick_enum._admissible_word(quiver, simples):
+        mat = int_mat_mul(mat, reflection(rs, rs.positive_roots[k]).mat)
     return mat
 
 
@@ -193,56 +210,54 @@ def test_wide_to_nc_lengths_and_order():
         rs = build_root_system(quiver.dynkin)
         lattice = NcLattice(rs, quiver)
         oracle = NcOracle(rs, quiver)
-        wides = enumerate_thick(quiver, field)
-        images = list(nc_positions(quiver, field)[1])
+        seeds = thick_masks(quiver, field)
+        masks = walk(quiver, field)
+        images = [quiver_lattice(quiver).index[m] for m in masks]
         assert verify_bijection(quiver, field).ok
         # bijective onto the lattice
-        assert len(set(images)) == len(lattice) == len(wides)
+        assert len(set(images)) == len(lattice) == len(masks)
         assert set(images) == set(range(len(lattice)))
-        products = [weyl_image(w) for w in wides]
-        for wide, image, w in zip(wides, images, products):
+        products = [weyl_image(quiver, field, m) for m in masks]
+        for mask, image, w in zip(masks, images, products):
             # the matrix walk's element at the product of the simples'
             # reflections is the mask lattice's element at the image
             o = oracle.position[w]
             assert lattice.elements[image] == oracle.moved[o]
             assert lattice.lengths[image] == oracle.lengths[o]
-            assert oracle.lengths[o] == len(simples_of(wide))
+            assert oracle.lengths[o] == seeds[mask].bit_count()
             # Ingalls-Thomas: the dimension vectors are the moved roots
-            moved = oracle.moved[o]
-            roots = rs.positive_roots
-            assert {r for k, r in enumerate(roots) if moved >> k & 1} == wide.dims
+            assert dims_of(quiver, oracle.moved[o]) == dims_of(quiver, mask)
         # inclusions map to the absolute order of the products in both
         # directions, and the lattice's order agrees with both
-        for (w1, u1, m1), (w2, u2, m2) in itertools.product(
-            zip(wides, images, products), repeat=2
+        for (s1, u1, m1), (s2, u2, m2) in itertools.product(
+            zip(masks, images, products), repeat=2
         ):
-            assert (w1.dims <= w2.dims) == absolute_leq(m1, m2) == lattice.leq(u1, u2)
+            inclusion = dims_of(quiver, s1) <= dims_of(quiver, s2)
+            assert inclusion == absolute_leq(m1, m2) == lattice.leq(u1, u2)
 
 
 def test_subcategory_order_matches_simple_counts():
-    wides = enumerate_thick(quiver_of("A2"), GF(2))
-    sizes = sorted(len(w.dims) for w in wides)
+    sizes = sorted(m.bit_count() for m in thick_masks(quiver_of("A2"), GF(2)))
     assert sizes == [0, 1, 1, 1, 3]
-    assert all(isinstance(w, WideSubcategory) for w in wides)
 
 
 def test_extension_closure_is_enforced():
     """The two simples of A2 generate everything: their extension exists."""
     quiver = quiver_of("A2")
-    field = GF(2)
-    closed = wide_closure(quiver, field, {(1, 0), (0, 1)})
-    assert closed.dims == frozenset({(1, 0), (0, 1), (1, 1)})
+    ctx = RepTable(quiver, GF(2))
+    rows = _perp_rows(quiver, GF(2))
+    closed = _close_mask(rows, ctx.mask_of_dims({(1, 0), (0, 1)}))
+    assert dims_of(quiver, closed) == frozenset({(1, 0), (0, 1), (1, 1)})
     # kernels and cokernels too: the projective and the sink simple
-    closed2 = wide_closure(quiver, field, {(1, 1), (1, 0)})
-    assert closed2.dims == frozenset({(1, 0), (0, 1), (1, 1)})
+    closed2 = _close_mask(rows, ctx.mask_of_dims({(1, 1), (1, 0)}))
+    assert dims_of(quiver, closed2) == frozenset({(1, 0), (0, 1), (1, 1)})
 
 
 def test_singleton_closures_are_single_bricks():
     quiver = quiver_of("D4")
-    field = GF(2)
-    for d in indecomposable_dims(quiver):
-        closed = wide_closure(quiver, field, {d})
-        assert closed.dims == frozenset({d})
+    rows = _perp_rows(quiver, GF(2))
+    for k in range(len(indecomposable_dims(quiver))):
+        assert _close_mask(rows, 1 << k) == 1 << k
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +382,7 @@ def test_lines_give_one_vector_per_line(p):
 @pytest.mark.parametrize("name,p", [("A3", 3), ("D4", 2), ("D4", 3)])
 def test_pair_mask_and_embeds_match_brute_force(name, p):
     field = GF(p)
-    ctx = _context(quiver_of(name), field)
+    ctx = RepTable(quiver_of(name), field)
     for i, m in enumerate(ctx.table.reps):
         for j, n in enumerate(ctx.table.reps):
             assert pair_mask(ctx, i, j) == ctx.mask_of_dims(
@@ -383,7 +398,7 @@ def test_euler_form_precedence_matches_ext_cocycles(p):
     pair; so hom(b, a) or <b, a> is nonzero exactly when Hom or Ext1
     from b to a is."""
     for name in ("D4", "D5"):
-        ctx = _context(quiver_of(name), GF(p))
+        ctx = RepTable(quiver_of(name), GF(p))
         for a, b in itertools.product(range(len(ctx.roots)), repeat=2):
             assert ctx.ext(a, b) == len(
                 ext_cocycle_basis(ctx.table.reps[a], ctx.table.reps[b])
@@ -399,14 +414,14 @@ def test_euler_form_perpendiculars_match_the_hom_table(name, oriented, p):
     closure reads off Hom and Ext1 over the field."""
     dynkin = DynkinType.parse(name)
     quiver = Quiver(dynkin, OTHER_ORIENTATIONS[name]) if oriented else quiver_of(name)
-    ctx = _context(quiver, GF(p))
-    left, right, _ = ctx.perp
-    assert (tuple(left), tuple(right)) == (ctx.lattice.left, ctx.lattice.right)
+    left, right, _ = _perp_rows(quiver, GF(p))
+    lattice = quiver_lattice(quiver)
+    assert (tuple(left), tuple(right)) == (lattice.left, lattice.right)
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D5", "E6"])
 def test_hom_and_ext_are_never_both_nonzero(name):
-    ctx = _context(quiver_of(name), GF(2))
+    ctx = RepTable(quiver_of(name), GF(2))
     for a, b in itertools.product(range(len(ctx.roots)), repeat=2):
         assert ctx.hom(a, b) * ctx.ext(a, b) == 0, (ctx.roots[a], ctx.roots[b])
 
@@ -427,17 +442,18 @@ OTHER_ORIENTATIONS = {
 def assert_closure_matches_fixed_point(quiver, field):
     """The perpendicular closure equals the pairwise fixed point on every
     Hom-orthogonal seed and on 200 seeded random subsets of size 0-4."""
-    ctx = _context(quiver, field)
+    ctx = RepTable(quiver, field)
+    rows = _perp_rows(quiver, field)
     n = len(ctx.roots)
     rng = random.Random(8)
-    masks = thick_enum._orthogonal_seed_masks(ctx) + [
+    masks = thick_enum._orthogonal_seed_masks(rows) + [
         sum(1 << i for i in rng.sample(range(n), rng.randint(0, 4)))
         for _ in range(200)
     ]
     for mask in masks:
-        assert thick_enum._close_mask(ctx, mask) == fixed_point_closure(
+        assert _close_mask(rows, mask) == fixed_point_closure(
             ctx, mask
-        ), [ctx.roots[i] for i in range(n) if (mask >> i) & 1]
+        ), sorted_dims(quiver, mask)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -449,9 +465,9 @@ def test_closure_matches_pairwise_fixed_point(name, oriented, p):
     assert_closure_matches_fixed_point(quiver, GF(p))
 
 
-def _all_subset_closures(ctx):
+def _all_subset_closures(rows):
     """Oracle: the closure of every subset of the indecomposables."""
-    return {thick_enum._close_mask(ctx, seed) for seed in range(1 << len(ctx.roots))}
+    return {_close_mask(rows, seed) for seed in range(1 << len(rows[0]))}
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -461,12 +477,12 @@ def test_orthogonal_seeds_match_all_subsets(name, oriented, p):
     dynkin = DynkinType.parse(name)
     quiver = Quiver(dynkin, OTHER_ORIENTATIONS[name]) if oriented else quiver_of(name)
     field = GF(p)
-    ctx = _context(quiver, field)
-    wides = enumerate_thick(quiver, field)
-    assert {ctx.mask_of_dims(w.dims) for w in wides} == _all_subset_closures(ctx)
+    rows = _perp_rows(quiver, field)
+    masks = thick_masks(quiver, field)
+    assert set(masks) == _all_subset_closures(rows)
     # Hom-orthogonal sets of bricks are the simples of exactly one
     # subcategory each (Ringel), so no seed is wasted
-    assert len(thick_enum._orthogonal_seed_masks(ctx)) == len(wides)
+    assert len(thick_enum._orthogonal_seed_masks(rows)) == len(masks)
 
 
 def _precedence_orders(k, before):
@@ -486,19 +502,18 @@ def _precedence_orders(k, before):
     return orders
 
 
-def all_order_products(wide):
+def all_order_products(ctx, simples_mask):
     """Oracle: the product of the simples' reflections in every order
     with no backward morphisms or extensions."""
-    ctx = _context(wide.quiver, wide.field)
-    rs = build_root_system(wide.quiver.dynkin)
-    simples = simples_of(wide)
+    rs = build_root_system(ctx.quiver.dynkin)
+    simples = sorted_dims(ctx.quiver, simples_mask)
     idx = [ctx.index[d] for d in simples]
     before = [
         [
             a != b
             and (
                 ctx.hom(idx[b], idx[a]) != 0
-                or euler_form(wide.quiver, simples[b], simples[a]) != 0
+                or euler_form(ctx.quiver, simples[b], simples[a]) != 0
             )
             for b in range(len(simples))
         ]
@@ -516,11 +531,11 @@ def all_order_products(wide):
 def assert_all_orders_agree(quiver, field):
     """Every admissible order gives the element of NC(W, c) whose moved
     roots are the dimension vectors, as the matrix walk finds it."""
-    ctx = _context(quiver, field)
-    mats = NcOracle(ctx.lattice.rs, quiver).mat_of
-    for wide in enumerate_thick(quiver, field):
-        image = mats[ctx.mask_of_dims(wide.dims)]
-        assert all_order_products(wide) == {image}, wide.dims
+    ctx = RepTable(quiver, field)
+    mats = NcOracle(quiver_lattice(quiver).rs, quiver).mat_of
+    for mask, simples in thick_masks(quiver, field).items():
+        image = mats[mask]
+        assert all_order_products(ctx, simples) == {image}, sorted_dims(quiver, mask)
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
@@ -531,70 +546,62 @@ def test_every_admissible_order_gives_the_image(name):
 @pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
 def test_order_isomorphism_matches_pairwise_oracle(name):
     quiver, field = quiver_of(name), GF(2)
-    wides = enumerate_thick(quiver, field)
-    lattice, positions = nc_positions(quiver, field)
+    masks = walk(quiver, field)
+    lattice = quiver_lattice(quiver)
+    positions = [lattice.index[m] for m in masks]
     assert verify_bijection(quiver, field).is_order_isomorphism
     # each subcategory's element found by the product of its simples'
     # reflections, ordered as the matrix walk's moved roots are
     oracle = NcOracle(lattice.rs, quiver)
-    found = [oracle.position[weyl_image(w)] for w in wides]
-    for (w1, p1, o1), (w2, p2, o2) in itertools.product(
-        zip(wides, positions, found), repeat=2
+    found = [oracle.position[weyl_image(quiver, field, m)] for m in masks]
+    for (s1, p1, o1), (s2, p2, o2) in itertools.product(
+        zip(masks, positions, found), repeat=2
     ):
-        inclusion = w1.dims <= w2.dims
+        inclusion = dims_of(quiver, s1) <= dims_of(quiver, s2)
         assert inclusion == bool(oracle.up[o1] >> o2 & 1) == lattice.leq(p1, p2)
 
 
-def test_bijection_report_flags_images_with_other_moved_roots(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_bijection_report_flags_images_with_other_moved_roots(fresh_thick_caches):
     quiver, field = quiver_of("A3"), GF(2)
-    wides = enumerate_thick(quiver, field)
-    ctx = _context(quiver, field)
+    seeds = thick_masks(quiver, field)
     # the empty and the full subcategory trade simples, so their products
     # of reflections trade places: still a bijection
-    empty, full = (ctx.mask_of_dims(w.dims) for w in (wides[0], wides[-1]))
-    ctx.seeds[empty], ctx.seeds[full] = ctx.seeds[full], ctx.seeds[empty]
+    empty, full = walk(quiver, field)[0], walk(quiver, field)[-1]
+    seeds[empty], seeds[full] = seeds[full], seeds[empty]
     report = verify_bijection(quiver, field)
     assert report.is_bijective and not report.is_order_isomorphism
     assert not report.ok
     assert report.failures == tuple(
-        f"moved roots differ from the dimension vectors at {w.sorted_dims()}"
-        for w in (wides[0], wides[-1])
+        f"moved roots differ from the dimension vectors at {sorted_dims(quiver, m)}"
+        for m in (empty, full)
     )
 
 
-def test_bijection_report_flags_products_outside_the_lattice(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_bijection_report_flags_products_outside_the_lattice(fresh_thick_caches):
     quiver, field = quiver_of("A2"), GF(2)
-    ctx = _context(quiver, field)
-    wides = enumerate_thick(quiver, field)
-    k, atom = next((k, w) for k, w in enumerate(wides) if len(w.dims) == 1)
-    del ctx.lattice.index[ctx.mask_of_dims(atom.dims)]
-    assert nc_positions(quiver, field)[1][k] is None
+    atom = next(m for m in thick_masks(quiver, field) if m.bit_count() == 1)
+    del quiver_lattice(quiver).index[atom]
     report = verify_bijection(quiver, field)
     assert not report.ok
     assert not report.is_bijective and not report.is_order_isomorphism
     assert report.failures == ("an image is not below the Coxeter element",)
 
 
-def test_bijection_report_flags_products_that_coincide(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
+def test_bijection_report_flags_products_that_coincide(fresh_thick_caches):
     quiver, field = quiver_of("A3"), GF(2)
-    wides = enumerate_thick(quiver, field)
-    ctx = _context(quiver, field)
+    seeds = thick_masks(quiver, field)
     # the empty subcategory takes the simples of the full one
-    empty, full = (ctx.mask_of_dims(w.dims) for w in (wides[0], wides[-1]))
-    ctx.seeds[empty] = ctx.seeds[full]
+    empty, full = walk(quiver, field)[0], walk(quiver, field)[-1]
+    seeds[empty] = seeds[full]
     report = verify_bijection(quiver, field)
     assert not report.is_bijective and not report.is_order_isomorphism
     assert report.failures == (
         "map is not injective",
-        f"moved roots differ from the dimension vectors at {wides[0].sorted_dims()}",
+        f"moved roots differ from the dimension vectors at {sorted_dims(quiver, empty)}",
     )
 
 
 def test_bijection_report_flags_products_not_below_c(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
     quiver, field = quiver_of("A3"), GF(2)
     # check the products against the Coxeter element of the opposite
     # orientation, which not all of them lie below
@@ -612,14 +619,15 @@ def assert_pair_closures_are_joins(quiver, field):
     """Ingalls-Thomas: the wide subcategory generated by two bricks has
     the moved roots of the join of their reflections as its dimension
     vectors."""
-    ctx = _context(quiver, field)
-    lattice = ctx.lattice
+    rows = _perp_rows(quiver, field)
+    lattice = quiver_lattice(quiver)
+    n = len(lattice.rs.positive_roots)
     # the reflection in root k moves only that root
-    atoms = [lattice.index[1 << k] for k in range(len(ctx.roots))]
-    for a, b in itertools.combinations_with_replacement(range(len(ctx.roots)), 2):
-        closed = wide_closure(quiver, field, {ctx.roots[a], ctx.roots[b]})
+    atoms = [lattice.index[1 << k] for k in range(n)]
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        closed = _close_mask(rows, 1 << a | 1 << b)
         join = lattice.elements[lattice.join(atoms[a], atoms[b])]
-        assert ctx.mask_of_dims(closed.dims) == join, (ctx.roots[a], ctx.roots[b])
+        assert closed == join, sorted_dims(quiver, 1 << a | 1 << b)
 
 
 @pytest.mark.parametrize(
@@ -631,18 +639,13 @@ def test_pair_closures_are_joins_of_reflections(name, p):
 
 @pytest.mark.parametrize("name,p", [(n, p) for n in ("D4", "D5") for p in (2, 3)])
 def test_seeded_simples_match_embedding_scan(name, p):
-    for wide in enumerate_thick(quiver_of(name), GF(p)):
-        assert simples_of(wide) == oracle_simples(wide), wide.dims
+    quiver = quiver_of(name)
+    ctx = RepTable(quiver, GF(p))
+    for mask, simples in thick_masks(quiver, GF(p)).items():
+        assert simples == oracle_simples(ctx, mask), sorted_dims(quiver, mask)
 
 
-def test_simples_of_refuses_sets_that_are_not_wide():
-    quiver = quiver_of("A2")
-    with pytest.raises(ValueError, match="not a wide subcategory"):
-        simples_of(WideSubcategory(quiver, GF(2), frozenset({(1, 0), (0, 1)})))
-
-
-def test_two_seeds_closing_to_one_subcategory_raise(monkeypatch):
-    monkeypatch.setattr(thick_enum, "_CONTEXTS", {})
-    monkeypatch.setattr(thick_enum, "_close_mask", lambda ctx, mask: 0)
+def test_two_seeds_closing_to_one_subcategory_raise(monkeypatch, fresh_thick_caches):
+    monkeypatch.setattr(thick_enum, "_close_mask", lambda rows, mask: 0)
     with pytest.raises(RuntimeError, match="close to one subcategory"):
-        enumerate_thick(quiver_of("A2"), GF(2))
+        thick_masks(quiver_of("A2"), GF(2))

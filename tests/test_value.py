@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 from thicklat.koszul import Poly, PolyRing, RationalPoint
-from thicklat.linalg import GF, QQ
+from thicklat.linalg import QQ
 from thicklat.quiver_rep import FieldRep, Quiver, TreeModule, default_orientation
 from thicklat.root_system import DynkinType, build_root_system
 from thicklat.spec_model import FinitePoset, FunctionLattice
-from thicklat.thick_enum import BijectionReport, WideSubcategory
+from thicklat.thick_enum import BijectionReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,10 +52,6 @@ VALUES = {
     "FieldRep": (
         lambda: FieldRep(QQ, A2_QUIVER, (1, 1), (((Fraction(1, 2),),),)),
         lambda: FieldRep(QQ, A2_QUIVER, (1, 1), (((Fraction(1, 3),),),)),
-    ),
-    "WideSubcategory": (
-        lambda: WideSubcategory(A2_QUIVER, GF(2), frozenset({(1, 0)})),
-        lambda: WideSubcategory(A2_QUIVER, GF(3), frozenset({(1, 0)})),
     ),
     "BijectionReport": (
         lambda: BijectionReport(**REPORT),
