@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, gcd
 
 from .figures import (
     FIGURE1_COVERS,
@@ -27,8 +27,8 @@ from .figures import (
     FIGURE2_NODES,
 )
 from .koszul import MAX_KOSZUL_INPUTS, Poly, PolyRing, RationalPoint, koszul_homology
-from .linalg import GF
-from .quiver_rep import Quiver, TreeModuleError, default_orientation, tree_module
+from .linalg import GF, _integer_matrix
+from .quiver_rep import Quiver, TreeModuleError, default_orientation, indecomposable_dims
 from .root_system import (
     DynkinType,
     NcLattice,
@@ -37,6 +37,7 @@ from .root_system import (
     nc_to_set_partition,
 )
 from .spec_model import (
+    MAX_POSET_POINTS,
     FinitePoset,
     SizeGuardError,
     all_function_count,
@@ -66,9 +67,10 @@ class PolynomialSyntaxError(ValueError):
 
 
 class ExponentBoundError(PolynomialSyntaxError):
-    """A power above MAX_EXPONENT, a power or product above MAX_TERMS,
-    or a number above MAX_DIGITS.  A work guard rather than a syntax
-    error, so the CLI exits 1 on it."""
+    """A power above MAX_EXPONENT, a power or product above MAX_TERMS or
+    with coefficients that could pass MAX_COEFFICIENT_DIGITS, or a number
+    above MAX_DIGITS.  A work guard rather than a syntax error, so the
+    CLI exits 1 on it."""
 
 
 # x^n is built by n multiplications, so an unbounded exponent lets one
@@ -86,8 +88,25 @@ MAX_TERMS = 10_000
 # numerator or denominator could pass this many digits (1e10000000 takes
 # seconds to build); under it, a power under MAX_EXPONENT still prints.
 MAX_DIGITS = 64
+# Python prints no int of more digits than this (its default
+# int_max_str_digits); a power or a product is refused before it is
+# expanded when _norm says its coefficients could pass it.
+MAX_COEFFICIENT_DIGITS = 4300
+_COEFFICIENT_CAP = 10 ** MAX_COEFFICIENT_DIGITS
 
 _SYMBOLS = set("+-*/^()")
+
+
+def _norm(poly: Poly) -> tuple[int, int, int]:
+    """(s, d, c): d is the lcm of the coefficients' denominators, s and c
+    the sum of the absolute values and the gcd of the numerators over d.
+    A coefficient of f * h, a sum of products of a term of each, is over
+    d_f * d_h a multiple of c_f * c_h of at most s_f * s_h.  With k =
+    gcd(c_f * c_h, d_f * d_h), its numerator and denominator in lowest
+    terms are at most s_f * s_h / k and d_f * d_h / k, exactly so for
+    one-term factors; (s, d, c) ** e bounds f ** e alike."""
+    (nums,), den = _integer_matrix([[c for _, c in poly.terms]])
+    return sum(map(abs, nums)), den, gcd(*nums)
 
 
 def _check_digits(text: str, column: int) -> None:
@@ -142,7 +161,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
     Juxtaposition is rejected: every product needs an explicit `*`.
     An exponent above MAX_EXPONENT, a power that raises some variable's
     exponent above it, or a power or product whose expansion could
-    exceed MAX_TERMS terms raises ExponentBoundError.
+    exceed MAX_TERMS terms or have coefficients of more than
+    MAX_COEFFICIENT_DIGITS digits raises ExponentBoundError.
     """
     tokens = _tokenize_poly(text)
     pos = 0
@@ -177,7 +197,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
             kind, value, column = peek()
             if kind == "*":
                 advance()
-                acc = acc * parse_factor(len(acc.terms), column)
+                acc = acc * parse_factor(acc, column)
                 continue
             if kind in ("int", "name", "("):
                 raise PolynomialSyntaxError(
@@ -187,14 +207,15 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
                 )
             return acc
 
-    def parse_factor(times: int = 1, star: int | None = None) -> Poly:
-        # a factor multiplying a product of `times` terms, at the `*` in
-        # column `star`, is refused before a power in it is expanded
+    def parse_factor(left: Poly | None = None, star: int | None = None) -> Poly:
+        # a factor multiplying the product `left`, at the `*` in column
+        # `star`, is refused before a power in it or the product is
+        # expanded
         base = parse_base()
-        bound = len(base.terms)
+        bound, norm = len(base.terms), None
         exponent = 1
         if peek()[0] == "^":
-            advance()
+            caret = advance()[2]
             kind, value, column = advance()
             if kind != "int":
                 raise PolynomialSyntaxError(
@@ -215,10 +236,23 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
                 raise ExponentBoundError(
                     f"power may expand beyond the bound of {MAX_TERMS} terms", column
                 )
-        if star is not None and times * bound > MAX_TERMS:
-            raise ExponentBoundError(
-                f"product may expand beyond the bound of {MAX_TERMS} terms", star
-            )
+            norm = [x ** exponent for x in _norm(base)]
+            if max(norm[:2]) >= _COEFFICIENT_CAP:
+                raise ExponentBoundError(
+                    "power may have coefficients beyond the bound of "
+                    f"{MAX_COEFFICIENT_DIGITS} digits", caret
+                )
+        if star is not None:
+            if len(left.terms) * bound > MAX_TERMS:
+                raise ExponentBoundError(
+                    f"product may expand beyond the bound of {MAX_TERMS} terms", star
+                )
+            (s, d, c), (s2, d2, c2) = _norm(left), norm or _norm(base)
+            if max(s * s2, d * d2) // gcd(c * c2, d * d2) >= _COEFFICIENT_CAP:
+                raise ExponentBoundError(
+                    "product may have coefficients beyond the bound of "
+                    f"{MAX_COEFFICIENT_DIGITS} digits", star
+                )
         return base ** exponent
 
     def parse_base() -> Poly:
@@ -300,10 +334,22 @@ def _parse_orientation(dynkin: DynkinType, text: str | None) -> Quiver:
 MAX_RANK = 1000
 
 
+def _past_cap(digits: str, cap: int) -> str:
+    """digits without its leading zeros when it has more digits than cap,
+    so names a larger number; '' otherwise.  A count is refused on this
+    before int() meets it, as int() fails past 4300 digits."""
+    digits = digits.lstrip("0")
+    return digits if digits.isdecimal() and len(digits) > len(str(cap)) else ""
+
+
 def _lattice_args(args) -> tuple[DynkinType, Quiver]:
     """The type and orientation of nc, thick and specfn, refused before
     anything is enumerated when NC(W, c) is over the size guard."""
-    dynkin = DynkinType.parse(args.type)
+    text = args.type.strip()
+    rank = _past_cap(text[1:], MAX_RANK)
+    if rank:
+        raise SizeGuardError(f"type {text[0].upper()}{rank} exceeds the rank cap {MAX_RANK}")
+    dynkin = DynkinType.parse(text)
     if dynkin.rank > MAX_RANK:
         raise SizeGuardError(f"type {dynkin} exceeds the rank cap {MAX_RANK}")
     check_size_guard(catalan_number(dynkin), "elements")
@@ -662,7 +708,10 @@ def _parse_poset(spec: str) -> FinitePoset:
         return poset_diamond()
     for prefix, builder in (("chain", poset_chain), ("antichain", poset_antichain)):
         if spec.startswith(prefix) and spec[len(prefix):].isdecimal():
-            n = int(spec[len(prefix):])
+            count = _past_cap(spec[len(prefix):], MAX_POSET_POINTS)
+            if count:
+                raise SizeGuardError(f"{count} poset points exceed the cap {MAX_POSET_POINTS}")
+            n = int(spec[len(prefix):].lstrip("0") or "0")
             if n < 1:
                 raise ValueError(f"poset {spec!r} needs at least one point")
             return builder(n)
@@ -851,6 +900,10 @@ def _parse_module_spec(text: str, orientation: str | None):
         raise ValueError(
             f"bad module {text!r}; expected like A2:(1,1)"
         )
+    # a rank longer than the text cannot be its number of entries
+    rank = _past_cap(head.strip()[1:], len(text))
+    if rank:
+        raise ValueError(f"dimension vector in {text!r} must have {rank} entries")
     dynkin = DynkinType.parse(head)
     try:
         dims = tuple(int(x) for x in tail[1:-1].split(","))
@@ -861,7 +914,9 @@ def _parse_module_spec(text: str, orientation: str | None):
             f"dimension vector in {text!r} must have {dynkin.rank} entries"
         )
     quiver = _parse_orientation(dynkin, orientation)
-    return tree_module(quiver, dims), dynkin, quiver
+    if dims not in indecomposable_dims(quiver):
+        raise ValueError(f"{dims!r} is not a positive root of {dynkin}")
+    return dims, dynkin, quiver
 
 
 def cmd_koszul(args) -> int:
@@ -898,15 +953,15 @@ def cmd_koszul(args) -> int:
         "homology": [[n, h] for n, h in enumerate(homology)],
     }
     if args.module is not None:
-        module, dynkin, quiver = _parse_module_spec(args.module, args.orientation)
+        dims, dynkin, quiver = _parse_module_spec(args.module, args.orientation)
         arguments["module"] = args.module
         payload["module"] = {
             "type": str(dynkin),
             "orientation": _orientation_echo(quiver),
-            "dimension_vector": list(module.dim),
+            "dimension_vector": list(dims),
         }
         payload["module_homology"] = [
-            [n, [h * dv for dv in module.dim]] for n, h in enumerate(homology)
+            [n, [h * dv for dv in dims]] for n, h in enumerate(homology)
         ]
     document = _document("koszul", arguments, payload)
     _emit(args.out, lambda write: _write_json(document, write))

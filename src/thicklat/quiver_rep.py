@@ -10,9 +10,7 @@ brick; Ringel 1998: exceptional modules are tree modules).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import linalg
 from .linalg import QQ, mat_mul, nullspace, rank, rref, solve
@@ -102,7 +100,7 @@ class FieldRep(Value):
     """A representation over an explicit field.
 
     Entries are field elements: ints for GF(p), ints or Fractions over
-    the rationals.
+    the rationals.  Tree modules and their extensions hold ints in both.
     """
 
     __slots__ = ("field", "quiver", "dim", "maps")
@@ -115,12 +113,9 @@ class FieldRep(Value):
 
 
 def base_change(module: TreeModule, field) -> FieldRep:
-    """Reinterpret the 0/1 matrices of a tree module over a field."""
-    maps = tuple(
-        tuple(tuple(field.from_int(x) for x in row) for row in mat)
-        for mat in module.maps
-    )
-    return FieldRep(field, module.quiver, module.dim, maps)
+    """The tree module over a field: its 0/1 matrices as they are, since
+    0 and 1 are plain ints in GF(p) and in QQ."""
+    return FieldRep(field, module.quiver, module.dim, module.maps)
 
 
 # ---------------------------------------------------------------------------
@@ -166,82 +161,37 @@ def tree_module(quiver: Quiver, dim: DimVector) -> TreeModule:
         gamma = tuple(x - y for x, y in zip(dim, beta))
         if gamma not in roots or euler_form(quiver, gamma, beta) != -1:
             continue
-        sub, sub_ints = _tree_rep(quiver, beta, QQ)
-        quot, quot_ints = _tree_rep(quiver, gamma, QQ)
-        cocycle = ext_cocycle_basis(quot, sub, quot_ints, sub_ints)[0]
-        middle = extension_middle(quot, sub, cocycle)
-        maps = tuple(
-            tuple(tuple(_as_unit_int(x) for x in row) for row in mat)
-            for mat in middle.maps
-        )
-        return TreeModule(quiver, middle.dim, maps)
+        sub = base_change(tree_module(quiver, beta), QQ)
+        quot = base_change(tree_module(quiver, gamma), QQ)
+        middle = extension_middle(quot, sub, ext_cocycle_basis(quot, sub)[0])
+        return TreeModule(quiver, middle.dim, middle.maps)
     raise TreeModuleError(
         f"no gluing pair of roots found for {dim!r} over {quiver.dynkin}"
     )
 
 
-def _tree_rep(quiver: Quiver, dim: DimVector, field):
-    """The tree module M_dim over the field, with its _int_maps: over QQ
-    its 0/1 matrices are their own integer maps, at denominator 1."""
-    module = tree_module(quiver, dim)
-    ints = None if field.char else tuple((1, mat) for mat in module.maps)
-    return base_change(module, field), ints
-
-
-def _as_unit_int(x) -> int:
-    value = Fraction(x)
-    if value.denominator != 1 or int(value) not in (0, 1):
-        raise TreeModuleError(f"extension entry {x!r} is not 0 or 1")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Hom and Ext over a field
 
-def _int_maps(rep: FieldRep):
-    """Over QQ, each arrow's matrix of rep as (den, rows of ints): den is
-    the lcm of the matrix's denominators and the rows are den times the
-    matrix.  None over GF(p), whose entries are ints already."""
-    if rep.field.char:
-        return None
-    scaled = []
-    for mat in rep.maps:
-        den = lcm(*(x.denominator for row in mat for x in row))
-        scaled.append((den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]))
-    return scaled
-
-
-def _times(mat, k: int):
-    return mat if k == 1 else [[x * k for x in row] for row in mat]
-
-
-def _hom_equations(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None):
+def _hom_equations(m: FieldRep, n: FieldRep):
     """The intertwining equations f_t M_a = N_a f_s of Hom(m, n), with
-    the number of unknowns.  There is one sparse {unknown: int} row per
-    arrow a: s -> t and entry (i, j) of f_t M_a, zero rows included, in
-    arrow order and then row-major, so row r is coordinate r of the
+    the number of unknowns.  There is one sparse {unknown: entry} row
+    per arrow a: s -> t and entry (i, j) of f_t M_a, zero rows included,
+    in arrow order and then row-major, so row r is coordinate r of the
     per-arrow correction space of ext_cocycle_basis.  The unknown
-    f_v[i][k] is column offsets[v] + i * m.dim[v] + k.  Over QQ each
-    arrow's pair of matrices is scaled to ints by the lcm of its
-    denominators, from m_ints and n_ints, the _int_maps of m and n,
-    which a caller that meets the same representation many times passes
-    in, and which are made here when not given."""
+    f_v[i][k] is column offsets[v] + i * m.dim[v] + k.  The entries are
+    the matrices' own, over every field: ints for the tree modules and
+    for the inputs decompose_dims has scaled, which linalg.rank then
+    eliminates without a Fraction; any other rational rep is cleared of
+    denominators row by row there."""
     if m.quiver != n.quiver or m.field != n.field:
         raise ValueError("representations live over different data")
     offsets, total = [], 0
     for dm, dn in zip(m.dim, n.dim):
         offsets.append(total)
         total += dm * dn
-    if m.field.char:
-        pairs = zip(m.maps, n.maps)
-    else:
-        pairs = []
-        m_ints = m_ints or _int_maps(m)
-        for (m_den, ma), (n_den, na) in zip(m_ints, n_ints or _int_maps(n)):
-            den = lcm(m_den, n_den)
-            pairs.append((_times(ma, den // m_den), _times(na, den // n_den)))
     rows = []
-    for (s, t), (ma, na) in zip(m.quiver.arrows, pairs):
+    for (s, t), ma, na in zip(m.quiver.arrows, m.maps, n.maps):
         ds, dt, es = m.dim[s - 1], m.dim[t - 1], n.dim[s - 1]
         at_t, at_s = offsets[t - 1], offsets[s - 1]
         for i, nrow in enumerate(na):
@@ -273,10 +223,10 @@ def hom_basis(m: FieldRep, n: FieldRep):
     return out
 
 
-def hom_dim(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None) -> int:
+def hom_dim(m: FieldRep, n: FieldRep) -> int:
     """dim Hom(m, n): the unknowns of the intertwining equations less
-    their rank.  m_ints and n_ints are as in _hom_equations."""
-    total, rows = _hom_equations(m, n, m_ints, n_ints)
+    their rank."""
+    total, rows = _hom_equations(m, n)
     return total - rank(m.field, rows)
 
 
@@ -315,15 +265,7 @@ def cokernel_rep(phi, n: FieldRep) -> FieldRep:
         if sol is None:
             raise RuntimeError("cokernel maps are not induced; not a morphism?")
         maps.append(tuple(zip(*sol)) if sol else tuple(() for _ in qt))
-    fixed = []
-    for ai, (s, t) in enumerate(n.quiver.arrows):
-        mat = maps[ai]
-        fixed.append(
-            tuple(tuple(row) for row in mat)
-            if new_dim[t - 1]
-            else tuple()
-        )
-    return FieldRep(field, n.quiver, tuple(new_dim), tuple(fixed))
+    return FieldRep(field, n.quiver, tuple(new_dim), tuple(maps))
 
 
 def _sub_rep_on_bases(m: FieldRep, bases) -> FieldRep:
@@ -347,23 +289,21 @@ def _sub_rep_on_bases(m: FieldRep, bases) -> FieldRep:
     return FieldRep(field, m.quiver, new_dim, tuple(maps))
 
 
-def ext_cocycle_basis(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None):
+def ext_cocycle_basis(m: FieldRep, n: FieldRep):
     """Cocycles spanning Ext1(m, n): unit vectors at the coordinates of
     the per-arrow correction space that complement the coboundaries.
 
     The coboundary of the vertex maps f is f_t M_a - N_a f_s, so the
     intertwining equations of Hom(m, n) are the rows of its matrix, one
     per coordinate.  Returns a list of tuples of per-arrow matrices psi_a
-    of shape n_dim[t] x m_dim[s].  m_ints and n_ints are as in
-    _hom_equations.
+    of shape n_dim[t] x m_dim[s], with int entries 0 and 1.
     """
-    unknowns, rows = _hom_equations(m, n, m_ints, n_ints)
+    unknowns, rows = _hom_equations(m, n)
     coboundaries = [[0] * len(rows) for _ in range(unknowns)]
     for coord, row in enumerate(rows):
         for c, x in row.items():
             coboundaries[c][coord] = x
     pivots = set(rref(m.field, coboundaries)[1])
-    one, zero = m.field.one, m.field.zero
     basis = []
     for coord in range(len(rows)):
         if coord in pivots:
@@ -373,7 +313,7 @@ def ext_cocycle_basis(m: FieldRep, n: FieldRep, m_ints=None, n_ints=None):
         for s, t in m.quiver.arrows:
             cols = m.dim[s - 1]
             per_arrow.append(tuple(
-                tuple(one if base + i * cols + j == coord else zero for j in range(cols))
+                tuple(int(base + i * cols + j == coord) for j in range(cols))
                 for i in range(n.dim[t - 1])
             ))
             base += n.dim[t - 1] * cols
@@ -385,9 +325,8 @@ def extension_middle(m: FieldRep, n: FieldRep, cocycle) -> FieldRep:
     """Middle term of the extension of m by n given by a cocycle.
 
     Vertex spaces are n_v (+) m_v; the arrow matrices are block upper
-    triangular with the cocycle in the corner.
+    triangular with the cocycle in the corner and int zeros below it.
     """
-    field = m.field
     quiver = m.quiver
     dims = tuple(nv + mv for nv, mv in zip(n.dim, m.dim))
     maps = []
@@ -399,9 +338,9 @@ def extension_middle(m: FieldRep, n: FieldRep, cocycle) -> FieldRep:
         for i in range(et):
             rows.append(tuple(na[i]) + tuple(psi[i]))
         for i in range(dt):
-            rows.append(tuple(field.zero for _ in range(es)) + tuple(ma[i]))
+            rows.append((0,) * es + tuple(ma[i]))
         maps.append(tuple(rows))
-    return FieldRep(field, quiver, dims, tuple(maps))
+    return FieldRep(m.field, quiver, dims, tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +350,8 @@ class HomTable:
     """dim Hom between the indecomposables of one quiver over one field.
 
     roots are the positive roots in indecomposable_dims order, reps their
-    tree modules over the field, ints the reps' _int_maps (None over
-    GF(p)), and hom[i][j] = dim Hom(reps[i], reps[j]) by hom_dim.
+    tree modules over the field, and hom[i][j] = dim Hom(reps[i],
+    reps[j]) by hom_dim.
     order lists the root indices so that every j != i with
     Hom(M_i, M_j) != 0 comes before i: in it the table is unitriangular,
     since tree modules are bricks and Hom between Dynkin indecomposables
@@ -420,16 +359,12 @@ class HomTable:
     representation-directed).
     """
 
-    __slots__ = ("roots", "reps", "ints", "hom", "order")
+    __slots__ = ("roots", "reps", "hom", "order")
 
     def __init__(self, quiver: Quiver, field):
         self.roots = indecomposable_dims(quiver)
-        self.reps, self.ints = zip(*(_tree_rep(quiver, d, field) for d in self.roots))
-        pairs = tuple(zip(self.reps, self.ints))
-        self.hom = hom = tuple(
-            tuple(hom_dim(m, x, m_ints, x_ints) for x, x_ints in pairs)
-            for m, m_ints in pairs
-        )
+        self.reps = tuple(base_change(tree_module(quiver, d), field) for d in self.roots)
+        self.hom = hom = tuple(tuple(hom_dim(m, x) for x in self.reps) for m in self.reps)
         n = len(self.roots)
         waiting = [sum(1 for j in range(n) if j != i and hom[i][j]) for i in range(n)]
         ready = [i for i in range(n) if not waiting[i]]
@@ -463,14 +398,23 @@ def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
     is unitriangular in the Hom table's order, so the multiplicities come
     by back-substitution.  Only the roots beta <= dim X can be summands,
     and only they are solved for.
+
+    Over QQ, X is first replaced by a copy with each arrow's matrix
+    multiplied by the lcm of its denominators (linalg._integer_matrix),
+    so every Hom equation is on ints.  The copy is isomorphic to X: a
+    Dynkin quiver is a tree, so the vertex spaces can be rescaled one by
+    one outward from any vertex, each absorbing the factor of the arrow
+    that reaches it.
     """
     table = hom_table(rep.quiver, rep.field)
-    ints = _int_maps(rep)
+    if not rep.field.char:
+        maps = tuple(linalg._integer_matrix(mat)[0] for mat in rep.maps)
+        rep = FieldRep(rep.field, rep.quiver, rep.dim, maps)
     mult = {}
     for i in table.order:
         if all(x <= y for x, y in zip(table.roots[i], rep.dim)):
             hom = table.hom[i]
-            k = hom_dim(table.reps[i], rep, table.ints[i], ints) - sum(
+            k = hom_dim(table.reps[i], rep) - sum(
                 hom[j] * c for j, c in mult.items()
             )
             if k < 0:

@@ -30,10 +30,10 @@ subcategories: reflection lengths, Coxeter elements and moved roots.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from operator import mul
 
-from .linalg import QQ, int_identity, int_mat_mul, int_rank, nullspace
+from .linalg import QQ, _integer_row, int_identity, int_mat_mul, int_rank, nullspace
 from .value import Value
 
 LETTERS = ("A", "D", "E")
@@ -65,7 +65,7 @@ class DynkinType(Value):
         text = text.strip()
         if len(text) < 2 or not text[1:].isdecimal():
             raise ValueError(f"cannot parse Dynkin type {text!r}")
-        return DynkinType(text[0].upper(), int(text[1:]))
+        return DynkinType(text[0].upper(), int(text[1:].lstrip("0") or "0"))
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
@@ -281,8 +281,7 @@ def moved_roots(rs: RootSystem, w: WeylElement) -> int:
     """
     mask = (1 << len(rs.positive_roots)) - 1
     for fixed in nullspace(QQ, _minus_identity(w.mat)):
-        scale = lcm(*(x.denominator for x in fixed))
-        fixed = [x.numerator * (scale // x.denominator) for x in fixed]
+        fixed = _integer_row(fixed)
         pairing = [sum(map(mul, row, fixed)) for row in rs.cartan]
         for k, root in enumerate(rs.positive_roots):
             if sum(map(mul, root, pairing)):

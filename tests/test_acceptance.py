@@ -41,7 +41,6 @@ from thicklat.spec_model import (
     poset_diamond,
     poset_point,
 )
-from thicklat import quiver_rep
 from thicklat.thick_enum import _close_mask, _perp_rows, thick_masks, verify_bijection
 
 from decompose_oracle import ext_dim
@@ -153,7 +152,6 @@ def test_criterion_4_thick_counts_and_bijection():
 
 
 def test_d4_thick_enumeration_over_gf5_within_budget(fresh_thick_caches):
-    quiver_rep.hom_table.cache_clear()
     quiver = default_orientation(DynkinType.parse("D4"))
     start = time.perf_counter()
     masks = thick_masks(quiver, GF(5))
@@ -163,7 +161,6 @@ def test_d4_thick_enumeration_over_gf5_within_budget(fresh_thick_caches):
 
 
 def test_e6_thick_enumeration_over_gf31_within_budget(fresh_thick_caches):
-    quiver_rep.hom_table.cache_clear()
     quiver = default_orientation(DynkinType.parse("E6"))
     start = time.perf_counter()
     masks = thick_masks(quiver, GF(31))
@@ -397,7 +394,6 @@ def disguised_sum(quiver, rng, summands, total):
 
 
 def test_rational_decomposition_within_budget(fresh_thick_caches):
-    quiver_rep.hom_table.cache_clear()
     quiver = default_orientation(DynkinType.parse("D5"))
     rep, summands = disguised_sum(quiver, random.Random("decompose-budget"), 4, 18)
     start = time.perf_counter()

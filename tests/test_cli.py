@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from thicklat.cli import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_DIGITS,
     MAX_RANK,
     MAX_TERMS,
@@ -446,6 +447,14 @@ def test_thick_and_koszul_with_a_sink_at_the_e6_branch_vertex():
     ]
 
 
+def test_koszul_module_must_be_a_positive_root():
+    code, out, err = run_cli(
+        ["koszul", "--vars", "x", "--gens", "x", "--at", "0", "--module", "A2:(2,1)"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "thicklat: error: (2, 1) is not a positive root of A2\n"
+
+
 def test_thick_nc_images_are_distinct():
     _, out, _ = run_cli(["thick", "--type", "A3", "--field", "3"])
     doc = json.loads(out)
@@ -658,6 +667,48 @@ def test_lattice_commands_refuse_types_over_the_size_guard_quickly(args):
         assert time.perf_counter() - start < 0.5, name
         assert code == 1 and out == ""
         assert err == f"thicklat: error: {message}\n"
+
+
+PYTHON_DIGIT_LIMIT = "Exceeds the limit"
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["nc", "--type", "A" + "9" * 5000, "--count"], 1,
+         f"type A{'9' * 5000} exceeds the rank cap {MAX_RANK}"),
+        (["thick", "--type", "d000" + "9" * 5000, "--field", "2", "--count"], 1,
+         f"type D{'9' * 5000} exceeds the rank cap {MAX_RANK}"),
+        (["specfn", "--type", "A" + "9" * 5000, "--poset", "point"], 1,
+         f"type A{'9' * 5000} exceeds the rank cap {MAX_RANK}"),
+        (["specfn", "--type", "A2", "--poset", "chain" + "9" * 5000], 1,
+         f"{'9' * 5000} poset points exceed the cap {MAX_POSET_POINTS}"),
+        (["specfn", "--type", "A2", "--poset", "antichain00" + "9" * 5000], 1,
+         f"{'9' * 5000} poset points exceed the cap {MAX_POSET_POINTS}"),
+        (["koszul", "--vars", "x", "--gens", "x", "--at", "0",
+          "--module", f"A{'9' * 5000}:(1)"], 2,
+         f"dimension vector in 'A{'9' * 5000}:(1)' must have {'9' * 5000} entries"),
+    ],
+    ids=["nc", "thick", "specfn-type", "specfn-chain", "specfn-antichain", "koszul-module"],
+)
+def test_counts_past_pythons_digit_limit_are_refused_before_int(
+    args, code, message, fresh_thick_caches
+):
+    """A rank or point count with more digits than its cap is refused on
+    its digits, leading zeros aside, before int() would fail on it."""
+    start = time.perf_counter()
+    result = run_cli(args)
+    assert time.perf_counter() - start < 0.2
+    assert result == (code, "", f"thicklat: error: {message}\n")
+    assert PYTHON_DIGIT_LIMIT not in result[2]
+
+
+def test_counts_with_leading_zeros_keep_their_value():
+    assert run_cli(["nc", "--type", "A" + "0" * 5000 + "3", "--count"]) == (0, "14\n", "")
+    code, out, _ = run_cli(
+        ["specfn", "--type", "A1", "--poset", "chain" + "0" * 5000 + "2", "--count"]
+    )
+    assert (code, out) == (0, "3\n")
 
 
 def test_rank_cap_admits_its_own_rank():
@@ -888,6 +939,70 @@ def test_koszul_accepts_numbers_at_the_digit_bound():
         code, out, err = run_cli(["koszul", "--vars", "x", "--gens", gens, f"--at={at}"])
         assert code == 0 and err == "", (gens, at)
         assert json.loads(out)["payload"]["homology"] == [[0, 0], [1, 0]]
+
+
+def koszul_generator(gens: str):
+    code, out, err = run_cli(["koszul", "--vars", "x", "--gens", gens, "--at", "1"])
+    return code, json.loads(out)["payload"]["generators"] if code == 0 else None, err
+
+
+def test_koszul_refuses_long_products_of_constants_quickly():
+    """Seventy factors of 64 nines pass the digits Python prints; the
+    product is refused at the `*` whose factor would take it there."""
+    top = "9" * MAX_DIGITS
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["koszul", "--vars", "x", "--gens", f"{top}*" * 70 + "x", "--at", "1"]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    # 67 factors of 65 characters, then the refused `*`
+    assert err == (
+        "thicklat: error: product may have coefficients beyond the bound of "
+        f"{MAX_COEFFICIENT_DIGITS} digits (column {67 * 65})\n"
+    )
+    assert PYTHON_DIGIT_LIMIT not in err
+
+
+def test_koszul_accepts_coefficients_up_to_the_print_limit():
+    """Constants at the digit bound, multiplied or raised to the highest
+    exponent, print exactly as Python computes them."""
+    top = "9" * MAX_DIGITS
+    n = int(top)
+    assert n**67 < 10**MAX_COEFFICIENT_DIGITS <= n**68
+    cases = {
+        f"{top}*" * 67 + "x": [f"{n**67}*x"],
+        f"({top})^64*x": [f"{n**64}*x"],
+        f"({top}*x)^32*({top})^32": [f"{n**64}*x^32"],
+        f"(1/{top}*x)^64": [f"1/{n**64}*x^64"],
+        f"({top})^64*(1/{top})^64*x": ["x"],
+        # one-term factors cancel across the product: the bound sees it
+        f"({top}/{10**63 + 7})^40*({10**63 + 7}/{top})^40*x": ["x"],
+        f"({top}*1000)^64": [f"{(n * 1000)**64}"],
+    }
+    for gens, generators in cases.items():
+        assert koszul_generator(gens) == (0, generators, ""), gens[:40]
+    code, generators, _ = koszul_generator(f"(x+{top})^64")
+    assert code == 0
+    assert generators == [str(parse_polynomial(PolyRing(("x",)), f"(x+{top})^64"))]
+    assert generators[0].endswith(f"+ {n**64}")
+
+
+def test_parse_polynomial_coefficient_bound():
+    ring = PolyRing(("x",))
+    top = "9" * MAX_DIGITS
+    message = f"coefficients beyond the bound of {MAX_COEFFICIENT_DIGITS} digits"
+    # the column is the refused power's `^` or product's `*`
+    for text, sign in (
+        (f"({top}*{top})^64", "^"),
+        (f"(1/{top}*1/{top})^64", "^"),
+        (f"x*({top})^64*{top}^4", "*"),
+        (f"(x+{top})^64*(x+{top})^4", "*"),
+    ):
+        with pytest.raises(ExponentBoundError) as err:
+            parse_polynomial(ring, text)
+        assert err.value.column == text.rindex(sign) + 1, text[:40]
+        assert message in str(err.value)
 
 
 def test_koszul_refuses_huge_exponents_quickly():

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -27,7 +28,7 @@ from thicklat.quiver_rep import (
     tree_module,
 )
 from thicklat.root_system import DynkinType, build_root_system
-from thicklat import quiver_rep
+from thicklat import linalg, quiver_rep
 
 from decompose_oracle import (
     decompose_dims as fitting_decompose_dims,
@@ -582,17 +583,18 @@ def test_decompose_over_the_rationals():
 
 
 def test_decompose_over_the_rationals_scales_only_its_inputs(monkeypatch):
-    """Over QQ the tree modules' 0/1 matrices are their own integer maps,
-    in the gluing and in the Hom table, so building both from scratch and
-    decomposing k inputs scales k representations, each input once."""
+    """Over QQ the tree modules hold int 0/1 matrices, in the gluing and
+    in the Hom table, so building both from scratch and decomposing k
+    inputs scales only the inputs: each arrow matrix of each input once,
+    in decompose_dims, and nothing else."""
     scaled = []
-    int_maps = quiver_rep._int_maps
+    integer_matrix = linalg._integer_matrix
 
-    def counted(rep):
-        scaled.append(rep)
-        return int_maps(rep)
+    def counted(rows):
+        scaled.append(rows)
+        return integer_matrix(rows)
 
-    monkeypatch.setattr(quiver_rep, "_int_maps", counted)
+    monkeypatch.setattr(linalg, "_integer_matrix", counted)
     fresh_tree_module = lru_cache(maxsize=None)(quiver_rep.tree_module.__wrapped__)
     monkeypatch.setattr(quiver_rep, "tree_module", fresh_tree_module)
     monkeypatch.setattr(quiver_rep, "hom_table", lru_cache(maxsize=None)(quiver_rep.HomTable))
@@ -606,5 +608,66 @@ def test_decompose_over_the_rationals_scales_only_its_inputs(monkeypatch):
         changes = [fractional_invertible(summed.dim[v], rng) for v in range(quiver.rank)]
         inputs.append(conjugate(summed, changes))
         expected.append(tuple(sorted(chosen)))
+    assert scaled == []
     assert [decompose_dims(rep) for rep in inputs] == expected
-    assert scaled == inputs
+    assert scaled == [mat for rep in inputs for mat in rep.maps]
+    table = quiver_rep.hom_table(quiver, QQ)
+    assert all(
+        type(x) is int for rep in table.reps for mat in rep.maps for row in mat for x in row
+    )
+
+
+def rescaled(rep: FieldRep, arrow: int, factor) -> FieldRep:
+    """rep with the matrix of one arrow multiplied by a scalar."""
+    maps = list(rep.maps)
+    maps[arrow] = tuple(tuple(x * factor for x in row) for row in maps[arrow])
+    return FieldRep(rep.field, rep.quiver, rep.dim, tuple(maps))
+
+
+@pytest.mark.parametrize("name", ["D4", "D5"])
+@pytest.mark.parametrize("flips", [0, -1], ids=["default", "reversed"])
+def test_one_arrow_rescaled_is_the_same_module(name, flips):
+    """On a tree a nonzero scalar on one arrow is absorbed by rescaling
+    the vertex spaces on one side of it, so decompose_dims and every
+    hom_dim(M_beta, X) are blind to it; this is why decompose_dims may
+    scale each arrow by its own denominator."""
+    quiver = list(orientations(name))[flips]
+    roots = indecomposable_dims(quiver)
+    tree = [base_change(tree_module(quiver, d), QQ) for d in roots]
+    rng = random.Random(f"rescale:{name}:{flips}")
+    for _ in range(3):
+        chosen = [rng.choice(roots) for _ in range(3)]
+        summed = direct_sum(QQ, [base_change(tree_module(quiver, d), QQ) for d in chosen])
+        x = conjugate(summed, [fractional_invertible(n, rng) for n in summed.dim])
+        expected = tuple(sorted(chosen))
+        homs = [hom_dim(m, x) for m in tree]
+        for arrow in range(len(quiver.arrows)):
+            factor = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))
+            y = rescaled(x, arrow, factor)
+            assert decompose_dims(y) == expected, (arrow, factor)
+            assert [hom_dim(m, y) for m in tree] == homs, (arrow, factor)
+
+
+def test_hom_dim_on_fractions_matches_the_integer_scaled_copy():
+    """hom_dim takes rational reps as they are; scaling each arrow to
+    integers, as decompose_dims does, changes no Hom dimension."""
+    rng = random.Random("fraction-hom")
+    for name in ("A3", "D4"):
+        for quiver in orientations(name):
+            roots = indecomposable_dims(quiver)
+            reps = []
+            for _ in range(4):
+                chosen = [rng.choice(roots) for _ in range(2)]
+                summed = direct_sum(QQ, [base_change(tree_module(quiver, d), QQ) for d in chosen])
+                reps.append(conjugate(summed, [fractional_invertible(n, rng) for n in summed.dim]))
+            scaled = [
+                FieldRep(QQ, quiver, rep.dim, tuple(linalg._integer_matrix(mat)[0] for mat in rep.maps))
+                for rep in reps
+            ]
+            assert any(
+                isinstance(x, Fraction) and x.denominator > 1
+                for rep in reps for mat in rep.maps for row in mat for x in row
+            )
+            for m, m_int in zip(reps, scaled):
+                for n, n_int in zip(reps, scaled):
+                    assert hom_dim(m, n) == hom_dim(m_int, n_int) == hom_dim(m, n_int)
