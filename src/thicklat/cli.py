@@ -28,7 +28,7 @@ from .figures import (
 )
 from .koszul import MAX_KOSZUL_INPUTS, Poly, PolyRing, RationalPoint, koszul_homology
 from .linalg import GF, _integer_matrix
-from .quiver_rep import Quiver, TreeModuleError, default_orientation, indecomposable_dims
+from .quiver_rep import Quiver, TreeModuleError, default_orientation, euler_form
 from .root_system import (
     DynkinType,
     NcLattice,
@@ -68,9 +68,9 @@ class PolynomialSyntaxError(ValueError):
 
 class ExponentBoundError(PolynomialSyntaxError):
     """A power above MAX_EXPONENT, a power or product above MAX_TERMS or
-    with coefficients that could pass MAX_COEFFICIENT_DIGITS, or a number
-    above MAX_DIGITS.  A work guard rather than a syntax error, so the
-    CLI exits 1 on it."""
+    with coefficients that could pass MAX_COEFFICIENT_DIGITS, a sum with
+    a coefficient that does, or a number above MAX_DIGITS.  A work guard
+    rather than a syntax error, so the CLI exits 1 on it."""
 
 
 # x^n is built by n multiplications, so an unbounded exponent lets one
@@ -89,8 +89,8 @@ MAX_TERMS = 10_000
 # seconds to build); under it, a power under MAX_EXPONENT still prints.
 MAX_DIGITS = 64
 # Python prints no int of more digits than this (its default
-# int_max_str_digits); a power or a product is refused before it is
-# expanded when _norm says its coefficients could pass it.
+# int_max_str_digits): a sum is refused once a coefficient passes it, and
+# a power or a product before expanding when _norm says one could.
 MAX_COEFFICIENT_DIGITS = 4300
 _COEFFICIENT_CAP = 10 ** MAX_COEFFICIENT_DIGITS
 
@@ -160,9 +160,9 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
 
     Juxtaposition is rejected: every product needs an explicit `*`.
     An exponent above MAX_EXPONENT, a power that raises some variable's
-    exponent above it, or a power or product whose expansion could
-    exceed MAX_TERMS terms or have coefficients of more than
-    MAX_COEFFICIENT_DIGITS digits raises ExponentBoundError.
+    exponent above it, a power or product whose expansion could exceed
+    MAX_TERMS terms or have coefficients of more than MAX_COEFFICIENT_DIGITS
+    digits, or a sum that has one, raises ExponentBoundError.
     """
     tokens = _tokenize_poly(text)
     pos = 0
@@ -183,12 +183,16 @@ def parse_polynomial(ring: PolyRing, text: str) -> Poly:
                 sign = -sign
         acc = parse_term().scale(sign)
         while peek()[0] in ("+", "-"):
-            op = advance()[0]
+            op, _, column = advance()
             sign = 1 if op == "+" else -1
             while peek()[0] in ("+", "-"):
                 if advance()[0] == "-":
                     sign = -sign
             acc = acc + parse_term().scale(sign)
+            if any(max(abs(c.numerator), c.denominator) >= _COEFFICIENT_CAP
+                   for _, c in acc.terms):
+                raise ExponentBoundError("sum has a coefficient beyond the bound of "
+                                         f"{MAX_COEFFICIENT_DIGITS} digits", column)
         return acc
 
     def parse_term() -> Poly:
@@ -612,7 +616,7 @@ def cmd_thick(args) -> int:
         report = verify_bijection(quiver, field)
         if not report.ok:
             exit_code = 1
-    masks = thick_masks(quiver, field)
+    masks = thick_masks(quiver)
     if fmt == "count":
         _emit(args.out, lambda write: write(f"{len(masks)}\n"))
         return exit_code
@@ -914,7 +918,8 @@ def _parse_module_spec(text: str, orientation: str | None):
             f"dimension vector in {text!r} must have {dynkin.rank} entries"
         )
     quiver = _parse_orientation(dynkin, orientation)
-    if dims not in indecomposable_dims(quiver):
+    # Gabriel: the positive roots are the nonzero d >= 0 with q(d) = <d, d> = 1
+    if min(dims) < 0 or not any(dims) or euler_form(quiver, dims, dims) != 1:
         raise ValueError(f"{dims!r} is not a positive root of {dynkin}")
     return dims, dynkin, quiver
 

@@ -347,25 +347,26 @@ def extension_middle(m: FieldRep, n: FieldRep, cocycle) -> FieldRep:
 # the Hom table between indecomposables, and Krull-Schmidt by it
 
 class HomTable:
-    """dim Hom between the indecomposables of one quiver over one field.
+    """dim Hom between the indecomposables of one quiver, over any field.
 
-    roots are the positive roots in indecomposable_dims order, reps their
-    tree modules over the field, and hom[i][j] = dim Hom(reps[i],
-    reps[j]) by hom_dim.
+    roots are the positive roots in indecomposable_dims order, and
+    hom[i][j] = max(<roots[i], roots[j]>, 0): the path algebra of a
+    Dynkin quiver is representation-directed, so Hom and Ext1 between
+    indecomposables, whose dimensions differ by <., .>, are never both
+    nonzero (Ringel, Tame algebras and integral quadratic forms, LNM
+    1099, 1984).
     order lists the root indices so that every j != i with
     Hom(M_i, M_j) != 0 comes before i: in it the table is unitriangular,
-    since tree modules are bricks and Hom between Dynkin indecomposables
-    has no cycles (the path algebra of a Dynkin quiver is
-    representation-directed).
+    since indecomposables are bricks and Hom between them has no cycles.
     """
 
-    __slots__ = ("roots", "reps", "hom", "order")
+    __slots__ = ("roots", "hom", "order")
 
-    def __init__(self, quiver: Quiver, field):
-        self.roots = indecomposable_dims(quiver)
-        self.reps = tuple(base_change(tree_module(quiver, d), field) for d in self.roots)
-        self.hom = hom = tuple(tuple(hom_dim(m, x) for x in self.reps) for m in self.reps)
-        n = len(self.roots)
+    def __init__(self, quiver: Quiver):
+        self.roots = roots = indecomposable_dims(quiver)
+        self.hom = hom = tuple(tuple(max(euler_form(quiver, d, e), 0) for e in roots)
+                               for d in roots)
+        n = len(roots)
         waiting = [sum(1 for j in range(n) if j != i and hom[i][j]) for i in range(n)]
         ready = [i for i in range(n) if not waiting[i]]
         order = []
@@ -382,9 +383,7 @@ class HomTable:
             raise RuntimeError("the Hom table of the indecomposables is not unitriangular")
 
 
-@lru_cache(maxsize=None)
-def hom_table(quiver: Quiver, field) -> HomTable:
-    return HomTable(quiver, field)
+hom_table = lru_cache(maxsize=None)(HomTable)
 
 
 def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
@@ -406,7 +405,7 @@ def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
     one outward from any vertex, each absorbing the factor of the arrow
     that reaches it.
     """
-    table = hom_table(rep.quiver, rep.field)
+    table = hom_table(rep.quiver)
     if not rep.field.char:
         maps = tuple(linalg._integer_matrix(mat)[0] for mat in rep.maps)
         rep = FieldRep(rep.field, rep.quiver, rep.dim, maps)
@@ -414,9 +413,8 @@ def decompose_dims(rep: FieldRep) -> tuple[DimVector, ...]:
     for i in table.order:
         if all(x <= y for x, y in zip(table.roots[i], rep.dim)):
             hom = table.hom[i]
-            k = hom_dim(table.reps[i], rep) - sum(
-                hom[j] * c for j, c in mult.items()
-            )
+            m = base_change(tree_module(rep.quiver, table.roots[i]), rep.field)
+            k = hom_dim(m, rep) - sum(hom[j] * c for j, c in mult.items())
             if k < 0:
                 raise RuntimeError("negative multiplicity; the Hom vector is inconsistent")
             if k:

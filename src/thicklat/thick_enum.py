@@ -21,12 +21,12 @@ which are pairwise Hom-orthogonal bricks, so the enumeration closes only
 Hom-orthogonal sets of indecomposables, and keeps each seed as the mask
 of the subcategory's simples.
 
-Three sides are computed independently of each other: NC(W, c) from the
-quiver's Euler form (root_system), the subcategories from the dimensions
-of Hom spaces over the field (quiver_rep.hom_table, each one a rank),
-and the check of the bijection from Weyl matrices (verify_bijection).
-Dimension vectors are read off a mask only for output and failure
-messages (sorted_dims).
+NC(W, c) and the subcategories both read the Euler form, as dim Hom =
+max(<a, b>, 0) over every field (quiver_rep.hom_table), but find their
+elements apart: NC(W, c) by the walk down from c, the subcategories by
+closing Hom-orthogonal seeds.  verify_bijection checks the bijection from
+Weyl matrices, and that formula by ranks over its field.  Dimension
+vectors are read off a mask only for output and failure messages.
 """
 from __future__ import annotations
 
@@ -37,15 +37,19 @@ from .quiver_rep import (
     DimVector,
     Quiver,
     _root_system_for,
+    base_change,
     euler_form,
+    hom_dim,
     hom_table,
     indecomposable_dims,
+    tree_module,
 )
 from .root_system import (
     NcLattice,
     WeylElement,
     _bits,
     coxeter_element,
+    euler_perps,
     moved_roots,
     perp_closure,
     reflection_length,
@@ -97,40 +101,20 @@ def sorted_dims(quiver: Quiver, mask: int) -> tuple[DimVector, ...]:
     return tuple(sorted(roots[i] for i in _bits(mask)))
 
 
-@lru_cache(maxsize=None)
-def _perp_rows(quiver: Quiver, field) -> tuple[list[int], list[int], list[int]]:
-    """Bitmasks over the indecomposables, from dim Hom over the field and
-    dim Ext1 = dim Hom - <a, b> (hereditary) of every ordered pair:
-    left[s] = {x : Hom(x, s) = 0 = Ext1(x, s)}, right[y] = {z : Hom(y, z)
-    = 0 = Ext1(y, z)}, and orth[i] = {j : Hom(i, j) = 0 = Hom(j, i)}."""
-    if field.char == 0:
-        raise ValueError("subcategory enumeration needs a finite field; use GF(p)")
-    table = hom_table(quiver, field)
-    roots, hom = table.roots, table.hom
-    n = len(roots)
-    left, right, orth = [0] * n, [0] * n, [0] * n
-    for a in range(n):
-        for b in range(n):
-            if hom[a][b] == 0:
-                if hom[b][a] == 0:
-                    orth[a] |= 1 << b
-                if euler_form(quiver, roots[a], roots[b]) == 0:
-                    left[b] |= 1 << a
-                    right[a] |= 1 << b
+def _perp_rows(quiver: Quiver) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """Bitmasks over the indecomposables: the Euler form's perpendiculars
+    left[s] = {x : Hom(x, s) = 0 = Ext1(x, s)} and right[y] = {z : Hom(y,
+    z) = 0 = Ext1(y, z)}, and orth[i] = {j : Hom(i, j) = 0 = Hom(j, i)}."""
+    left, right = euler_perps(_root_system_for(quiver.dynkin), quiver.arrows)
+    hom = hom_table(quiver).hom
+    n = len(hom)
+    orth = [sum(1 << b for b in range(n) if not (hom[a][b] or hom[b][a])) for a in range(n)]
     return left, right, orth
 
 
-def _close_mask(rows, mask: int) -> int:
-    """The wide subcategory generated by a mask of indecomposables, by
-    perp_closure on the perpendicular rows of _perp_rows."""
-    left, right, _ = rows
-    return perp_closure(left, right, mask)
-
-
-def _orthogonal_seed_masks(rows):
+def _orthogonal_seed_masks(orth):
     """All subsets of indecomposables with no morphisms either way
     between distinct members, by backtracking."""
-    _, _, orth = rows
     n = len(orth)
     out = []
 
@@ -145,10 +129,9 @@ def _orthogonal_seed_masks(rows):
 
 
 @lru_cache(maxsize=None)
-def thick_masks(quiver: Quiver, field) -> dict[int, int]:
+def thick_masks(quiver: Quiver) -> dict[int, int]:
     """The wide subcategories as masks over the indecomposables, each
-    mapped to the mask of its simples; computed once per quiver and
-    field.
+    mapped to the mask of its simples, computed once per quiver.
 
     Only sets of indecomposables with no morphisms between distinct
     members are seeded: this reaches every subcategory, since each one
@@ -156,10 +139,10 @@ def thick_masks(quiver: Quiver, field) -> dict[int, int]:
     simples of exactly one wide subcategory (Ringel).  So each
     subcategory has one seed, which is kept as its simples.
     """
-    rows = _perp_rows(quiver, field)
+    left, right, orth = _perp_rows(quiver)
     seeds = {}
-    for seed in _orthogonal_seed_masks(rows):
-        closed = _close_mask(rows, seed)
+    for seed in _orthogonal_seed_masks(orth):
+        closed = perp_closure(left, right, seed)
         if closed in seeds:
             raise RuntimeError("two Hom-orthogonal seeds close to one subcategory")
         seeds[closed] = seed
@@ -213,9 +196,11 @@ def verify_bijection(quiver: Quiver, field) -> BijectionReport:
     as NC(W, c) has elements.  Both orders are inclusion of masks
     (Brady-Watt), so a bijection under which every subcategory's mask is
     the moved roots of its image is an order isomorphism; that equality
-    is checked per subcategory.
+    is checked per subcategory.  Last, hom_dim between the tree modules
+    over the field must be the Hom table's max(<a, b>, 0), with one
+    failure per pair that is not.
     """
-    masks = thick_masks(quiver, field)
+    masks = thick_masks(quiver)
     lattice = quiver_lattice(quiver)
     rs = lattice.rs
     refls = reflection_mats(rs)
@@ -255,6 +240,14 @@ def verify_bijection(quiver: Quiver, field) -> BijectionReport:
                     "moved roots differ from the dimension vectors at "
                     f"{sorted_dims(quiver, mask)}"
                 )
+    table = hom_table(quiver)
+    reps = [base_change(tree_module(quiver, d), field) for d in table.roots]
+    failures += [
+        f"dim Hom from {d} to {e} is {found} over the field, not max(<{d}, {e}>, 0) = {h}"
+        for d, m, row in zip(table.roots, reps, table.hom)
+        for e, n, h in zip(table.roots, reps, row)
+        if (found := hom_dim(m, n)) != h
+    ]
     return BijectionReport(
         quiver=quiver,
         field_char=field.char,

@@ -8,8 +8,8 @@ inclusion, covers as comparable pairs one length apart, labels by matrix
 lookup and type A blocks as the cycles of the permutation that the
 matrix induces.  is_noncrossing_partition checks type A blocks for
 interleaving.  column_masks builds up-sets and down-sets by root
-columns.  RepTable reads the Hom table of a quiver over a field by
-root index, and dims_of turns a mask over the indecomposables back into
+columns.  RepTable is the Hom table of a quiver over a field by rank,
+by root index, and dims_of turns a mask over the indecomposables back into
 dimension vectors.  oracle_simples finds the simples of a wide
 subcategory by scanning for injective morphisms between its members.
 """
@@ -17,11 +17,13 @@ from itertools import product
 
 from thicklat.linalg import QQ, int_mat_mul, rref
 from thicklat.quiver_rep import (
+    base_change,
     euler_form,
     hom_basis,
-    hom_table,
+    hom_dim,
     indecomposable_dims,
     kernel_rep,
+    tree_module,
 )
 from thicklat.root_system import (
     WeylElement,
@@ -240,18 +242,22 @@ def dims_of(quiver, mask: int) -> frozenset:
 
 
 class RepTable:
-    """The Hom table of one quiver over one field, by root index, with
-    dim Ext1 = dim Hom - <d, e> and masks of sets of dimension vectors."""
+    """The Hom table of one quiver over one field by rank: the tree
+    modules over the field and hom_dim between every ordered pair, by
+    root index, with dim Ext1 = dim Hom - <d, e> and masks of sets of
+    dimension vectors.  It never reads quiver_rep.hom_table, the Euler
+    form that the oracles built on it exist to check."""
 
     def __init__(self, quiver, field):
         self.quiver = quiver
         self.field = field
-        self.table = hom_table(quiver, field)
-        self.roots = self.table.roots
+        self.roots = indecomposable_dims(quiver)
+        self.reps = [base_change(tree_module(quiver, d), field) for d in self.roots]
+        self.table = [[hom_dim(m, n) for n in self.reps] for m in self.reps]
         self.index = {d: i for i, d in enumerate(self.roots)}
 
     def hom(self, i: int, j: int) -> int:
-        return self.table.hom[i][j]
+        return self.table[i][j]
 
     def ext(self, i: int, j: int) -> int:
         return self.hom(i, j) - euler_form(self.quiver, self.roots[i], self.roots[j])
@@ -265,7 +271,7 @@ def embeds(ctx, i: int, j: int) -> bool:
     one morphism per line of Hom, as a unit multiple has the same
     kernel."""
     field = ctx.field
-    m, n = ctx.table.reps[i], ctx.table.reps[j]
+    m, n = ctx.reps[i], ctx.reps[j]
     if not all(a <= b for a, b in zip(m.dim, n.dim)) or not ctx.hom(i, j):
         return False
     basis = hom_basis(m, n)

@@ -23,7 +23,9 @@ from thicklat.quiver_rep import (
     base_change,
     decompose_dims,
     default_orientation,
+    euler_form,
     hom_dim,
+    hom_table,
     indecomposable_dims,
     tree_module,
 )
@@ -33,6 +35,7 @@ from thicklat.root_system import (
     build_root_system,
     catalan_number,
     nc_to_set_partition,
+    perp_closure,
 )
 from thicklat.spec_model import (
     all_functions,
@@ -41,7 +44,7 @@ from thicklat.spec_model import (
     poset_diamond,
     poset_point,
 )
-from thicklat.thick_enum import _close_mask, _perp_rows, thick_masks, verify_bijection
+from thicklat.thick_enum import _perp_rows, thick_masks, verify_bijection
 
 from decompose_oracle import ext_dim
 from koszul_oracle import evaluate, homology_dims, koszul_complex, koszul_tensor_module
@@ -139,7 +142,7 @@ def test_criterion_4_thick_counts_and_bijection():
     start = time.perf_counter()
     for name, count in expected.items():
         quiver = default_orientation(DynkinType.parse(name))
-        assert len(thick_masks(quiver, GF(2))) == count, name
+        assert len(thick_masks(quiver)) == count, name
         rep = verify_bijection(quiver, GF(2))
         assert rep.ok and rep.thick_count == rep.nc_count == count, name
     elapsed = time.perf_counter() - start
@@ -154,7 +157,7 @@ def test_criterion_4_thick_counts_and_bijection():
 def test_d4_thick_enumeration_over_gf5_within_budget(fresh_thick_caches):
     quiver = default_orientation(DynkinType.parse("D4"))
     start = time.perf_counter()
-    masks = thick_masks(quiver, GF(5))
+    masks = thick_masks(quiver)
     elapsed = time.perf_counter() - start
     assert len(masks) == 50
     assert elapsed < 0.15
@@ -163,7 +166,7 @@ def test_d4_thick_enumeration_over_gf5_within_budget(fresh_thick_caches):
 def test_e6_thick_enumeration_over_gf31_within_budget(fresh_thick_caches):
     quiver = default_orientation(DynkinType.parse("E6"))
     start = time.perf_counter()
-    masks = thick_masks(quiver, GF(31))
+    masks = thick_masks(quiver)
     elapsed = time.perf_counter() - start
     assert len(masks) == 833
     assert elapsed < 1.0
@@ -171,9 +174,17 @@ def test_e6_thick_enumeration_over_gf31_within_budget(fresh_thick_caches):
 
 def test_criterion_5_field_independence():
     quiver = default_orientation(DynkinType.parse("A3"))
-    families = {p: frozenset(thick_masks(quiver, GF(p))) for p in (2, 3, 5)}
-    assert families[2] == families[3] == families[5]
-    report(5, "A3 dimension vector families agree over GF(2), GF(3), GF(5)")
+    roots = indecomposable_dims(quiver)
+    euler = [[max(euler_form(quiver, d, e), 0) for e in roots] for d in roots]
+    assert [list(row) for row in hom_table(quiver).hom] == euler
+    for p in (2, 3, 5):
+        reps = [base_change(tree_module(quiver, d), GF(p)) for d in roots]
+        assert [[hom_dim(m, n) for n in reps] for m in reps] == euler, p
+    report(
+        5,
+        "A3 Hom tables by rank over GF(2), GF(3), GF(5) equal max(<d, e>, 0), "
+        "the one table the enumeration reads",
+    )
 
 
 def test_criterion_6_rigid_unit_lifts():
@@ -430,14 +441,14 @@ def test_criterion_9_property_suites():
     # closure idempotence on random seeds
     for name, seed in (("A2", 1), ("A3", 2), ("D4", 3)):
         quiver = default_orientation(DynkinType.parse(name))
-        rows = _perp_rows(quiver, GF(2))
+        left, right, _ = _perp_rows(quiver)
         n = len(indecomposable_dims(quiver))
         rng = random.Random(seed)
         for _ in range(200):
             chosen = sum(1 << i for i in rng.sample(range(n), rng.randint(0, 3)))
-            closed = _close_mask(rows, chosen)
+            closed = perp_closure(left, right, chosen)
             assert chosen & ~closed == 0
-            assert _close_mask(rows, closed) == closed
+            assert perp_closure(left, right, closed) == closed
     # deterministic command line output
     for args in (
         ["nc", "--type", "A3"],

@@ -1,12 +1,14 @@
 """Command line behavior: formats, determinism, exit codes, errors."""
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
-from math import comb
+from fractions import Fraction
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -21,17 +23,19 @@ from thicklat.cli import (
     _CHUNKS_PER_PIECE,
     _ITEMS_PER_BATCH,
     _EncodedList,
+    _parse_module_spec,
     _wide_id,
     _write_json,
     main,
     parse_polynomial,
 )
+from thicklat import linalg, quiver_rep
 from thicklat.koszul import MAX_KOSZUL_INPUTS, Poly, PolyRing
 from thicklat.linalg import GF
-from thicklat.quiver_rep import default_orientation
+from thicklat.quiver_rep import default_orientation, hom_table, indecomposable_dims
 from thicklat.root_system import DynkinType
 from thicklat.spec_model import MAX_POSET_POINTS
-from thicklat.thick_enum import quiver_lattice, thick_masks
+from thicklat.thick_enum import quiver_lattice, thick_masks, verify_bijection
 
 from nc_oracle import dims_of
 from specfn_oracle import specfn_texts
@@ -409,15 +413,73 @@ def test_thick_counts_and_verify():
 def test_thick_count_builds_no_subcategory_objects(fresh_thick_caches, name, expected):
     code, out, _ = run_cli(["thick", "--type", name, "--field", "2", "--count"])
     assert code == 0 and out == f"{expected}\n"
-    quiver, field = default_orientation(DynkinType.parse(name)), GF(2)
-    assert len(thick_masks(quiver, field)) == expected
+    quiver = default_orientation(DynkinType.parse(name))
+    assert len(thick_masks(quiver)) == expected
     # the closures are counted, and the lattice is never built
     assert quiver_lattice.cache_info().currsize == 0
 
 
+def count_calls(monkeypatch, functions) -> dict[str, int]:
+    """Count the calls of each function through every name that a
+    thicklat module binds it to, until the test ends."""
+    counts = {f.__name__: 0 for f in functions}
+
+    def counted(f):
+        def call(*args):
+            counts[f.__name__] += 1
+            return f(*args)
+        return call
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("thicklat")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+                monkeypatch.setattr(module, attr, counted(value))
+    return counts
+
+
+def test_thick_ranks_hom_only_to_verify(monkeypatch, fresh_thick_caches):
+    """The subcategories come from the Euler form with no module built;
+    --verify checks dim Hom by rank once per ordered pair of the 20
+    indecomposables of D5."""
+    counts = count_calls(
+        monkeypatch, (quiver_rep.hom_dim, linalg.rank, quiver_rep.tree_module)
+    )
+    for args in (["E6", "2", "--count"], ["D4", "3", "--format", "dot"]):
+        code, _, err = run_cli(["thick", "--type", args[0], "--field", *args[1:]])
+        assert (code, err) == (0, ""), args
+    assert counts == {"hom_dim": 0, "rank": 0, "tree_module": 0}
+    code, _, _ = run_cli(["thick", "--type", "D5", "--field", "2", "--verify"])
+    assert code == 0
+    assert counts["hom_dim"] == 20 * 20
+
+
+def test_thick_verify_flags_a_hom_table_entry_that_ranks_contradict(
+    monkeypatch, fresh_thick_caches
+):
+    """One nonzero entry of the Euler-form table raised by one: the
+    enumeration is unchanged, and only the field check fails."""
+    quiver = default_orientation(DynkinType.parse("A3"))
+    table = hom_table(quiver)
+    n = len(table.roots)
+    i, j = next((i, j) for i in range(n) for j in range(n) if i != j and table.hom[i][j])
+    hom = [list(row) for row in table.hom]
+    hom[i][j] += 1
+    monkeypatch.setattr(table, "hom", tuple(map(tuple, hom)))
+    d, e = table.roots[i], table.roots[j]
+    failure = f"dim Hom from {d} to {e} is 1 over the field, not max(<{d}, {e}>, 0) = 2"
+    report = verify_bijection(quiver, GF(2))
+    assert report.is_bijective and report.is_order_isomorphism and not report.ok
+    assert report.failures == (failure,)
+    code, out, err = run_cli(["thick", "--type", "A3", "--field", "2", "--verify"])
+    assert (code, err) == (1, "")
+    verification = json.loads(out)["payload"]["verification"]
+    assert verification["failures"] == [failure] and verification["ok"] is False
+
+
 def test_thick_refuses_a_subcategory_outside_the_lattice(fresh_thick_caches):
     quiver = default_orientation(DynkinType.parse("A2"))
-    atom = next(m for m in thick_masks(quiver, GF(2)) if m.bit_count() == 1)
+    atom = next(m for m in thick_masks(quiver) if m.bit_count() == 1)
     del quiver_lattice(quiver).index[atom]
     code, out, err = run_cli(["thick", "--type", "A2", "--field", "2"])
     assert (code, out) == (2, "")
@@ -455,6 +517,37 @@ def test_koszul_module_must_be_a_positive_root():
     assert err == "thicklat: error: (2, 1) is not a positive root of A2\n"
 
 
+def test_koszul_module_takes_a_long_root_quickly():
+    """The root test is the Tits form, so no root system of A300 is built."""
+    dims = [1] + [0] * 299
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["koszul", "--vars", "x", "--gens", "x", "--at", "1",
+         "--module", f"A300:({','.join(map(str, dims))})"]
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["module"]["dimension_vector"] == dims
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_koszul_module_roots_are_the_tits_form_roots(name):
+    """Oracle: on the box [0, max entry + 1]^n, --module accepts exactly
+    the positive roots of the root system, and refuses their negatives."""
+    roots = set(indecomposable_dims(default_orientation(DynkinType.parse(name))))
+    top = max(map(max, roots)) + 1
+    for d in itertools.chain(
+        itertools.product(range(top + 1), repeat=len(next(iter(roots)))),
+        (tuple(-x for x in root) for root in roots),
+    ):
+        text = f"{name}:({','.join(map(str, d))})"
+        if d in roots:
+            assert _parse_module_spec(text, None)[0] == d
+        else:
+            with pytest.raises(ValueError, match=r"is not a positive root"):
+                _parse_module_spec(text, None)
+
+
 def test_thick_nc_images_are_distinct():
     _, out, _ = run_cli(["thick", "--type", "A3", "--field", "3"])
     doc = json.loads(out)
@@ -482,7 +575,7 @@ def test_thick_dot_covers_match_inclusion_oracle(name, p):
     )
     assert code == 0 and err == ""
     quiver = default_orientation(DynkinType.parse(name))
-    sets = [dims_of(quiver, m) for m in thick_masks(quiver, GF(p))]
+    sets = [dims_of(quiver, m) for m in thick_masks(quiver)]
     ids = [_wide_id(sorted(dims)) for dims in sets]
     expected = {f'  "{ids[i]}" -> "{ids[j]}";' for i, j in inclusion_covers(sets)}
     assert {line for line in out.splitlines() if "->" in line} == expected
@@ -962,6 +1055,43 @@ def test_koszul_refuses_long_products_of_constants_quickly():
         f"{MAX_COEFFICIENT_DIGITS} digits (column {67 * 65})\n"
     )
     assert PYTHON_DIGIT_LIMIT not in err
+
+
+def coprime_denominators() -> list[int]:
+    """Seventy pairwise coprime 64-digit numbers m * i + 1: a prime that
+    divides two of them divides their difference, which is below 70, so
+    it divides m, the product of the primes below 70 times 10^37."""
+    m = prod(p for p in range(2, 70) if all(p % q for q in range(2, p))) * 10**37
+    dens = [m * i + 1 for i in range(13, 83)]
+    assert {len(str(d)) for d in dens} == {MAX_DIGITS}
+    assert all(gcd(a, b) == 1 for a, b in itertools.combinations(dens, 2))
+    return dens
+
+
+def test_koszul_refuses_long_sums_of_fractions_quickly():
+    """1/d_1 + ... + 1/d_70 is one constant whose denominator, the
+    product of the d_i, passes the digits Python prints; the sum is
+    refused at the `+` that takes it there."""
+    terms = [f"1/{d}" for d in coprime_denominators()]
+    total, k = Fraction(0), 0
+    while max(abs(total.numerator), total.denominator) < 10**MAX_COEFFICIENT_DIGITS:
+        total += Fraction(terms[k][2:]) ** -1
+        k += 1
+    column = len("+".join(terms[: k - 1])) + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["koszul", "--vars", "x", "--gens", "+".join(terms) + "+x", "--at", "1"]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (
+        "thicklat: error: sum has a coefficient beyond the bound of "
+        f"{MAX_COEFFICIENT_DIGITS} digits (column {column})\n"
+    )
+    assert PYTHON_DIGIT_LIMIT not in err
+    # one term fewer prints, as the exact sum
+    total -= Fraction(terms[k - 1][2:]) ** -1
+    assert koszul_generator("+".join(terms[: k - 1]) + "+x") == (0, [f"x + {total}"], "")
 
 
 def test_koszul_accepts_coefficients_up_to_the_print_limit():

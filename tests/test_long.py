@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from thicklat.linalg import GF
+from thicklat.linalg import GF, QQ
 from thicklat.quiver_rep import default_orientation, indecomposable_dims, tree_module
 from thicklat.root_system import (
     DynkinType,
@@ -30,7 +30,11 @@ from test_quiver_rep import (
     orientations,
     tree_module_digest,
 )
-from test_thick_enum import assert_all_orders_agree, assert_closure_matches_fixed_point
+from test_thick_enum import (
+    assert_all_orders_agree,
+    assert_closure_matches_fixed_point,
+    assert_rank_table_is_the_euler_form,
+)
 
 long_tests = pytest.mark.skipif(
     os.environ.get("THICKLAT_LONG_TESTS") != "1",
@@ -65,7 +69,7 @@ def test_e6_order_matches_rank_oracle():
 )
 def test_large_thick_counts(name, count):
     quiver = default_orientation(DynkinType.parse(name))
-    assert len(thick_masks(quiver, GF(2))) == count
+    assert len(thick_masks(quiver)) == count
 
 
 @long_tests
@@ -73,6 +77,22 @@ def test_e6_bijection():
     report = verify_bijection(default_orientation(DynkinType.parse("E6")), GF(2))
     assert report.ok
     assert report.thick_count == report.nc_count == 833
+
+
+@long_tests
+@pytest.mark.parametrize("name,count", [("E7", 4160), ("E8", 25080)])
+def test_e7_and_e8_bijections(name, count):
+    """With the field check of the Hom table at 63^2 and 120^2 ordered
+    pairs."""
+    report = verify_bijection(default_orientation(DynkinType.parse(name)), GF(2))
+    assert report.ok
+    assert report.thick_count == report.nc_count == count
+
+
+@long_tests
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=lambda f: f"char{f.char}")
+def test_e7_rank_built_hom_table_is_the_euler_form(field):
+    assert_rank_table_is_the_euler_form(default_orientation(DynkinType.parse("E7")), field)
 
 
 @long_tests

@@ -372,14 +372,15 @@ def test_hom_dim_over_the_rationals_with_fractions_and_empty_vertices(name):
     them, nothing at the first vertex: Hom is additive, so its dimension
     is the sum of the Hom table over pairs of summands."""
     quiver = quiver_of(name)
-    table = hom_table(quiver, QQ)
+    table = hom_table(quiver)
+    reps = [base_change(tree_module(quiver, d), QQ) for d in table.roots]
     rng = random.Random(f"hom-qq:{name}")
     roots = list(range(len(table.roots)))
     empty_first = [i for i in roots if table.roots[i][0] == 0]
     sums = []
     for k in range(12):
         chosen = [rng.choice(empty_first if k % 2 else roots) for _ in range(rng.randint(1, 3))]
-        summed = direct_sum(QQ, [table.reps[i] for i in chosen])
+        summed = direct_sum(QQ, [reps[i] for i in chosen])
         changes = [fractional_invertible(summed.dim[v], rng) for v in range(quiver.rank)]
         sums.append((chosen, conjugate(summed, changes)))
     assert any(
@@ -584,9 +585,10 @@ def test_decompose_over_the_rationals():
 
 def test_decompose_over_the_rationals_scales_only_its_inputs(monkeypatch):
     """Over QQ the tree modules hold int 0/1 matrices, in the gluing and
-    in the Hom table, so building both from scratch and decomposing k
-    inputs scales only the inputs: each arrow matrix of each input once,
-    in decompose_dims, and nothing else."""
+    as the candidates of decompose_dims, and the Hom table holds no
+    module, so building both from scratch and decomposing k inputs
+    scales only the inputs: each arrow matrix of each input once, in
+    decompose_dims, and nothing else."""
     scaled = []
     integer_matrix = linalg._integer_matrix
 
@@ -611,9 +613,10 @@ def test_decompose_over_the_rationals_scales_only_its_inputs(monkeypatch):
     assert scaled == []
     assert [decompose_dims(rep) for rep in inputs] == expected
     assert scaled == [mat for rep in inputs for mat in rep.maps]
-    table = quiver_rep.hom_table(quiver, QQ)
     assert all(
-        type(x) is int for rep in table.reps for mat in rep.maps for row in mat for x in row
+        type(x) is int
+        for d in roots for mat in quiver_rep.tree_module(quiver, d).maps
+        for row in mat for x in row
     )
 
 

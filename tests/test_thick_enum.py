@@ -16,6 +16,7 @@ from thicklat.quiver_rep import (
     extension_middle,
     hom_basis,
     hom_dim,
+    hom_table,
     indecomposable_dims,
     kernel_rep,
     tree_module,
@@ -26,12 +27,12 @@ from thicklat.root_system import (
     NcLattice,
     WeylElement,
     build_root_system,
+    perp_closure,
     reflection,
     reflection_length,
 )
 from thicklat import thick_enum
 from thicklat.thick_enum import (
-    _close_mask,
     _perp_rows,
     quiver_lattice,
     thick_masks,
@@ -39,6 +40,7 @@ from thicklat.thick_enum import (
 )
 
 from decompose_oracle import morphism_from_coeffs
+from test_quiver_rep import orientations
 from nc_oracle import (
     NcOracle,
     RepTable,
@@ -60,11 +62,11 @@ def sorted_dims(quiver, mask) -> tuple:
     return tuple(sorted(dims_of(quiver, mask)))
 
 
-def walk(quiver, field) -> list[int]:
+def walk(quiver) -> list[int]:
     """The subcategories' masks by size, then by sorted dimension
     vectors: the order that verify_bijection reports them in."""
     return sorted(
-        thick_masks(quiver, field),
+        thick_masks(quiver),
         key=lambda m: (m.bit_count(), sorted_dims(quiver, m)),
     )
 
@@ -76,24 +78,24 @@ def random_mask(rng, n: int, most: int) -> int:
 @pytest.mark.parametrize("name,count", sorted(THICK_COUNTS.items()))
 def test_enumeration_counts_over_gf2(name, count):
     quiver = quiver_of(name)
-    masks = thick_masks(quiver, GF(2))
+    masks = thick_masks(quiver)
     assert len(masks) == count
     assert len({dims_of(quiver, m) for m in masks}) == count
 
 
 def test_enumeration_runs_once_per_quiver_and_field(monkeypatch, fresh_thick_caches):
     closed = []
-    close = thick_enum._close_mask
 
-    def counted_close(rows, mask):
+    def counted_close(left, right, mask):
         closed.append(mask)
-        return close(rows, mask)
+        return perp_closure(left, right, mask)
 
-    monkeypatch.setattr(thick_enum, "_close_mask", counted_close)
-    quiver, field = quiver_of("A3"), GF(3)
-    masks = thick_masks(quiver, field)
-    assert verify_bijection(quiver, field).ok
-    assert thick_masks(quiver, field) is masks
+    monkeypatch.setattr(thick_enum, "perp_closure", counted_close)
+    quiver = quiver_of("A3")
+    masks = thick_masks(quiver)
+    for field in (GF(3), GF(2), QQ):
+        assert verify_bijection(quiver, field).ok
+    assert thick_masks(quiver) is masks
     # one closure per Hom-orthogonal seed, as many as subcategories
     assert len(closed) == 14
 
@@ -114,21 +116,44 @@ def test_bijection_over_other_fields_and_orientations():
     assert report.ok and report.thick_count == 14
 
 
+def euler_hom_table(quiver) -> list[list[int]]:
+    """Oracle: max(<d, e>, 0) for every ordered pair of positive roots."""
+    roots = indecomposable_dims(quiver)
+    return [[max(euler_form(quiver, d, e), 0) for e in roots] for d in roots]
+
+
+def assert_rank_table_is_the_euler_form(quiver, field):
+    """The Hom table by rank over the field is the one the enumeration
+    reads, and both are max(<d, e>, 0)."""
+    expected = euler_hom_table(quiver)
+    assert [list(row) for row in hom_table(quiver).hom] == expected
+    assert RepTable(quiver, field).table == expected, (quiver.arrows, field.char)
+
+
 def test_field_independence_for_a3():
-    families = [set(thick_masks(quiver_of("A3"), GF(p))) for p in (2, 3, 5)]
-    assert families[0] == families[1] == families[2]
+    for p in (2, 3, 5):
+        assert_rank_table_is_the_euler_form(quiver_of("A3"), GF(p))
 
 
-def test_enumeration_rejects_characteristic_zero():
-    with pytest.raises(ValueError, match="needs a finite field"):
-        thick_masks(quiver_of("A2"), QQ)
-    with pytest.raises(ValueError, match="needs a finite field"):
-        verify_bijection(quiver_of("A2"), QQ)
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=lambda f: f"char{f.char}")
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_rank_built_hom_table_is_the_euler_form(name, field):
+    """Every orientation, but only the default one of E6."""
+    quivers = [quiver_of(name)] if name == "E6" else orientations(name)
+    for quiver in quivers:
+        assert_rank_table_is_the_euler_form(quiver, field)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5"])
+def test_bijection_over_the_rationals(name):
+    report = verify_bijection(quiver_of(name), QQ)
+    assert report.ok and report.field_char == 0
+    assert report.thick_count == report.nc_count == len(thick_masks(quiver_of(name)))
 
 
 def test_empty_and_full_subcategories_present():
     quiver = quiver_of("A3")
-    masks = thick_masks(quiver, GF(2))
+    masks = thick_masks(quiver)
     assert 0 in masks
     assert (1 << len(indecomposable_dims(quiver))) - 1 in masks
 
@@ -138,41 +163,39 @@ def test_empty_and_full_subcategories_present():
 )
 def test_wide_closure_idempotent_on_random_seeds(name, seed):
     quiver = quiver_of(name)
-    rows = _perp_rows(quiver, GF(2))
+    left, right, _ = _perp_rows(quiver)
     n = len(indecomposable_dims(quiver))
     rng = random.Random(seed)
     for _ in range(200):
         chosen = random_mask(rng, n, 3)
-        closed = _close_mask(rows, chosen)
+        closed = perp_closure(left, right, chosen)
         assert chosen & ~closed == 0
-        assert _close_mask(rows, closed) == closed
+        assert perp_closure(left, right, closed) == closed
 
 
 def test_wide_closure_lands_in_enumeration():
     quiver = quiver_of("A3")
-    field = GF(2)
-    rows = _perp_rows(quiver, field)
-    enumerated = thick_masks(quiver, field)
+    left, right, _ = _perp_rows(quiver)
+    enumerated = thick_masks(quiver)
     rng = random.Random(5)
     for _ in range(100):
-        assert _close_mask(rows, random_mask(rng, 6, 3)) in enumerated
+        assert perp_closure(left, right, random_mask(rng, 6, 3)) in enumerated
 
 
 def test_wides_are_closed_under_intersection():
     quiver = quiver_of("A3")
-    field = GF(2)
-    rows = _perp_rows(quiver, field)
-    masks = thick_masks(quiver, field)
+    left, right, _ = _perp_rows(quiver)
+    masks = thick_masks(quiver)
     for a, b in itertools.combinations(masks, 2):
         common = a & b
-        assert _close_mask(rows, common) == common
+        assert perp_closure(left, right, common) == common
         assert common in masks
 
 
 def test_simples_are_hom_orthogonal_bricks():
     quiver = quiver_of("A3")
     field = GF(2)
-    for seed in thick_masks(quiver, field).values():
+    for seed in thick_masks(quiver).values():
         simples = sorted_dims(quiver, seed)
         reps = [base_change(tree_module(quiver, d), field) for d in simples]
         for i, m in enumerate(reps):
@@ -182,12 +205,12 @@ def test_simples_are_hom_orthogonal_bricks():
                     assert hom_dim(m, n) == 0
 
 
-def weyl_image(quiver, field, mask):
+def weyl_image(quiver, mask):
     """The product of the simples' reflections in the admissible order
     that verify_bijection multiplies them in: computed from the simples
     alone, with no look at the subcategory's other dimension vectors."""
     rs = build_root_system(quiver.dynkin)
-    simples = thick_masks(quiver, field)[mask]
+    simples = thick_masks(quiver)[mask]
     mat = int_identity(rs.rank)
     for k in thick_enum._admissible_word(quiver, simples):
         mat = int_mat_mul(mat, reflection(rs, rs.positive_roots[k]).mat)
@@ -210,14 +233,14 @@ def test_wide_to_nc_lengths_and_order():
         rs = build_root_system(quiver.dynkin)
         lattice = NcLattice(rs, quiver)
         oracle = NcOracle(rs, quiver)
-        seeds = thick_masks(quiver, field)
-        masks = walk(quiver, field)
+        seeds = thick_masks(quiver)
+        masks = walk(quiver)
         images = [quiver_lattice(quiver).index[m] for m in masks]
         assert verify_bijection(quiver, field).ok
         # bijective onto the lattice
         assert len(set(images)) == len(lattice) == len(masks)
         assert set(images) == set(range(len(lattice)))
-        products = [weyl_image(quiver, field, m) for m in masks]
+        products = [weyl_image(quiver, m) for m in masks]
         for mask, image, w in zip(masks, images, products):
             # the matrix walk's element at the product of the simples'
             # reflections is the mask lattice's element at the image
@@ -237,7 +260,7 @@ def test_wide_to_nc_lengths_and_order():
 
 
 def test_subcategory_order_matches_simple_counts():
-    sizes = sorted(m.bit_count() for m in thick_masks(quiver_of("A2"), GF(2)))
+    sizes = sorted(m.bit_count() for m in thick_masks(quiver_of("A2")))
     assert sizes == [0, 1, 1, 1, 3]
 
 
@@ -245,19 +268,19 @@ def test_extension_closure_is_enforced():
     """The two simples of A2 generate everything: their extension exists."""
     quiver = quiver_of("A2")
     ctx = RepTable(quiver, GF(2))
-    rows = _perp_rows(quiver, GF(2))
-    closed = _close_mask(rows, ctx.mask_of_dims({(1, 0), (0, 1)}))
+    left, right, _ = _perp_rows(quiver)
+    closed = perp_closure(left, right, ctx.mask_of_dims({(1, 0), (0, 1)}))
     assert dims_of(quiver, closed) == frozenset({(1, 0), (0, 1), (1, 1)})
     # kernels and cokernels too: the projective and the sink simple
-    closed2 = _close_mask(rows, ctx.mask_of_dims({(1, 1), (1, 0)}))
+    closed2 = perp_closure(left, right, ctx.mask_of_dims({(1, 1), (1, 0)}))
     assert dims_of(quiver, closed2) == frozenset({(1, 0), (0, 1), (1, 1)})
 
 
 def test_singleton_closures_are_single_bricks():
     quiver = quiver_of("D4")
-    rows = _perp_rows(quiver, GF(2))
+    left, right, _ = _perp_rows(quiver)
     for k in range(len(indecomposable_dims(quiver))):
-        assert _close_mask(rows, 1 << k) == 1 << k
+        assert perp_closure(left, right, 1 << k) == 1 << k
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +300,7 @@ def pair_mask(ctx, i, j):
     key = (ctx.quiver, ctx.field, i, j)
     if key not in _PAIR_MASKS:
         field = ctx.field
-        m, n = ctx.table.reps[i], ctx.table.reps[j]
+        m, n = ctx.reps[i], ctx.reps[j]
         dims = {m.dim, n.dim}
         basis = hom_basis(m, n)
         for coeffs in lines(field, len(basis)):
@@ -383,8 +406,8 @@ def test_lines_give_one_vector_per_line(p):
 def test_pair_mask_and_embeds_match_brute_force(name, p):
     field = GF(p)
     ctx = RepTable(quiver_of(name), field)
-    for i, m in enumerate(ctx.table.reps):
-        for j, n in enumerate(ctx.table.reps):
+    for i, m in enumerate(ctx.reps):
+        for j, n in enumerate(ctx.reps):
             assert pair_mask(ctx, i, j) == ctx.mask_of_dims(
                 _brute_pair_dims(field, m, n)
             ), (m.dim, n.dim)
@@ -401,7 +424,7 @@ def test_euler_form_precedence_matches_ext_cocycles(p):
         ctx = RepTable(quiver_of(name), GF(p))
         for a, b in itertools.product(range(len(ctx.roots)), repeat=2):
             assert ctx.ext(a, b) == len(
-                ext_cocycle_basis(ctx.table.reps[a], ctx.table.reps[b])
+                ext_cocycle_basis(ctx.reps[a], ctx.reps[b])
             ), (name, ctx.roots[a], ctx.roots[b])
 
 
@@ -409,14 +432,24 @@ def test_euler_form_precedence_matches_ext_cocycles(p):
 @pytest.mark.parametrize("oriented", [False, True])
 @pytest.mark.parametrize("name", ["A4", "D4", "D5"])
 def test_euler_form_perpendiculars_match_the_hom_table(name, oriented, p):
-    """The lattice's Euler-form rows left[b] = {g : <g, b> = 0} and
-    right[b] = {g : <b, g> = 0} are the perpendicular rows that the
-    closure reads off Hom and Ext1 over the field."""
+    """The Euler-form rows left[b] = {g : <g, b> = 0} and right[b] = {g :
+    <b, g> = 0} that the closure and the lattice read are the rows of
+    vanishing Hom and Ext1 by rank over the field, and the seeds' rows
+    orth[a] those of vanishing Hom both ways."""
     dynkin = DynkinType.parse(name)
     quiver = Quiver(dynkin, OTHER_ORIENTATIONS[name]) if oriented else quiver_of(name)
-    left, right, _ = _perp_rows(quiver, GF(p))
+    ctx = RepTable(quiver, GF(p))
+    n = len(ctx.roots)
+
+    def row(zero):
+        return tuple(sum(1 << g for g in range(n) if zero(g, b)) for b in range(n))
+
+    left = row(lambda g, b: ctx.hom(g, b) == 0 == ctx.ext(g, b))
+    right = row(lambda g, b: ctx.hom(b, g) == 0 == ctx.ext(b, g))
+    orth = row(lambda g, b: ctx.hom(g, b) == 0 == ctx.hom(b, g))
     lattice = quiver_lattice(quiver)
-    assert (tuple(left), tuple(right)) == (lattice.left, lattice.right)
+    assert (left, right) == (lattice.left, lattice.right)
+    assert _perp_rows(quiver) == (left, right, list(orth))
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D5", "E6"])
@@ -443,15 +476,15 @@ def assert_closure_matches_fixed_point(quiver, field):
     """The perpendicular closure equals the pairwise fixed point on every
     Hom-orthogonal seed and on 200 seeded random subsets of size 0-4."""
     ctx = RepTable(quiver, field)
-    rows = _perp_rows(quiver, field)
+    left, right, orth = _perp_rows(quiver)
     n = len(ctx.roots)
     rng = random.Random(8)
-    masks = thick_enum._orthogonal_seed_masks(rows) + [
+    masks = thick_enum._orthogonal_seed_masks(orth) + [
         sum(1 << i for i in rng.sample(range(n), rng.randint(0, 4)))
         for _ in range(200)
     ]
     for mask in masks:
-        assert _close_mask(rows, mask) == fixed_point_closure(
+        assert perp_closure(left, right, mask) == fixed_point_closure(
             ctx, mask
         ), sorted_dims(quiver, mask)
 
@@ -465,9 +498,9 @@ def test_closure_matches_pairwise_fixed_point(name, oriented, p):
     assert_closure_matches_fixed_point(quiver, GF(p))
 
 
-def _all_subset_closures(rows):
+def _all_subset_closures(left, right):
     """Oracle: the closure of every subset of the indecomposables."""
-    return {_close_mask(rows, seed) for seed in range(1 << len(rows[0]))}
+    return {perp_closure(left, right, seed) for seed in range(1 << len(left))}
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -476,13 +509,12 @@ def _all_subset_closures(rows):
 def test_orthogonal_seeds_match_all_subsets(name, oriented, p):
     dynkin = DynkinType.parse(name)
     quiver = Quiver(dynkin, OTHER_ORIENTATIONS[name]) if oriented else quiver_of(name)
-    field = GF(p)
-    rows = _perp_rows(quiver, field)
-    masks = thick_masks(quiver, field)
-    assert set(masks) == _all_subset_closures(rows)
+    left, right, orth = _perp_rows(quiver)
+    masks = thick_masks(quiver)
+    assert set(masks) == _all_subset_closures(left, right)
     # Hom-orthogonal sets of bricks are the simples of exactly one
     # subcategory each (Ringel), so no seed is wasted
-    assert len(thick_enum._orthogonal_seed_masks(rows)) == len(masks)
+    assert len(thick_enum._orthogonal_seed_masks(orth)) == len(masks)
 
 
 def _precedence_orders(k, before):
@@ -533,7 +565,7 @@ def assert_all_orders_agree(quiver, field):
     roots are the dimension vectors, as the matrix walk finds it."""
     ctx = RepTable(quiver, field)
     mats = NcOracle(quiver_lattice(quiver).rs, quiver).mat_of
-    for mask, simples in thick_masks(quiver, field).items():
+    for mask, simples in thick_masks(quiver).items():
         image = mats[mask]
         assert all_order_products(ctx, simples) == {image}, sorted_dims(quiver, mask)
 
@@ -546,14 +578,14 @@ def test_every_admissible_order_gives_the_image(name):
 @pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
 def test_order_isomorphism_matches_pairwise_oracle(name):
     quiver, field = quiver_of(name), GF(2)
-    masks = walk(quiver, field)
+    masks = walk(quiver)
     lattice = quiver_lattice(quiver)
     positions = [lattice.index[m] for m in masks]
     assert verify_bijection(quiver, field).is_order_isomorphism
     # each subcategory's element found by the product of its simples'
     # reflections, ordered as the matrix walk's moved roots are
     oracle = NcOracle(lattice.rs, quiver)
-    found = [oracle.position[weyl_image(quiver, field, m)] for m in masks]
+    found = [oracle.position[weyl_image(quiver, m)] for m in masks]
     for (s1, p1, o1), (s2, p2, o2) in itertools.product(
         zip(masks, positions, found), repeat=2
     ):
@@ -563,10 +595,10 @@ def test_order_isomorphism_matches_pairwise_oracle(name):
 
 def test_bijection_report_flags_images_with_other_moved_roots(fresh_thick_caches):
     quiver, field = quiver_of("A3"), GF(2)
-    seeds = thick_masks(quiver, field)
+    seeds = thick_masks(quiver)
     # the empty and the full subcategory trade simples, so their products
     # of reflections trade places: still a bijection
-    empty, full = walk(quiver, field)[0], walk(quiver, field)[-1]
+    empty, full = walk(quiver)[0], walk(quiver)[-1]
     seeds[empty], seeds[full] = seeds[full], seeds[empty]
     report = verify_bijection(quiver, field)
     assert report.is_bijective and not report.is_order_isomorphism
@@ -579,7 +611,7 @@ def test_bijection_report_flags_images_with_other_moved_roots(fresh_thick_caches
 
 def test_bijection_report_flags_products_outside_the_lattice(fresh_thick_caches):
     quiver, field = quiver_of("A2"), GF(2)
-    atom = next(m for m in thick_masks(quiver, field) if m.bit_count() == 1)
+    atom = next(m for m in thick_masks(quiver) if m.bit_count() == 1)
     del quiver_lattice(quiver).index[atom]
     report = verify_bijection(quiver, field)
     assert not report.ok
@@ -589,9 +621,9 @@ def test_bijection_report_flags_products_outside_the_lattice(fresh_thick_caches)
 
 def test_bijection_report_flags_products_that_coincide(fresh_thick_caches):
     quiver, field = quiver_of("A3"), GF(2)
-    seeds = thick_masks(quiver, field)
+    seeds = thick_masks(quiver)
     # the empty subcategory takes the simples of the full one
-    empty, full = walk(quiver, field)[0], walk(quiver, field)[-1]
+    empty, full = walk(quiver)[0], walk(quiver)[-1]
     seeds[empty] = seeds[full]
     report = verify_bijection(quiver, field)
     assert not report.is_bijective and not report.is_order_isomorphism
@@ -619,13 +651,13 @@ def assert_pair_closures_are_joins(quiver, field):
     """Ingalls-Thomas: the wide subcategory generated by two bricks has
     the moved roots of the join of their reflections as its dimension
     vectors."""
-    rows = _perp_rows(quiver, field)
+    left, right, _ = _perp_rows(quiver)
     lattice = quiver_lattice(quiver)
     n = len(lattice.rs.positive_roots)
     # the reflection in root k moves only that root
     atoms = [lattice.index[1 << k] for k in range(n)]
     for a, b in itertools.combinations_with_replacement(range(n), 2):
-        closed = _close_mask(rows, 1 << a | 1 << b)
+        closed = perp_closure(left, right, 1 << a | 1 << b)
         join = lattice.elements[lattice.join(atoms[a], atoms[b])]
         assert closed == join, sorted_dims(quiver, 1 << a | 1 << b)
 
@@ -641,11 +673,11 @@ def test_pair_closures_are_joins_of_reflections(name, p):
 def test_seeded_simples_match_embedding_scan(name, p):
     quiver = quiver_of(name)
     ctx = RepTable(quiver, GF(p))
-    for mask, simples in thick_masks(quiver, GF(p)).items():
+    for mask, simples in thick_masks(quiver).items():
         assert simples == oracle_simples(ctx, mask), sorted_dims(quiver, mask)
 
 
 def test_two_seeds_closing_to_one_subcategory_raise(monkeypatch, fresh_thick_caches):
-    monkeypatch.setattr(thick_enum, "_close_mask", lambda rows, mask: 0)
+    monkeypatch.setattr(thick_enum, "perp_closure", lambda left, right, mask: 0)
     with pytest.raises(RuntimeError, match="close to one subcategory"):
-        thick_masks(quiver_of("A2"), GF(2))
+        thick_masks(quiver_of("A2"))

@@ -117,17 +117,38 @@ def test_constructors_and_repr():
         DynkinType("A")
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, in the environment perfbench/run.py gives the CLI
+def import_cli(report: str):
+    """Run `report`, an expression over the set `added` of modules that
+    `import thicklat.cli` adds, in a fresh interpreter in the environment
+    perfbench/run.py gives the CLI, and print it."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("PYTHON", "THICKLAT_"))}
     env["PYTHONPATH"] = str(ROOT / "src")
     code = (
         "import sys; before = set(sys.modules); import thicklat.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"
+        f"added = set(sys.modules) - before; print({report})"
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    result = import_cli("' '.join(sorted({'dataclasses', 'inspect'} & added))")
     assert result.stdout == "\n"
+
+
+# Every module that `import thicklat.cli` loads, on Python 3.11: the
+# benchmark's setup_s times this import, so a new one should fail here
+# first.
+CLI_IMPORTS = (
+    "__future__ _decimal _json argparse decimal fractions gettext json "
+    "json.decoder json.encoder json.scanner numbers thicklat thicklat.cli "
+    "thicklat.figures thicklat.koszul thicklat.linalg thicklat.quiver_rep "
+    "thicklat.root_system thicklat.spec_model thicklat.thick_enum thicklat.value"
+)
+
+
+def test_cli_import_set_is_pinned():
+    assert import_cli("' '.join(sorted(added))").stdout == CLI_IMPORTS + "\n"
