@@ -31,8 +31,6 @@ from .linalg import GF, _integer_matrix
 from .quiver_rep import Quiver, TreeModuleError, default_orientation, euler_form
 from .root_system import (
     DynkinType,
-    NcLattice,
-    build_root_system,
     catalan_number,
     nc_to_set_partition,
 )
@@ -544,12 +542,8 @@ def _chosen_format(args) -> str:
 # ---------------------------------------------------------------------------
 # nc
 
-def _nc_lattice(dynkin: DynkinType, quiver: Quiver) -> NcLattice:
-    return NcLattice(build_root_system(dynkin), quiver)
-
-
 def _nc_lattice_data(dynkin: DynkinType, quiver: Quiver):
-    lattice = _nc_lattice(dynkin, quiver)
+    lattice = quiver_lattice(quiver)
     ids = _nc_ids(lattice)
     if len(set(ids)) != len(ids):
         raise RuntimeError("node identifiers collide")
@@ -569,7 +563,7 @@ def cmd_nc(args) -> int:
     fmt = _chosen_format(args)
     if fmt == "count":
         # the size of NC(W, c) needs no labels, order or covers
-        count = len(_nc_lattice(dynkin, quiver))
+        count = len(quiver_lattice(quiver))
         _emit(args.out, lambda write: write(f"{count}\n"))
         return 0
     lattice, ordered_ids, nodes, edges = _nc_lattice_data(dynkin, quiver)
@@ -758,7 +752,7 @@ def _ranked_covers(lattice, order, rank):
 def cmd_specfn(args) -> int:
     dynkin, quiver = _lattice_args(args)
     poset = _parse_poset(args.poset)
-    nc = _nc_lattice(dynkin, quiver)
+    nc = quiver_lattice(quiver)
     fmt = _chosen_format(args)
     if fmt == "count":
         # counted under the same size guard, without labels or covers

@@ -46,9 +46,6 @@ class Quiver(Value):
     def rank(self) -> int:
         return self.dynkin.rank
 
-    def vertices(self) -> range:
-        return self.dynkin.vertices()
-
 
 def default_orientation(dynkin: DynkinType) -> Quiver:
     """Each diagram edge oriented from the smaller to the larger label."""
@@ -355,31 +352,23 @@ class HomTable:
     indecomposables, whose dimensions differ by <., .>, are never both
     nonzero (Ringel, Tame algebras and integral quadratic forms, LNM
     1099, 1984).
-    order lists the root indices so that every j != i with
-    Hom(M_i, M_j) != 0 comes before i: in it the table is unitriangular,
-    since indecomposables are bricks and Hom between them has no cycles.
+    order is the linear extension (root_system.linear_extension) that
+    puts every j != i with Hom(M_i, M_j) != 0 before i: in it the table is
+    unitriangular, since indecomposables are bricks and Hom between them
+    has no cycles.
     """
 
     __slots__ = ("roots", "hom", "order")
 
     def __init__(self, quiver: Quiver):
-        self.roots = roots = indecomposable_dims(quiver)
-        self.hom = hom = tuple(tuple(max(euler_form(quiver, d, e), 0) for e in roots)
-                               for d in roots)
-        n = len(roots)
-        waiting = [sum(1 for j in range(n) if j != i and hom[i][j]) for i in range(n)]
-        ready = [i for i in range(n) if not waiting[i]]
-        order = []
-        while ready:
-            j = ready.pop()
-            order.append(j)
-            for i in range(n):
-                if i != j and hom[i][j]:
-                    waiting[i] -= 1
-                    if not waiting[i]:
-                        ready.append(i)
-        self.order = tuple(order)
-        if len(order) != n or any(hom[i][i] != 1 for i in range(n)):
+        rs = _root_system_for(quiver.dynkin)
+        self.roots = rs.positive_roots
+        pairing = root_system.euler_pairing(rs, quiver.arrows)
+        self.hom = hom = tuple(tuple(max(x, 0) for x in row) for row in pairing)
+        n = len(hom)
+        before = [sum(1 << j for j, h in enumerate(row) if h and j != i) for i, row in enumerate(hom)]
+        self.order = tuple(root_system.linear_extension(before))
+        if len(self.order) != n or any(hom[i][i] != 1 for i in range(n)):
             raise RuntimeError("the Hom table of the indecomposables is not unitriangular")
 
 

@@ -70,9 +70,6 @@ class DynkinType(Value):
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
 
-    def vertices(self) -> range:
-        return range(1, self.rank + 1)
-
     def diagram_edges(self) -> tuple[tuple[int, int], ...]:
         """Edges of the Dynkin diagram as sorted vertex pairs."""
         n = self.rank
@@ -250,18 +247,11 @@ def coxeter_element(rs: RootSystem, arrows) -> WeylElement:
     A2 oriented 1 -> 2 this yields s2 * s1.
     """
     arrows = _orientation(rs, arrows)
-    remaining = set(rs.dynkin.vertices())
-    order = []
-    while remaining:
-        sinks = [
-            v
-            for v in sorted(remaining)
-            if not any(s == v and t in remaining for s, t in arrows)
-        ]
-        if not sinks:
-            raise ValueError("orientation has a cycle")
-        order.append(sinks[0])
-        remaining.discard(sinks[0])
+    # a vertex is peeled once every target of its arrows is
+    targets = [0] * rs.rank
+    for s, t in arrows:
+        targets[s - 1] |= 1 << (t - 1)
+    order = [v + 1 for v in linear_extension(targets)]
     mat = int_identity(rs.rank)
     for v in reversed(order):
         mat = int_mat_mul(simple_reflection(rs, v).mat, mat)
@@ -297,6 +287,19 @@ def _bits(mask: int):
         mask ^= low
 
 
+def linear_extension(before) -> list[int]:
+    """The indices of before, one bitmask row per index, in an order that
+    puts every index of before[i] ahead of i: at each step the smallest
+    index with nothing left before it.  On a cycle the list stops short,
+    at the first step where no index is free."""
+    left = (1 << len(before)) - 1
+    order = []
+    while (free := next((i for i in _bits(left) if not before[i] & left), None)) is not None:
+        order.append(free)
+        left ^= 1 << free
+    return order
+
+
 def euler_form(arrows, d, e) -> int:
     """<d, e> = sum_v d_v e_v - sum_{a: s->t} d_s e_t over the arrows
     (s, t) of a quiver.
@@ -311,6 +314,20 @@ def euler_form(arrows, d, e) -> int:
 
 
 @lru_cache(maxsize=None)
+def euler_pairing(rs: RootSystem, arrows) -> tuple[tuple[int, ...], ...]:
+    """pairing[i][j] = <beta_i, beta_j> over the positive roots beta of
+    rs, for an orientation's arrows: the one integer product R (E R^T),
+    with R the roots as rows and E the identity less the arrow matrix,
+    so row s of E R^T is column s of R less column t per arrow s -> t."""
+    roots = rs.positive_roots
+    cols = list(zip(*roots))
+    form = [list(col) for col in cols]
+    for s, t in arrows:
+        form[s - 1] = [x - y for x, y in zip(form[s - 1], cols[t - 1])]
+    return int_mat_mul(roots, form)
+
+
+@lru_cache(maxsize=None)
 def euler_perps(rs: RootSystem, arrows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """left[b] = {g : <g, b> = 0} and right[b] = {g : <b, g> = 0}, as
     bitmasks over rs.positive_roots, for an orientation's arrows.
@@ -318,15 +335,9 @@ def euler_perps(rs: RootSystem, arrows) -> tuple[tuple[int, ...], tuple[int, ...
     Hom and Ext1 between indecomposables of a Dynkin quiver are never
     both nonzero, so <g, b> = 0 exactly when Hom(g, b) = 0 = Ext1(g, b).
     """
-    roots = rs.positive_roots
-    pairing = [[euler_form(arrows, g, b) for b in roots] for g in roots]
-    n = len(roots)
-    left = tuple(
-        sum(1 << g for g in range(n) if pairing[g][b] == 0) for b in range(n)
-    )
-    right = tuple(
-        sum(1 << g for g in range(n) if pairing[b][g] == 0) for b in range(n)
-    )
+    pairing = euler_pairing(rs, arrows)
+    right = tuple(sum(1 << g for g, x in enumerate(row) if not x) for row in pairing)
+    left = tuple(sum(1 << g for g, x in enumerate(col) if not x) for col in zip(*pairing))
     return left, right
 
 

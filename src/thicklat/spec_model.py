@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from itertools import product
 
-from .root_system import NcLattice
+from .root_system import NcLattice, linear_extension
 from .value import Value
 
 DEFAULT_SIZE_GUARD = 100_000
@@ -26,6 +26,12 @@ def size_guard_limit() -> int:
     raw = os.environ.get("THICKLAT_SIZE_GUARD")
     if raw is None:
         return DEFAULT_SIZE_GUARD
+    # int() refuses more digits than this (Python's default
+    # int_max_str_digits), and its message would echo every one
+    digits = raw.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    if digits.isdecimal() and len(digits) > 4300:
+        raise ValueError(f"THICKLAT_SIZE_GUARD has {len(digits)} digits, past the limit of 4300")
     try:
         return int(raw)
     except ValueError as exc:
@@ -115,18 +121,12 @@ class FinitePoset(Value):
         return a != b and (a, b) in self.leq
 
     def topological(self) -> tuple[str, ...]:
-        """Elements ordered so that lower ones come first."""
-        remaining = list(self.elements)
-        out = []
-        while remaining:
-            for x in remaining:
-                if not any(y != x and (y, x) in self.leq for y in remaining):
-                    out.append(x)
-                    remaining.remove(x)
-                    break
-            else:
-                raise RuntimeError("poset order is cyclic?")
-        return tuple(out)
+        """Elements ordered so that lower ones come first, each time the
+        first element with nothing left below it."""
+        elems = self.elements
+        rows = _relation_rows(elems, ((b, a) for a, b in self.leq))
+        below = [row & ~(1 << i) for i, row in enumerate(rows)]
+        return tuple(elems[i] for i in linear_extension(below))
 
 
 def poset_point() -> FinitePoset:

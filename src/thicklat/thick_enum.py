@@ -21,24 +21,26 @@ which are pairwise Hom-orthogonal bricks, so the enumeration closes only
 Hom-orthogonal sets of indecomposables, and keeps each seed as the mask
 of the subcategory's simples.
 
-NC(W, c) and the subcategories both read the Euler form, as dim Hom =
-max(<a, b>, 0) over every field (quiver_rep.hom_table), but find their
-elements apart: NC(W, c) by the walk down from c, the subcategories by
-closing Hom-orthogonal seeds.  verify_bijection checks the bijection from
-Weyl matrices, and that formula by ranks over its field.  Dimension
-vectors are read off a mask only for output and failure messages.
+NC(W, c), the subcategories and the order of each one's simples all
+read one table of the Euler pairing between indecomposables
+(root_system.euler_pairing), as dim Hom = max(<a, b>, 0) over every
+field (quiver_rep.hom_table), but NC(W, c) and the subcategories find
+their elements apart: NC(W, c) by the walk down from c, the
+subcategories by closing Hom-orthogonal seeds.  verify_bijection checks
+the bijection from Weyl matrices, one product per set of simples, and
+the Hom formula by ranks over its field.  Dimension vectors are read off
+a mask only for output and failure messages.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import int_identity, int_mat_mul
+from .linalg import int_identity, int_mat_mul, int_rank
 from .quiver_rep import (
     DimVector,
     Quiver,
     _root_system_for,
     base_change,
-    euler_form,
     hom_dim,
     hom_table,
     indecomposable_dims,
@@ -49,7 +51,9 @@ from .root_system import (
     WeylElement,
     _bits,
     coxeter_element,
+    euler_pairing,
     euler_perps,
+    linear_extension,
     moved_roots,
     perp_closure,
     reflection_length,
@@ -155,30 +159,29 @@ def _admissible_word(quiver: Quiver, simples: int) -> list[int]:
     first simple, by dimension vector, with nothing left that must
     precede it.  Every such order gives the same product of reflections
     (Ingalls-Thomas)."""
-    roots = indecomposable_dims(quiver)
-    remaining = sorted(_bits(simples), key=roots.__getitem__)
+    rs = _root_system_for(quiver.dynkin)
+    pairing = euler_pairing(rs, quiver.arrows)
+    ordered = sorted(_bits(simples), key=rs.positive_roots.__getitem__)
     # a must come before b when a morphism or an extension points from b
     # to a; as Hom and Ext1 between indecomposables are never both
     # nonzero, that is when <b, a> != 0
-    preceded_by = {
-        b: {a for a in remaining if a != b and euler_form(quiver, roots[b], roots[a])}
-        for b in remaining
-    }
-    word = []
-    while remaining:
-        free = [b for b in remaining if not preceded_by[b].intersection(remaining)]
-        if not free:
-            raise RuntimeError("no admissible order of the simples exists")
-        remaining.remove(free[0])
-        word.append(free[0])
-    return word
+    before = [
+        sum(1 << p for p, a in enumerate(ordered) if a != b and pairing[b][a])
+        for b in ordered
+    ]
+    return [ordered[p] for p in linear_extension(before)]
 
 
-def _product(rank: int, mats) -> WeylElement:
-    out = int_identity(rank)
-    for mat in mats:
-        out = int_mat_mul(out, mat)
-    return WeylElement(out)
+def _simples_product(quiver: Quiver, refls, products: dict, simples: int) -> WeylElement:
+    """The product of the simples' reflections in an admissible order,
+    memoized in products by simples mask: the product for the simples
+    less the last letter of their admissible word, which is an
+    admissible word of the rest, times the last letter's reflection."""
+    if simples not in products:
+        last = _admissible_word(quiver, simples)[-1]
+        rest = _simples_product(quiver, refls, products, simples & ~(1 << last))
+        products[simples] = WeylElement(int_mat_mul(rest.mat, refls[last]))
+    return products[simples]
 
 
 def verify_bijection(quiver: Quiver, field) -> BijectionReport:
@@ -188,37 +191,38 @@ def verify_bijection(quiver: Quiver, field) -> BijectionReport:
 
     For each subcategory, walked by size and then by the sorted
     dimension vectors that failures name, the reflections of its
-    simples are multiplied in an admissible order.  The product w must
-    have the number of simples as its reflection length and lie below c,
-    that is l(w) + l(w^-1 c) = l(c), with w^-1 the reversed product, and
-    the lattice built from the Euler form must hold the subcategory's
-    mask.  Distinct subcategories must give distinct products, as many
-    as NC(W, c) has elements.  Both orders are inclusion of masks
-    (Brady-Watt), so a bijection under which every subcategory's mask is
-    the moved roots of its image is an order isomorphism; that equality
-    is checked per subcategory.  Last, hom_dim between the tree modules
-    over the field must be the Hom table's max(<a, b>, 0), with one
-    failure per pair that is not.
+    simples are multiplied in an admissible order, one matrix product
+    per set of simples (_simples_product).  The product w must have the
+    number of simples as its reflection length and lie below c, that is
+    l(w) + l(w^-1 c) = l(c), where l(w^-1 c) is the rank of c - w, as
+    w^-1 c - I = w^-1 (c - w); and the lattice built from the Euler form
+    must hold the subcategory's mask.  Distinct subcategories must give distinct
+    products, as many as NC(W, c) has elements.  Both orders are
+    inclusion of masks (Brady-Watt), so a bijection under which every
+    subcategory's mask is the moved roots of its image is an order
+    isomorphism; that equality is checked per subcategory.  Last,
+    hom_dim between the tree modules over the field must be the Hom
+    table's max(<a, b>, 0), with one failure per pair that is not.
     """
     masks = thick_masks(quiver)
     lattice = quiver_lattice(quiver)
     rs = lattice.rs
     refls = reflection_mats(rs)
     c = coxeter_element(rs, quiver)
+    products = {0: WeylElement(int_identity(rs.rank))}
     walk = sorted(masks, key=lambda m: (m.bit_count(), sorted_dims(quiver, m)))
     failures = []
     images = []
     below = all(mask in lattice.index for mask in masks)
     for mask in walk:
-        word = _admissible_word(quiver, masks[mask])
-        w = _product(rs.rank, [refls[k] for k in word])
-        if reflection_length(w) != len(word):
+        w = _simples_product(quiver, refls, products, masks[mask])
+        if reflection_length(w) != masks[mask].bit_count():
             failures.append(
                 "reflection length differs from the number of simples at "
                 f"{sorted_dims(quiver, mask)}"
             )
-        rest = _product(rs.rank, [refls[k] for k in reversed(word)] + [c.mat])
-        below &= reflection_length(w) + reflection_length(rest) == rs.rank
+        rest = int_rank([[x - y for x, y in zip(*rows)] for rows in zip(c.mat, w.mat)])
+        below &= reflection_length(w) + rest == rs.rank
         images.append(w)
     injective = len(set(images)) == len(images)
     if not injective:

@@ -29,7 +29,7 @@ from thicklat.cli import (
     main,
     parse_polynomial,
 )
-from thicklat import linalg, quiver_rep
+from thicklat import linalg, quiver_rep, root_system
 from thicklat.koszul import MAX_KOSZUL_INPUTS, Poly, PolyRing
 from thicklat.linalg import GF
 from thicklat.quiver_rep import default_orientation, hom_table, indecomposable_dims
@@ -454,6 +454,23 @@ def test_thick_ranks_hom_only_to_verify(monkeypatch, fresh_thick_caches):
     assert counts["hom_dim"] == 20 * 20
 
 
+def test_thick_and_nc_read_one_euler_pairing_table(monkeypatch, fresh_thick_caches):
+    """The subcategories, the Hom table and the lattice read the one
+    cached table of <beta_i, beta_j>, and call euler_form on no pair.
+    --verify makes one integer product per nonempty set of simples (181
+    on D5), one per simple reflection of c (5) and at most one for the
+    table: no reversed product and none per letter of a word."""
+    counts = count_calls(monkeypatch, (root_system.euler_form, linalg.int_mat_mul))
+    for args in (["thick", "--type", "E6", "--field", "2", "--count"], ["nc", "--type", "D5"]):
+        code, _, err = run_cli(args)
+        assert (code, err) == (0, ""), args
+    assert counts["euler_form"] == 0
+    counts["int_mat_mul"] = 0
+    code, _, _ = run_cli(["thick", "--type", "D5", "--field", "2", "--verify"])
+    assert code == 0
+    assert counts["int_mat_mul"] <= 181 + 5 + 1
+
+
 def test_thick_verify_flags_a_hom_table_entry_that_ranks_contradict(
     monkeypatch, fresh_thick_caches
 ):
@@ -794,6 +811,26 @@ def test_counts_past_pythons_digit_limit_are_refused_before_int(
     assert time.perf_counter() - start < 0.2
     assert result == (code, "", f"thicklat: error: {message}\n")
     assert PYTHON_DIGIT_LIMIT not in result[2]
+
+
+@pytest.mark.parametrize("args", [
+    ["nc", "--type", "A2", "--count"],
+    ["thick", "--type", "A2", "--field", "2", "--count"],
+    ["specfn", "--type", "A2", "--poset", "point", "--count"],
+], ids=lambda args: args[0])
+def test_size_guard_past_pythons_digit_limit_is_refused_on_its_length(monkeypatch, args):
+    """int() refuses more than 4300 digits; the guard says so by their
+    count instead of echoing them, and keeps its message for any other
+    value that is not an integer."""
+    for value in ("9" * 5000, " +" + "9" * 5000):
+        monkeypatch.setenv("THICKLAT_SIZE_GUARD", value)
+        assert run_cli(args) == (
+            2, "", "thicklat: error: THICKLAT_SIZE_GUARD has 5000 digits, past the limit of 4300\n"
+        )
+    monkeypatch.setenv("THICKLAT_SIZE_GUARD", "12x")
+    assert run_cli(args) == (
+        2, "", "thicklat: error: THICKLAT_SIZE_GUARD='12x' is not an integer\n"
+    )
 
 
 def test_counts_with_leading_zeros_keep_their_value():

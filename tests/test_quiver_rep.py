@@ -28,7 +28,7 @@ from thicklat.quiver_rep import (
     tree_module,
 )
 from thicklat.root_system import DynkinType, build_root_system
-from thicklat import linalg, quiver_rep
+from thicklat import linalg, quiver_rep, root_system
 
 from decompose_oracle import (
     decompose_dims as fitting_decompose_dims,
@@ -349,6 +349,32 @@ def test_euler_form_symmetrization_is_cartan_pairing():
                 for j in range(quiver.rank)
             )
             assert euler_form(quiver, d, e) + euler_form(quiver, e, d) == bilinear
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8"]
+)
+def test_euler_pairing_is_the_euler_form_and_orders_the_hom_table(name):
+    """The one table of <beta_i, beta_j> is the Euler form entry by
+    entry, and the Hom table's order puts every root that a nonzero Hom
+    reaches before its source; every orientation, but only the default
+    one of type E."""
+    quivers = [quiver_of(name)] if name[0] == "E" else orientations(name)
+    rs = build_root_system(DynkinType.parse(name))
+    for quiver in quivers:
+        roots = indecomposable_dims(quiver)
+        assert root_system.euler_pairing(rs, quiver.arrows) == tuple(
+            tuple(euler_form(quiver, d, e) for e in roots) for d in roots
+        ), quiver.arrows
+        table = hom_table(quiver)
+        position = {i: k for k, i in enumerate(table.order)}
+        assert sorted(position) == list(range(len(roots)))
+        assert all(
+            position[j] < position[i]
+            for i, row in enumerate(table.hom)
+            for j, h in enumerate(row)
+            if h and j != i
+        ), quiver.arrows
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])

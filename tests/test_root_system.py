@@ -17,6 +17,7 @@ from thicklat.root_system import (
     catalan_number,
     coxeter_element,
     enumerate_nc,
+    linear_extension,
     nc_to_set_partition,
     moved_roots,
     reflection,
@@ -210,6 +211,16 @@ def test_reflections_are_involutions_and_permute_roots():
         assert is_root_permutation(rs, t)
         # t sends its own root to the negative
         assert apply(t, root) == tuple(-x for x in root)
+
+
+def test_linear_extension_takes_the_smallest_free_index():
+    # 0 waits for 2 and 1 for 3; 2 and 3 start free, and taking 2 frees 0,
+    # which is smaller than 3
+    assert linear_extension([0b100, 0b1000, 0, 0]) == [2, 0, 3, 1]
+    assert linear_extension([0, 0, 0]) == [0, 1, 2]
+    assert linear_extension([]) == []
+    # 1 and 2 wait for each other, so the list stops after 0 and 3
+    assert linear_extension([0, 0b100, 0b010, 0b001]) == [0, 3]
 
 
 def test_coxeter_element_sink_first_convention():

@@ -150,6 +150,9 @@ def test_from_covers_matches_fixed_point_closure():
         covers = [pair for pair, keep in zip(pairs, chosen) if keep]
         poset = FinitePoset.from_covers(names, covers)
         assert poset.leq == closure_by_fixed_point(names, covers)
+        position = {x: k for k, x in enumerate(poset.topological())}
+        assert sorted(position) == sorted(names)
+        assert all(position[a] <= position[b] for a, b in poset.leq)
 
     check()
 
