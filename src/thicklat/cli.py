@@ -718,35 +718,63 @@ def _parse_poset(spec: str) -> FinitePoset:
     )
 
 
-def _function_ranks(lattice, nc_ids):
-    """The members' node identifiers, point=value pairs by point name,
-    in sorted order; the member at each rank; and the rank of each
-    member."""
+def _point_columns(lattice, indices, tables):
+    """For each point in point name order, with its table: the table's
+    entry at the point's value, for each member in indices."""
     names = lattice.poset.elements
     ranked = sorted(range(len(names)), key=names.__getitem__)
-    heads = [names[k] + "=" for k in ranked]
-    ids = [
-        ";".join([head + nc_ids[values[k]] for head, k in zip(heads, ranked)])
-        for values in lattice.members
+    return [
+        map(table.__getitem__, lattice.values_at(k, indices))
+        for table, k in zip(tables, ranked)
     ]
-    n = len(ids)
-    if len(set(ids)) != n:
+
+
+def _function_ranks(lattice, nc_ids):
+    """The member at each rank and the rank of each member, as arrays,
+    ranked by node identifier: the point=value pairs in point name
+    order, joined by ";".
+
+    The identifiers are ranked by integer keys, whose digits, in point
+    name order, are label ranks: at every point but the last the rank
+    of label + ";", at the last the rank of the bare label.  No label
+    contains ";", so two identifiers first differ inside label + ";" at
+    the first point where their labels differ, and the keys order as
+    the strings do; equal keys are equal identifiers."""
+    from array import array
+
+    def label_ranks(suffix: str) -> list[int]:
+        texts = [label + suffix for label in nc_ids]
+        place = {text: r for r, text in enumerate(sorted(set(texts)))}
+        return [place[text] for text in texts]
+
+    points, width, count = len(lattice.poset.elements), len(nc_ids), len(lattice.codes)
+    digits = [label_ranks(";")] * (points - 1) + [label_ranks("")]
+    terms = [[d * width ** (points - 1 - j) for d in row] for j, row in enumerate(digits)]
+    keys = list(map(sum, zip(*_point_columns(lattice, range(count), terms))))
+    order = array("I", sorted(range(count), key=keys.__getitem__))
+    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
         raise RuntimeError("node identifiers collide")
-    order = sorted(range(n), key=ids.__getitem__)
-    rank = [0] * n
+    del keys
+    rank = array("I", [0]) * count
     for r, i in enumerate(order):
         rank[i] = r
-    return [ids[i] for i in order], order, rank
+    return order, rank
 
 
-def _ranked_covers(lattice, order, rank):
-    """The covers as (rank of lower, rank of higher) pairs, in sorted
-    order, read off the members' upper cover rows in rank order.  The
-    ids are unique, so the ranks sort as the pairs of ids do."""
-    upper = lattice.upper
-    for r, i in enumerate(order):
-        for s in sorted([rank[j] for j in upper[i]]):
-            yield r, s
+def _function_ids(lattice, nc_ids, order, quote):
+    """quote of each member's node identifier, in rank order."""
+    tables = [
+        [name + "=" + label for label in nc_ids]
+        for name in sorted(lattice.poset.elements)
+    ]
+    return list(map(quote, map(";".join, zip(*_point_columns(lattice, order, tables)))))
+
+
+def _ranked_rows(lattice, order, rank):
+    """For each rank, the ascending ranks of the members that cover the
+    member at that rank."""
+    for i in order:
+        yield sorted(map(rank.__getitem__, lattice.row(i)))
 
 
 def cmd_specfn(args) -> int:
@@ -763,30 +791,25 @@ def cmd_specfn(args) -> int:
     nc_ids = _nc_ids(nc)
     build = monotone_functions if args.mode == "monotone" else all_functions
     lattice = build(poset, nc)
-    ids, order, rank = _function_ranks(lattice, nc_ids)
-    covers = _ranked_covers(lattice, order, rank)
+    order, rank = _function_ranks(lattice, nc_ids)
+    rows = _ranked_rows(lattice, order, rank)
     if fmt == "dot":
-        edges = ((ids[r], ids[s]) for r, s in covers)
+        ids = _function_ids(lattice, nc_ids, order, str)
+        edges = ((ids[r], ids[s]) for r, row in enumerate(rows) for s in row)
         _emit(args.out, lambda write: _write_dot(ids, edges, write))
         return 0
     # each id, point name and value label is escaped once; the members
     # and covers go to the writer as the texts of their items
-    quoted = [_escape(x) for x in ids]
+    quoted = _function_ids(lattice, nc_ids, order, _escape)
     names = poset.elements
-    ranked = sorted(range(len(names)), key=names.__getitem__)
-    cells = [
-        ["\n    " + _escape(names[k]) + ": " + _escape(label) for label in nc_ids]
-        for k in ranked
+    tables = [
+        ["\n    " + _escape(name) + ": " + _escape(label) for label in nc_ids]
+        for name in sorted(names)
     ]
-    members = lattice.members
-
-    def member(r: int) -> str:
-        values = members[order[r]]
-        return (
-            '{\n  "id": ' + quoted[r] + ',\n  "values": {'
-            + ",".join([cell[values[k]] for cell, k in zip(cells, ranked)])
-            + "\n  }\n}"
-        )
+    members = (
+        '{\n  "id": ' + text + ',\n  "values": {' + ",".join(cells) + "\n  }\n}"
+        for text, cells in zip(quoted, zip(*_point_columns(lattice, order, tables)))
+    )
 
     arguments = {
         "type": str(dynkin),
@@ -796,12 +819,14 @@ def cmd_specfn(args) -> int:
         "format": fmt,
     }
     payload = {
-        "member_count": len(ids),
-        "cover_count": sum(map(len, lattice.upper)),
+        "member_count": len(quoted),
+        "cover_count": len(lattice.targets),
         "points": list(names),
-        "members": _EncodedList(map(member, range(len(ids)))),
+        "members": _EncodedList(members),
         "covers": _EncodedList(
-            "[\n  " + quoted[r] + ",\n  " + quoted[s] + "\n]" for r, s in covers
+            "[\n  " + quoted[r] + ",\n  " + quoted[s] + "\n]"
+            for r, row in enumerate(rows)
+            for s in row
         ),
     }
     document = _document("specfn", arguments, payload)
@@ -849,9 +874,12 @@ def cmd_figures(args) -> int:
 
     nc_ids = _nc_ids(lattice)
     functions = monotone_functions(poset_chain(2), lattice)
-    fn_ids, fn_order, fn_rank = _function_ranks(functions, nc_ids)
+    fn_order, fn_rank = _function_ranks(functions, nc_ids)
+    fn_ids = _function_ids(functions, nc_ids, fn_order, str)
     fn_edges = [
-        (fn_ids[r], fn_ids[s]) for r, s in _ranked_covers(functions, fn_order, fn_rank)
+        (fn_ids[r], fn_ids[s])
+        for r, row in enumerate(_ranked_rows(functions, fn_order, fn_rank))
+        for s in row
     ]
     # the labels index FIGURE1_NODES, so they are read only when it matches
     figure2_iso = figure1_nodes_match and _figure2_matches(functions, partitions)

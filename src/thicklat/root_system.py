@@ -414,7 +414,8 @@ class NcLattice:
     dimension vectors of wide subcategories, so a join is the index of
     the perp_closure of the union of two masks under the Euler-form rows
     left and right, and a meet the index of their intersection.  Up-sets
-    and down-sets are built on first use, as bitmasks over the elements.
+    and down-sets are bitmasks over the elements, each built on first
+    use, so a caller that needs one never pays for the other.
     """
 
     def __init__(self, rs: RootSystem, arrows):
@@ -432,29 +433,40 @@ class NcLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _masks(self):
-        """up[i] = {i} | the union of up[k] over the upper covers k of i,
-        built down from the longest elements; down[j] = {j} | the union
-        of down[k] over the lower covers k of j, built up from the
-        shortest."""
+    def _order_masks(self, upward: bool) -> list[int]:
+        """Each element's up-set (upward) or down-set as a bitmask: the
+        element with the sets of its upper (lower) covers, built from the
+        longest (shortest) elements."""
+        n = len(self.elements)
+        nexts: list[list[int]] = [[] for _ in range(n)]
+        for lo, hi in self.covers():
+            if upward:
+                nexts[lo].append(hi)
+            else:
+                nexts[hi].append(lo)
+        masks = [0] * n
+        for i in sorted(range(n), key=self.lengths.__getitem__, reverse=upward):
+            mask = 1 << i
+            for k in nexts[i]:
+                mask |= masks[k]
+            masks[i] = mask
+        return masks
+
+    def up_sets(self) -> list[int]:
+        """up[i], the elements at or above i, built on first use."""
         if self._up is None:
-            n = len(self.elements)
-            by_length = sorted(range(n), key=self.lengths.__getitem__)
-            below: list[list[int]] = [[] for _ in range(n)]
-            for lo, hi in self.covers():
-                below[hi].append(lo)
-            up, down = [0] * n, [0] * n
-            for i in reversed(by_length):
-                up[i] |= 1 << i
-                for k in below[i]:
-                    up[k] |= up[i]
-            for j in by_length:
-                mask = 1 << j
-                for k in below[j]:
-                    mask |= down[k]
-                down[j] = mask
-            self._up, self._down = up, down
-        return self._up, self._down
+            self._up = self._order_masks(True)
+        return self._up
+
+    def down_sets(self) -> list[int]:
+        """down[j], the elements at or below j, built on first use."""
+        if self._down is None:
+            self._down = self._order_masks(False)
+        return self._down
+
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """Both up_sets() and down_sets(), for readers of the whole order."""
+        return self.up_sets(), self.down_sets()
 
     def leq(self, i: int, j: int) -> bool:
         return self.elements[i] & ~self.elements[j] == 0

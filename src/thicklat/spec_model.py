@@ -8,7 +8,8 @@ so do all unconstrained functions.
 from __future__ import annotations
 
 import os
-from itertools import product
+from itertools import repeat
+from operator import floordiv, mod
 
 from .root_system import NcLattice, linear_extension
 from .value import Value
@@ -158,25 +159,61 @@ def poset_diamond() -> FinitePoset:
 
 
 class FunctionLattice(Value):
-    """A set of functions under the pointwise order.
+    """A set of functions under the pointwise order, one integer per member.
 
-    Each member is its value tuple: members[i][k] is the index into the
-    noncrossing partition lattice of the value at poset.elements[k].
-    upper[i] is the ascending tuple of the indices of the members that
-    cover member i.
+    A function f into a lattice of width elements is its code, the
+    mixed-radix number sum(f(p_k) * width ** (m - 1 - k)) over the m
+    points p_k of poset.elements, where f(p) is the index of the value at
+    p.  codes ascend (a tuple, or a range when every function is a
+    member), so the members ascend as value tuples.  The upper covers
+    of member i are the member indices in targets from ends[i - 1] (0
+    for i = 0) up to ends[i], ascending: every row in one flat sequence,
+    an array of C ints when built here.
+
+    members[i] is the value tuple of member i and upper[i] its cover
+    row, both decoded on each access; values_at and row read one point
+    or one row without building either.
     """
 
-    __slots__ = ("poset", "members", "upper")
+    __slots__ = ("poset", "width", "codes", "targets", "ends")
 
-    def __init__(
-        self,
-        poset: FinitePoset,
-        members: tuple[tuple[int, ...], ...] = (),
-        upper: tuple[tuple[int, ...], ...] = (),
-    ):
+    def __init__(self, poset: FinitePoset, width: int = 1, codes=(), targets=(), ends=()):
         object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "ends", ends)
+
+    def __hash__(self):
+        # targets and ends may be arrays, which do not hash; equal
+        # lattices have equal codes all the same
+        return hash((self.poset, self.width, self.codes))
+
+    def values_at(self, k: int, indices):
+        """The value at poset.elements[k] of each member in indices."""
+        codes = map(self.codes.__getitem__, indices)
+        return _point_values(codes, self.width, len(self.poset.elements), k)
+
+    def row(self, i: int):
+        """The ascending indices of the members that cover member i."""
+        return self.targets[self.ends[i - 1] if i else 0:self.ends[i]]
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        codes, points = self.codes, len(self.poset.elements)
+        columns = [_point_values(codes, self.width, points, k) for k in range(points)]
+        return tuple(values[1:] for values in zip(codes, *columns))
+
+    @property
+    def upper(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.row(i)) for i in range(len(self.ends)))
+
+
+def _point_values(codes, width: int, points: int, k: int):
+    """The value at point k of the function of each code: digit k, most
+    significant first, of the code's points digits in base width."""
+    place = width ** (points - 1 - k)
+    return map(mod, map(floordiv, codes, repeat(place)), repeat(width))
 
 
 def check_size_guard(count: int, noun: str) -> None:
@@ -199,51 +236,71 @@ def all_function_count(poset: FinitePoset, nc: NcLattice) -> int:
 def all_functions(poset: FinitePoset, nc: NcLattice) -> FunctionLattice:
     """Every function from the poset into the lattice, pointwise order.
 
-    Its covers follow the rule of monotone_functions with no point above
+    The codes are range(len(nc) ** points), each its own index, and the
+    covers follow the rule of monotone_functions with no point above
     another: they change one value to an upper cover of it.
     """
-    npts = len(poset.elements)
-    all_function_count(poset, nc)
-    members = tuple(product(range(len(nc)), repeat=npts))
-    upper = _upper_covers(members, nc, [()] * npts)
-    return FunctionLattice(poset, members, upper)
+    codes = range(all_function_count(poset, nc))
+    above = [()] * len(poset.elements)
+    # codes, a range, is also the index of each code
+    return FunctionLattice(poset, len(nc), codes, *_upper_covers(codes, codes, nc, above))
 
 
-def _monotone_value_tuples(poset: FinitePoset, nc: NcLattice, limit: int):
-    """Yield value index tuples of monotone functions, assigning points
-    in topological order and intersecting upper sets."""
-    up, _ = nc._masks()
+def _monotone_overflow(limit: int) -> SizeGuardError:
+    return SizeGuardError(
+        f"monotone functions exceed the size guard {limit}; "
+        "raise THICKLAT_SIZE_GUARD to proceed"
+    )
+
+
+def _unrelated_count(poset: FinitePoset, nc: NcLattice, limit: int) -> int | None:
+    """On a poset with no point below another every function is
+    monotone: their number, len(nc) ** points, refused above limit as
+    the enumeration refuses it.  None on any other poset."""
+    if len(poset.leq) != len(poset.elements):
+        return None
+    count = len(nc) ** len(poset.elements)
+    if count > limit:
+        raise _monotone_overflow(limit)
+    return count
+
+
+def _monotone_codes(poset: FinitePoset, nc: NcLattice, limit: int):
+    """Yield the codes of the monotone functions, assigning points in
+    topological order and intersecting up-sets.  Called on posets with
+    some point below another, the only ones that need the up-sets."""
     order = poset.topological()
+    width, points = len(nc), len(order)
     pos = {p: i for i, p in enumerate(poset.elements)}
-    order_pos = [pos[p] for p in order]
+    weight = [width ** (points - 1 - pos[p]) for p in order]
     lower_in_order = [
         [idx for idx, a in enumerate(order[:k]) if poset.less(a, order[k])]
-        for k in range(len(order))
+        for k in range(points)
     ]
-    full_mask = (1 << len(nc)) - 1
+    up = nc.up_sets()
+    full_mask = (1 << width) - 1
     found = 0
-    values = [0] * len(poset.elements)
+    values = [0] * points
 
-    def rec(k: int):
+    def rec(k: int, code: int):
         nonlocal found
-        if k == len(order):
+        if k == points:
             found += 1
             if found > limit:
-                raise SizeGuardError(
-                    f"monotone functions exceed the size guard {limit}; "
-                    "raise THICKLAT_SIZE_GUARD to proceed"
-                )
-            yield tuple(values)
+                raise _monotone_overflow(limit)
+            yield code
             return
         allowed = full_mask
         for a in lower_in_order[k]:
-            allowed &= up[values[order_pos[a]]]
+            allowed &= up[values[a]]
+        w = weight[k]
         while allowed:
             low = allowed & -allowed
-            values[order_pos[k]] = low.bit_length() - 1
-            yield from rec(k + 1)
+            v = low.bit_length() - 1
+            values[k] = v
+            yield from rec(k + 1, code + v * w)
             allowed ^= low
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def monotone_functions(poset: FinitePoset, nc: NcLattice) -> FunctionLattice:
@@ -260,44 +317,67 @@ def monotone_functions(poset: FinitePoset, nc: NcLattice) -> FunctionLattice:
     f < h <= g; so if g covers f, g = h.
 
     The covers of f are therefore read off one mask per point: the
-    upper covers of f(p), intersected with the lower sets of f(q) for
-    q > p.
+    upper covers of f(p), intersected with the down-sets of f(q) for
+    q > p.  On a poset with no point below another every function is
+    monotone, and the codes are range(len(nc) ** points), unenumerated,
+    as in all_functions.
     """
-    members = tuple(sorted(_monotone_value_tuples(poset, nc, size_guard_limit())))
+    limit = size_guard_limit()
+    count = _unrelated_count(poset, nc, limit)
+    if count is None:
+        codes = tuple(sorted(_monotone_codes(poset, nc, limit)))
+        index = {code: i for i, code in enumerate(codes)}
+    else:
+        codes = index = range(count)
     above = [
         [q for q, b in enumerate(poset.elements) if poset.less(a, b)]
         for a in poset.elements
     ]
-    return FunctionLattice(poset, members, _upper_covers(members, nc, above))
+    targets, ends = _upper_covers(codes, index, nc, above)
+    return FunctionLattice(poset, len(nc), codes, targets, ends)
 
 
-def _upper_covers(members, nc: NcLattice, above) -> tuple[tuple[int, ...], ...]:
-    """The ascending upper cover row of each member: the members
-    f[p -> hi], for each point p and each upper cover hi of f(p) in the
-    lattice with hi <= f(q) at every point q in above[p]."""
-    index = {values: i for i, values in enumerate(members)}
-    _, down = nc._masks()
-    cover_up_mask = [0] * len(nc)
+def _upper_covers(codes, index, nc: NcLattice, above):
+    """The upper cover rows of the members, by the cover rule of
+    monotone_functions, as one flat array of member indices and the row
+    ends: f[p -> hi] is the code plus (hi - f(p)) * width ** (m - 1 - p),
+    and index maps it to its member.  The down-sets are built only when
+    some point lies below another.
+
+    An upper cover hi of f(p) has a larger index, and a change at point
+    p adds less than any change at p - 1, so taking the points last to
+    first and hi ascending gives each row ascending."""
+    # imported on use, as importing the CLI loads only what every
+    # command needs
+    from array import array
+
+    width, points = len(nc), len(above)
+    weight = [width ** (points - 1 - p) for p in range(points)]
+    down = nc.down_sets() if any(above) else None
+    cover_up_mask = [0] * width
     for lo, hi in nc.covers():
         cover_up_mask[lo] |= 1 << hi
-    points = range(len(above))
-    upper = []
-    for values in members:
-        row = []
-        for p in points:
+    targets, ends = array("I"), array("I")
+    columns = [_point_values(codes, width, points, p) for p in range(points)]
+    for code, *values in zip(codes, *columns):
+        for p in range(points - 1, -1, -1):
             allowed = cover_up_mask[values[p]]
             for q in above[p]:
                 allowed &= down[values[q]]
-            head, tail = values[:p], values[p + 1:]
+            w = weight[p]
+            base = code - values[p] * w
             while allowed:
                 low = allowed & -allowed
-                row.append(index[head + (low.bit_length() - 1,) + tail])
+                targets.append(index[base + (low.bit_length() - 1) * w])
                 allowed ^= low
-        row.sort()
-        upper.append(tuple(row))
-    return tuple(upper)
+        ends.append(len(targets))
+    return targets, ends
 
 
 def smashing_count(poset: FinitePoset, nc: NcLattice) -> int:
     """Number of monotone functions, without building cover data."""
-    return sum(1 for _ in _monotone_value_tuples(poset, nc, size_guard_limit()))
+    limit = size_guard_limit()
+    count = _unrelated_count(poset, nc, limit)
+    if count is None:
+        count = sum(1 for _ in _monotone_codes(poset, nc, limit))
+    return count

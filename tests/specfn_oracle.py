@@ -1,7 +1,10 @@
 """The specfn output built the direct way, as the CLI once built it: one
-dict per member, the covers sorted as pairs of id strings, and the whole
+dict per member from its value tuple, the members sorted by their id
+strings, the covers sorted as pairs of id strings, and the whole
 document dumped by json.dumps.  The CLI renders the same bytes from the
-value tuples and pre-encoded item texts; the tests compare the two."""
+members' integer codes, ranked by integer label keys instead of id
+strings, with its cover rows read off one flat array and its items
+pre-encoded; the tests compare the two."""
 import json
 
 from thicklat.cli import _nc_ids, _orientation_echo, _parse_poset

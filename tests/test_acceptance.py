@@ -259,10 +259,11 @@ def test_specfn_json_peak_memory_within_budget():
 
 def test_specfn_d4_diamond_json_peak_memory_within_budget():
     """The 7.36 MB JSON of the 9,432 monotone functions from the diamond
-    into NC(D4) is rendered in batches from the value tuples, and its
-    48,108 covers from the members' upper cover rows in rank order, with
-    no list of cover pairs or keys, so the traced peak stays under the
-    text's size."""
+    into NC(D4) is rendered in batches from the members' integer codes,
+    and its 48,108 covers from one flat array of cover rows in rank
+    order, with no tuple per member, no list of cover pairs and no
+    unescaped ids, so the traced peak stays near the escaped ids'
+    0.9 MB."""
     sizes = []
 
     class Sink:
@@ -279,7 +280,25 @@ def test_specfn_d4_diamond_json_peak_memory_within_budget():
         tracemalloc.stop()
         sys.stdout = old
     assert code == 0 and sum(sizes) == 7360216
-    assert peak < 6 * 2**20
+    assert peak < 2.5 * 2**20
+
+
+def test_e8_point_count_peak_memory_within_budget():
+    """The 25,080 functions from a point into NC(E8) are counted as
+    len(nc) ** 1, and no up-set or down-set is built for a poset with no
+    point below another, so the traced peak is the NC(E8) walk's, not
+    the 141 MiB of one mask per element."""
+    buffer, old = io.StringIO(), sys.stdout
+    sys.stdout = buffer
+    tracemalloc.start()
+    try:
+        code = cli_main(["specfn", "--type", "E8", "--poset", "point", "--count"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.stdout = old
+    assert code == 0 and buffer.getvalue() == "25080\n"
+    assert peak < 16 * 2**20
 
 
 def test_e8_point_count_within_budget():
@@ -292,7 +311,7 @@ def test_e8_point_count_within_budget():
         sys.stdout = old
     elapsed = time.perf_counter() - start
     assert code == 0 and buffer.getvalue() == "25080\n"
-    assert elapsed < 3.0
+    assert elapsed < 1.0
 
 
 def test_criterion_8_koszul_support_dichotomy():

@@ -693,6 +693,39 @@ def test_specfn_output_escapes_odd_point_names(tmp_path, mode):
         assert_specfn_matches_oracle(name, f"@{poset_file}", mode)
 
 
+# Point names that are prefixes of one another or hold ";" and "=": the
+# ids join point=label pairs with ";", so these are where ranking the ids
+# by label-rank keys could part from sorting the strings.  The larger
+# cases take fewer points, to stay near ALL_FUNCTIONS_CAP members.
+PREFIX_POSETS = {
+    ("A3", "monotone"): "p<p1\np1<p;1\np;1<a=b\n",
+    ("A3", "all"): "p;1<a=b\n",
+    ("D4", "monotone"): "p<p;1\np;1<a=b\n",
+    ("D4", "all"): "p<p;1\n",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(PREFIX_POSETS))
+def test_specfn_ranks_prefix_point_names_as_the_oracle_sorts_ids(tmp_path, name, mode):
+    poset_file = tmp_path / "prefix.txt"
+    poset_file.write_text(PREFIX_POSETS[name, mode], encoding="utf-8")
+    assert_specfn_matches_oracle(name, f"@{poset_file}", mode)
+
+
+def test_specfn_ranks_a_prefix_label_first_only_at_the_last_point(tmp_path):
+    """r1 is a prefix of r10.  Before the last point in name order an id
+    goes on with ";" after the label, and "r10;" sorts before "r1;"; at
+    the last point the id ends, and "r1" sorts before "r10"."""
+    poset_file = tmp_path / "chain.txt"
+    poset_file.write_text("a<z\n", encoding="utf-8")
+    assert_specfn_matches_oracle("D4", f"@{poset_file}", "monotone")
+    code, out, _ = run_cli(["specfn", "--type", "D4", "--poset", f"@{poset_file}"])
+    ids = [member["id"] for member in json.loads(out)["payload"]["members"]]
+    assert code == 0 and ids == sorted(ids)
+    assert ids.index("a=r10;z=r10") < ids.index("a=r1;z=r1")
+    assert ids.index("a=e;z=r1") < ids.index("a=e;z=r10")
+
+
 def test_specfn_poset_file(tmp_path):
     poset_file = tmp_path / "poset.txt"
     poset_file.write_text(

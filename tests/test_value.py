@@ -71,8 +71,8 @@ VALUES = {
         lambda: FinitePoset(["a", "b"], {("a", "a"), ("b", "b")}),
     ),
     "FunctionLattice": (
-        lambda: FunctionLattice(POINT, ((0,), (1,)), ((1,), ())),
-        lambda: FunctionLattice(POINT, ((0,), (1,))),
+        lambda: FunctionLattice(POINT, 2, (0, 1), (1,), (1, 1)),
+        lambda: FunctionLattice(POINT, 2, (0, 1)),
     ),
 }
 
@@ -109,10 +109,12 @@ def test_constructors_and_repr():
     assert repr(Quiver(dynkin=A2, arrows=[(2, 1)])) == (
         "Quiver(dynkin=DynkinType(letter='A', rank=2), arrows=((2, 1),))"
     )
-    assert repr(FunctionLattice(POINT, ((1,),))) == (
+    assert repr(FunctionLattice(POINT, 2, (1,))) == (
         "FunctionLattice(poset=FinitePoset(elements=('p',), "
-        "leq=frozenset({('p', 'p')})), members=((1,),), upper=())"
+        "leq=frozenset({('p', 'p')})), width=2, codes=(1,), targets=(), ends=())"
     )
+    lattice = FunctionLattice(POINT, 2, (0, 1), (1,), (1, 1))
+    assert lattice.members == ((0,), (1,)) and lattice.upper == ((1,), ())
     with pytest.raises(TypeError):
         DynkinType("A")
 
